@@ -6,15 +6,16 @@ Two measurements, both gated:
    MoE-style DAG (per-device S/C/R micro-op chains on comm/comp/mem
    lanes with periodic cross-device barriers — the shape
    ``build_timeline`` produces, scaled to cluster size), runs it through
-   both the production :class:`SimEngine` and the retained
-   :class:`ReferenceSimEngine`, and reports wall-clock speedup.  The two
+   both the production :class:`SimEngine` and the
+   :class:`~repro.testing.oracles.ReferenceSimEngine` oracle, and reports wall-clock speedup.  The two
    engines must agree on the makespan to 1e-9; in full mode the fast
    path must be at least 5x faster on the 10k-op DAG.
 
 2. **Selector-loop benchmark** — times ``MPipeMoE.evaluate`` over a
-   batch/n grid twice: once with the context's memoized evaluator
-   disabled (the seed path: fresh stage costs, fresh Op DAG and a fully
-   recorded run for every granularity/strategy probe) and once with the
+   batch/n grid twice: once on a
+   :class:`~repro.testing.oracles.ColdEvaluator` (the seed path: fresh
+   stage costs, fresh Op DAG and a fully recorded run for every
+   granularity/strategy probe) and once with the
    shared evaluator + compiled-timeline fast path.  Reports must be
    identical; in full mode the fast path must be at least 3x faster.
    Results are appended to ``benchmarks/results/BENCH_evaluate.json`` so
@@ -37,9 +38,10 @@ import time
 
 from repro.config import get_preset
 from repro.hardware.interference import StreamKind
-from repro.sim.engine import Op, ReferenceSimEngine, SimEngine
+from repro.sim.engine import Op, SimEngine
 from repro.systems import MPipeMoEModel
 from repro.systems.base import SystemContext
+from repro.testing.oracles import ColdEvaluator, ReferenceSimEngine
 from repro.utils import Table
 
 REQUIRED_SPEEDUP = 5.0
@@ -134,13 +136,14 @@ def engine_benchmark(args) -> tuple[dict, bool]:
 def _evaluate_grid(batches, ns, enabled: bool):
     """One timed pass of MPipeMoE.evaluate over the (batch, n) grid.
 
-    ``enabled=False`` turns the shared evaluator off, which reproduces
-    the seed evaluation path (uncached stage costs, a fresh Op DAG and a
-    fully recorded run per simulated trial).
+    ``enabled=False`` swaps in the :class:`ColdEvaluator`, which
+    reproduces the seed evaluation path (uncached stage costs, a fresh
+    Op DAG and a fully recorded run per simulated trial).
     """
     spec = get_preset("GPT-XL")
     ctx = SystemContext(world_size=64)
-    ctx.evaluator.enabled = enabled
+    if not enabled:
+        ctx.evaluator = ColdEvaluator(ctx)
     models = [MPipeMoEModel(ctx, fixed_n=n) for n in ns]
     t0 = time.perf_counter()
     reports = [m.evaluate(spec, b) for b in batches for m in models]

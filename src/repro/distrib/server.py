@@ -204,6 +204,12 @@ class StudyServer:
         self._stopping.set()
         sock, self._sock = self._sock, None
         if sock is not None:
+            # Closing alone does not wake a thread blocked in accept()
+            # on Linux; shutting the socket down does.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:

@@ -2,8 +2,8 @@
 
 * :mod:`repro.hardware.device` — per-GPU capability numbers (GEMM
   throughput, HBM capacity, PCIe bandwidth).
-* :mod:`repro.hardware.topology` — cluster interconnect graph (NVLink
-  within a node, InfiniBand between nodes) built on networkx.
+* :mod:`repro.hardware.topology` — cluster interconnect tree (NVLink
+  within a node, InfiniBand between nodes).
 * :mod:`repro.hardware.interference` — the Fig. 3 stream-interference
   model: slowdown factors mu (comm), sigma (comp), eta (memcpy) as a
   function of which other stream types are concurrently active.
@@ -13,7 +13,7 @@
 """
 
 from repro.hardware.device import DeviceSpec, A100_SXM_40GB, V100_SXM_32GB
-from repro.hardware.topology import ClusterTopology, LinkKind, LinkOverrides
+from repro.hardware.topology import ClusterTopology, LinkOverrides
 from repro.hardware.interference import (
     InterferenceModel,
     StreamKind,
@@ -33,7 +33,6 @@ __all__ = [
     "A100_SXM_40GB",
     "V100_SXM_32GB",
     "ClusterTopology",
-    "LinkKind",
     "LinkOverrides",
     "InterferenceModel",
     "StreamKind",

@@ -1,8 +1,8 @@
 """Cluster interconnect topology.
 
-Builds a networkx graph of GPUs and switches: every GPU in a node
-attaches to an NVSwitch vertex (NVLink bandwidth), nodes attach to an
-InfiniBand fabric vertex (HDR bandwidth shared by the node's GPUs).  The
+A two-level tree of GPUs and switches: every GPU in a node attaches to
+the node's NVSwitch (NVLink bandwidth), and every node's switch attaches
+to the InfiniBand fabric (HDR bandwidth shared by the node's GPUs).  The
 All-to-All cost model queries :meth:`ClusterTopology.alltoall_bandwidth`
 — the effective per-GPU injection rate once the inter-node bottleneck is
 accounted for, which is what makes communication dominate at large N
@@ -11,18 +11,10 @@ accounted for, which is what makes communication dominate at large N
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.config import ClusterSpec
 from repro.utils.units import GBPS, GBITPS
-
-
-class LinkKind(enum.Enum):
-    NVLINK = "nvlink"
-    INFINIBAND = "infiniband"
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class ClusterTopology:
 
     ``overrides`` scales individual link bandwidths — a degraded NVLink
     on one GPU or an oversubscribed IB uplink on one node — and every
-    bandwidth query (path, p2p, All-to-All) follows the scaled graph.
+    bandwidth query (path, p2p, All-to-All) follows the scaled links.
     ``overrides=None`` builds the nominal topology through the exact
     seed code path.
     """
@@ -83,41 +75,20 @@ class ClusterTopology:
     def __init__(self, spec: ClusterSpec, overrides: LinkOverrides | None = None) -> None:
         self.spec = spec
         self.overrides = overrides
-        self.graph = nx.Graph()
-        self._build()
 
-    def _build(self) -> None:
-        g = self.graph
-        ov = self.overrides
-        g.add_node("ib-fabric", kind="switch")
-        for node in range(self.spec.num_nodes):
-            switch = f"nvswitch:{node}"
-            ib_bw = self.spec.node_ib_gbitps * GBITPS
-            if ov is not None:
-                ib_bw *= ov.node(node)
-            g.add_node(switch, kind="switch")
-            g.add_edge(
-                switch,
-                "ib-fabric",
-                kind=LinkKind.INFINIBAND,
-                bandwidth=ib_bw,
-            )
-            for local in range(self.spec.gpus_per_node):
-                gpu = self.gpu_name(node, local)
-                nvlink_bw = self.spec.nvlink_gbps * GBPS
-                if ov is not None:
-                    nvlink_bw *= ov.gpu(node * self.spec.gpus_per_node + local)
-                g.add_node(gpu, kind="gpu", node=node, local=local)
-                g.add_edge(
-                    gpu,
-                    switch,
-                    kind=LinkKind.NVLINK,
-                    bandwidth=nvlink_bw,
-                )
+    def _nvlink(self, rank: int) -> float:
+        """NVLink edge of one GPU (bytes/s)."""
+        bw = self.spec.nvlink_gbps * GBPS
+        if self.overrides is not None:
+            bw *= self.overrides.gpu(rank)
+        return bw
 
-    @staticmethod
-    def gpu_name(node: int, local: int) -> str:
-        return f"gpu:{node}.{local}"
+    def _uplink(self, node: int) -> float:
+        """IB uplink of one node's switch (bytes/s)."""
+        bw = self.spec.node_ib_gbitps * GBITPS
+        if self.overrides is not None:
+            bw *= self.overrides.node(node)
+        return bw
 
     def rank_to_gpu(self, rank: int) -> GpuId:
         if not 0 <= rank < self.spec.world_size:
@@ -129,14 +100,18 @@ class ClusterTopology:
 
     # -- bandwidth queries ---------------------------------------------------
     def path_bandwidth(self, rank_a: int, rank_b: int) -> float:
-        """Min link bandwidth on the path between two GPUs (bytes/s)."""
+        """Min link bandwidth on the path between two GPUs (bytes/s).
+
+        The path climbs both GPUs' NVLink edges to their switches, and
+        also both nodes' IB uplinks when it crosses the fabric.
+        """
         a, b = self.rank_to_gpu(rank_a), self.rank_to_gpu(rank_b)
-        src = self.gpu_name(a.node, a.local)
-        dst = self.gpu_name(b.node, b.local)
-        path = nx.shortest_path(self.graph, src, dst)
-        return min(
-            self.graph.edges[u, v]["bandwidth"] for u, v in zip(path, path[1:])
-        )
+        if rank_a == rank_b:
+            raise ValueError("path bandwidth undefined for a rank with itself")
+        bw = min(self._nvlink(rank_a), self._nvlink(rank_b))
+        if a.node != b.node:
+            bw = min(bw, self._uplink(a.node), self._uplink(b.node))
+        return bw
 
     def p2p_bandwidth(self, rank_a: int, rank_b: int) -> float:
         """Point-to-point bandwidth; NVLink intra-node, IB inter-node.

@@ -13,10 +13,9 @@ more full sims per evaluate, and both rebuilt identical Op DAGs.
 strategy-search, and the final report all share results.  Makespans are
 priced through the compiled-timeline fast path (no Op or OpRecord
 allocation); full recorded sims are cached separately for reports that
-read utilization.  ``enabled=False`` degrades every call to the original
-cold path (fresh costs, fresh Op DAG, recorded run) — the baseline the
-selector-loop benchmark measures the fast path against, and the oracle
-the cache-correctness tests compare it to.
+read utilization.  The uncached seed path — fresh costs, fresh Op DAG,
+recorded run — is :class:`repro.testing.oracles.ColdEvaluator`, the
+oracle the cache-correctness tests compare this class to.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.memory.footprint import FootprintModel
 from repro.perfmodel.cost import HardwareRates, PerfModel
 from repro.perfmodel.selector import StrategySelector
 from repro.perfmodel.workload import WorkloadSpec
-from repro.pipeline.schedule import MoEStageCosts, build_timeline, compile_timeline
+from repro.pipeline.schedule import MoEStageCosts, compile_timeline
 from repro.sim.engine import SimResult
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.systems.base
@@ -136,7 +135,6 @@ class Evaluator:
     """
 
     context: "SystemContext"
-    enabled: bool = True
     max_entries: int | None = None
     stats: EvalStats = field(default_factory=EvalStats)
 
@@ -157,8 +155,6 @@ class Evaluator:
     # -- shared building blocks ------------------------------------------------
     def comm_model(self):
         """The context's NCCL cost model, constructed once."""
-        if not self.enabled:
-            return self.context.comm_model()
         if self._comm is None:
             self._comm = self.context.comm_model()
         return self._comm
@@ -166,8 +162,6 @@ class Evaluator:
     def footprint(
         self, spec: MoELayerSpec, workload: WorkloadSpec | None = None
     ) -> FootprintModel:
-        if not self.enabled:
-            return self.context.footprint(spec, workload)
         key = (spec, workload)
         fp = self._footprints.get(key)
         if fp is None:
@@ -190,13 +184,6 @@ class Evaluator:
         bottleneck scalar (the per-rank hetero composition); it joins
         the memo key like every other input.
         """
-        if not self.enabled:
-            self.stats.cost_misses += 1
-            return MoEStageCosts.compute(
-                spec, batch, n, self.context.device, self.comm_model(),
-                gemm_derate=gemm_derate, workload=workload,
-                rows_override=rows,
-            )
         key = (self._hkey, spec, batch, n, gemm_derate, workload, rows)
         costs = self._costs.get(key)
         if costs is None:
@@ -271,14 +258,8 @@ class Evaluator:
         """Iteration makespan of one timeline, via the compiled fast path.
 
         This is the selector-inner-loop entry point: no Op DAG and no
-        trace records are materialized.  Disabled evaluators run the
-        original cold path (fresh Op DAG, recorded run) instead.
+        trace records are materialized.
         """
-        if not self.enabled:
-            return self._cold_sim(
-                spec, batch, n, strategy, decomposed_comm, sequential,
-                gemm_derate, workload,
-            ).makespan
         key = (self._hkey, spec, batch, n, strategy, decomposed_comm, sequential,
                gemm_derate, workload)
         cached = self._makespans.get(key)
@@ -289,15 +270,12 @@ class Evaluator:
         compiled = compile_timeline(
             n, strategy, decomposed_comm=decomposed_comm, sequential=sequential
         )
-        if self._use_placement_pairs(workload):
-            value = max(
-                self._pair_makespans(
-                    compiled, spec, batch, n, gemm_derate, workload
-                )
+        value = max(
+            engine.compiled_makespan(compiled.dag, works)
+            for engine, works in self._runs(
+                compiled, spec, batch, n, gemm_derate, workload
             )
-        else:
-            costs = self.stage_costs(spec, batch, n, gemm_derate, workload)
-            value = max(self._profile_makespans(compiled, costs))
+        )
         self._makespans[key] = value
         return value
 
@@ -314,11 +292,6 @@ class Evaluator:
         workload: WorkloadSpec | None = None,
     ) -> SimResult:
         """Full recorded simulation, for reports that read the trace."""
-        if not self.enabled:
-            return self._cold_sim(
-                spec, batch, n, strategy, decomposed_comm, sequential,
-                gemm_derate, workload,
-            )
         key = (self._hkey, spec, batch, n, strategy, decomposed_comm, sequential,
                gemm_derate, workload)
         sim = self._sims.get(key)
@@ -329,122 +302,45 @@ class Evaluator:
         compiled = compile_timeline(
             n, strategy, decomposed_comm=decomposed_comm, sequential=sequential
         )
-        if self._use_placement_pairs(workload):
-            # Price every (rows, profile) pair, then record the gating
-            # rank's run — ties break on pair order, matching max().
-            pairs = self._placement_pairs(spec, batch, n, gemm_derate, workload)
-            spans = []
-            pair_works = []
-            for rows, profile in pairs:
-                costs = self.stage_costs(
-                    spec, batch, n, gemm_derate, workload, rows=rows
-                )
-                works = compiled.works(costs)
-                pair_works.append((profile, works))
-                spans.append(
-                    self.context.engine_for(profile).compiled_makespan(
-                        compiled.dag, works
-                    )
-                )
-            profile, works = pair_works[spans.index(max(spans))]
-            sim = self.context.engine_for(profile).run_compiled(
-                compiled.dag, works, record=True
-            )
-            self._sims[key] = sim
-            return sim
-        costs = self.stage_costs(spec, batch, n, gemm_derate, workload)
-        profiles = self.context.sim_profiles
-        works = compiled.works(costs)
-        if not profiles:
-            engine = self.context.engine
-        else:
-            # One pricing pass picks the gating profile; ties break on
-            # profile order (first wins), matching max() in makespan().
-            spans = [
-                self.context.engine_for(p).compiled_makespan(compiled.dag, works)
-                for p in profiles
-            ]
-            engine = self.context.engine_for(profiles[spans.index(max(spans))])
+        runs = self._runs(compiled, spec, batch, n, gemm_derate, workload)
+        engine, works = runs[0]
+        if len(runs) > 1:
+            # One pricing pass picks the gating run; ties break on run
+            # order (first wins), matching max() in makespan().
+            spans = [e.compiled_makespan(compiled.dag, w) for e, w in runs]
+            engine, works = runs[spans.index(max(spans))]
         sim = engine.run_compiled(compiled.dag, works, record=True)
         self._sims[key] = sim
         return sim
 
-    def _profile_makespans(self, compiled, costs) -> list[float]:
-        """Makespan per distinct device profile (one entry when homogeneous).
+    def _runs(self, compiled, spec, batch, n, gemm_derate, workload) -> list:
+        """``(engine, works)`` of every timeline one iteration waits on.
 
-        The worst entry is the iteration time: the loss barrier and the
+        One per (rows, profile) pair of a placed workload, else one per
+        distinct device profile — a single run when homogeneous.  The
+        worst run is the iteration time: the loss barrier and the
         collectives synchronize all devices every iteration, so the
-        slowest profile gates the cluster.
+        slowest one gates the cluster.
         """
-        profiles = self.context.sim_profiles
-        works = compiled.works(costs)
-        if not profiles:
-            return [self.context.engine.compiled_makespan(compiled.dag, works)]
-        return [
-            self.context.engine_for(p).compiled_makespan(compiled.dag, works)
-            for p in profiles
-        ]
-
-    def _pair_makespans(
-        self, compiled, spec, batch, n, gemm_derate, workload
-    ) -> list[float]:
-        """Makespan per (rows, profile) pair of a placed workload."""
-        return [
-            self.context.engine_for(profile).compiled_makespan(
-                compiled.dag,
-                compiled.works(
-                    self.stage_costs(
-                        spec, batch, n, gemm_derate, workload, rows=rows
-                    )
-                ),
-            )
-            for rows, profile in self._placement_pairs(
-                spec, batch, n, gemm_derate, workload
-            )
-        ]
-
-    def _cold_sim(
-        self, spec, batch, n, strategy, decomposed, sequential, derate,
-        workload=None,
-    ):
-        """The seed evaluation path, byte for byte: nothing reused.
-
-        Heterogeneous contexts run the fresh Op DAG once per device
-        profile and keep the worst run — the uncached mirror of the
-        warm path, so cache-correctness tests hold under skew too.
-        Placed workloads mirror the warm per-rank composition: each
-        rank's rows through that rank's profile, worst run kept.
-        """
+        context = self.context
         if self._use_placement_pairs(workload):
-            sims = []
-            for rows, profile in self._placement_pairs(
-                spec, batch, n, derate, workload
-            ):
-                costs = MoEStageCosts.compute(
-                    spec, batch, n, self.context.device,
-                    self.context.comm_model(),
-                    gemm_derate=derate, workload=workload, rows_override=rows,
+            return [
+                (
+                    context.engine_for(profile),
+                    compiled.works(
+                        self.stage_costs(
+                            spec, batch, n, gemm_derate, workload, rows=rows
+                        )
+                    ),
                 )
-                ops = build_timeline(
-                    costs, n, strategy,
-                    decomposed_comm=decomposed, sequential=sequential,
+                for rows, profile in self._placement_pairs(
+                    spec, batch, n, gemm_derate, workload
                 )
-                sims.append(self.context.engine_for(profile).run(ops))
-            spans = [sim.makespan for sim in sims]
-            return sims[spans.index(max(spans))]
-        costs = MoEStageCosts.compute(
-            spec, batch, n, self.context.device, self.context.comm_model(),
-            gemm_derate=derate, workload=workload,
-        )
-        ops = build_timeline(
-            costs, n, strategy, decomposed_comm=decomposed, sequential=sequential
-        )
-        profiles = self.context.sim_profiles
-        if not profiles:
-            return self.context.engine.run(ops)
-        sims = [self.context.engine_for(p).run(ops) for p in profiles]
-        spans = [sim.makespan for sim in sims]
-        return sims[spans.index(max(spans))]
+            ]
+        works = compiled.works(self.stage_costs(spec, batch, n, gemm_derate, workload))
+        if not context.sim_profiles:
+            return [(context.engine, works)]
+        return [(context.engine_for(p), works) for p in context.sim_profiles]
 
     # -- memory ----------------------------------------------------------------
     def footprint_bytes(
@@ -455,11 +351,6 @@ class Evaluator:
         reuse_n: int = 0,
         workload: WorkloadSpec | None = None,
     ) -> int:
-        if not self.enabled:
-            self.stats.footprint_misses += 1
-            return self.footprint(spec, workload).total_bytes(
-                batch, pipelined=pipelined, reuse_n=reuse_n
-            )
         key = (self._hkey, spec, batch, pipelined, reuse_n, workload)
         cached = self._footprint_bytes.get(key)
         if cached is None:
@@ -496,55 +387,60 @@ class Evaluator:
     ) -> StrategySelector:
         """Eq. 10 strategy selector, one per (layer spec, workload)."""
         key = (spec, workload)
-        selector = self._selectors.get(key) if self.enabled else None
+        selector = self._selectors.get(key)
         if selector is None:
-            hetero = self.context.hetero
-            world = self.context.effective_world
-            placed = workload is not None and workload.placed
-            rates = HardwareRates.from_cluster(self.context.device, self.comm_model())
-            rank_rates = None
-            if placed:
-                # Placement-aware W_comm: gate degraded links by the
-                # traffic the placement actually routes over them (the
-                # relative per-rank profile is batch-independent, so any
-                # batch resolves the same factor).
-                comm = self.comm_model()
-                if world > 1:
-                    traffic = workload.load(spec, 1, world).traffic()
-                    w_comm = comm.topology.alltoall_bandwidth(
-                        world, traffic=traffic
-                    ) / ((world - 1) / world)
-                    rates = HardwareRates(
-                        w_comp=rates.w_comp, w_comm=w_comm, w_mem=rates.w_mem
-                    )
-                if hetero is not None:
-                    # Per-rank composition instead of the worst-device
-                    # rescale: each rank's load meets its own rates.
-                    rank_rates = tuple(
-                        DeviceRates(
-                            comp=hetero.rates_for(r).comp,
-                            mem=hetero.rates_for(r).mem,
-                        )
-                        for r in range(world)
-                    )
-            elif hetero is not None:
-                # W_comm already rides the link-overridden topology; the
-                # bottleneck device rescales W_comp and W_mem.
-                worst = hetero.bottleneck_rates(world)
-                rates = rates.scaled(comp=worst.comp, mem=worst.mem)
-            selector = StrategySelector(
-                PerfModel(
-                    spec, rates,
-                    workload=workload,
-                    world_size=world,
-                    rank_rates=rank_rates,
-                ),
-                footprint=self.footprint(spec, workload),
-                device_capacity=self.context.device_memory_bytes,
-            )
-            if self.enabled:
-                self._selectors[key] = selector
+            selector = self._build_selector(spec, workload)
+            self._selectors[key] = selector
         return selector
+
+    def _build_selector(
+        self, spec: MoELayerSpec, workload: WorkloadSpec | None
+    ) -> StrategySelector:
+        """Construct the Eq. 10 selector for one (layer spec, workload)."""
+        hetero = self.context.hetero
+        world = self.context.effective_world
+        placed = workload is not None and workload.placed
+        rates = HardwareRates.from_cluster(self.context.device, self.comm_model())
+        rank_rates = None
+        if placed:
+            # Placement-aware W_comm: gate degraded links by the
+            # traffic the placement actually routes over them (the
+            # relative per-rank profile is batch-independent, so any
+            # batch resolves the same factor).
+            comm = self.comm_model()
+            if world > 1:
+                traffic = workload.load(spec, 1, world).traffic()
+                w_comm = comm.topology.alltoall_bandwidth(
+                    world, traffic=traffic
+                ) / ((world - 1) / world)
+                rates = HardwareRates(
+                    w_comp=rates.w_comp, w_comm=w_comm, w_mem=rates.w_mem
+                )
+            if hetero is not None:
+                # Per-rank composition instead of the worst-device
+                # rescale: each rank's load meets its own rates.
+                rank_rates = tuple(
+                    DeviceRates(
+                        comp=hetero.rates_for(r).comp,
+                        mem=hetero.rates_for(r).mem,
+                    )
+                    for r in range(world)
+                )
+        elif hetero is not None:
+            # W_comm already rides the link-overridden topology; the
+            # bottleneck device rescales W_comp and W_mem.
+            worst = hetero.bottleneck_rates(world)
+            rates = rates.scaled(comp=worst.comp, mem=worst.mem)
+        return StrategySelector(
+            PerfModel(
+                spec, rates,
+                workload=workload,
+                world_size=world,
+                rank_rates=rank_rates,
+            ),
+            footprint=self.footprint(spec, workload),
+            device_capacity=self.context.device_memory_bytes,
+        )
 
     def cache_info(self) -> dict:
         """Counters plus live entry counts, JSON-ready.

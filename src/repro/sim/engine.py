@@ -17,29 +17,31 @@ This reproduces the paper's cost model (Eq. 10) in the steady state
 while also capturing pipeline ramp-up/drain effects that the closed-form
 max() ignores.
 
-Two implementations share these semantics:
+Implementation
+--------------
+:func:`compile_dag` validates an Op DAG once and flattens its topology
+(lane order, dependency counts, children, stream kinds) into the index
+arrays of a :class:`CompiledDag`.  :class:`SimEngine` runs one event
+loop over them — a completion-event heap with lazy invalidation,
+per-lane head cursors, and interference rates recomputed only for
+devices whose active stream-kind set changed, so per-event cost is
+O(affected ops + log heap).  Every entry point is that loop with or
+without two optional sinks:
 
-* :class:`SimEngine` — the production fast path: a completion-event heap
-  with lazy invalidation, per-lane head cursors, and interference rates
-  recomputed only for devices whose active stream-kind set changed.
-  Per-event cost is O(affected ops + log heap) instead of a full rescan.
-* :class:`ReferenceSimEngine` — the original straight-line fluid loop
-  (rescan all lanes and recompute all rates every event).  Kept as the
-  behavioural oracle for the golden-trace tests and as the baseline that
-  ``benchmarks/bench_sim_engine.py`` measures the fast path against.
+* :meth:`SimEngine.compiled_makespan` / :meth:`SimEngine.run_compiled`
+  re-price a compiled topology with a per-op work vector.  The
+  makespan-only mode allocates nothing per op; ``record=True`` adds the
+  :class:`OpRecord` sink.  This is what lets ``build_timeline``
+  topologies be compiled once per ``(n, strategy)`` and re-priced per
+  scenario.
+* :meth:`SimEngine.run` / :meth:`SimEngine.makespan` are
+  :func:`compile_dag` plus ``run_compiled``, for ad-hoc Op lists.
+* :meth:`SimEngine.record_compiled_schedule` adds the schedule sink: a
+  :class:`ScheduleTrace` that :func:`replay_schedule` re-prices over a
+  whole matrix of work vectors at once.
 
-Beyond the recorded run, :class:`SimEngine` offers two cheaper modes
-with identical makespan semantics:
-
-* ``run(ops, record=False)`` / :meth:`SimEngine.makespan` — the same
-  event loop without :class:`OpRecord`/trace allocation, for selector
-  inner loops that only read the makespan;
-* :func:`compile_dag` + :meth:`SimEngine.compiled_makespan` — the DAG
-  topology (lane order, dependency lists, stream kinds) flattened once
-  into index arrays, re-runnable with different per-op work vectors.
-  This is what lets ``build_timeline`` topologies be compiled per
-  ``(n, strategy)`` and re-priced per scenario without reconstructing
-  thousands of :class:`Op` objects.
+The straight-line reference loop the engine is proven against lives
+with the other oracles in :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.hardware.hetero import DeviceRateTable
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE, StreamKind
@@ -143,18 +145,13 @@ class SimResult:
 
 
 def _validate(ops: list[Op]) -> dict[Op, list[Op]]:
-    """Check the submitted DAG and return the children adjacency.
-
-    The adjacency is built exactly once and shared by the run loop (the
-    reference engine previously rebuilt it for validation and again for
-    the dependency countdown).
-    """
+    """Check the submitted DAG and return the children adjacency."""
     op_set = set(ops)
     if len(op_set) != len(ops):
         raise ValueError("duplicate op submitted")
     if len({op.uid for op in ops}) != len(ops):
-        # dataclasses.replace() copies uid; the fast path keys its state
-        # on uid, so distinct ops sharing one are rejected up front.
+        # dataclasses.replace() copies uid; Op hashes on uid, so
+        # distinct ops sharing one are rejected up front.
         raise ValueError("distinct ops share a uid (copied Op?); uids must be unique")
     children: dict[Op, list[Op]] = {}
     for op in ops:
@@ -178,14 +175,6 @@ def _validate(ops: list[Op]) -> dict[Op, list[Op]]:
     if seen != len(ops):
         raise ValueError("dependency cycle detected in submitted ops")
     return children
-
-
-def _deadlock_error(ops: list[Op], done: set[Op]) -> RuntimeError:
-    stuck = [op.name for op in ops if op not in done][:8]
-    return RuntimeError(
-        f"simulation deadlocked with {len(ops) - len(done)} ops pending, "
-        f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
-    )
 
 
 _KIND_INDEX = {StreamKind.COMP: 0, StreamKind.COMM: 1, StreamKind.MEM: 2}
@@ -216,9 +205,6 @@ class CompiledDag:
     @property
     def num_ops(self) -> int:
         return len(self.names)
-
-    def stream_of(self, i: int) -> StreamKind:
-        return _KIND_BY_INDEX[self.lane_kidx[self.op_lane[i]]]
 
 
 def compile_dag(ops: Sequence[Op]) -> CompiledDag:
@@ -260,14 +246,49 @@ def compile_dag(ops: Sequence[Op]) -> CompiledDag:
     )
 
 
+@dataclass(frozen=True)
+class ScheduleTrace:
+    """The control flow of one :meth:`SimEngine.run_compiled` execution.
+
+    Interference rates are a pure function of the (stream kind, active
+    stream set) pair — they never depend on the work values — so once
+    the discrete schedule (which op finishes next, which ops start,
+    which re-rates fire) is fixed, pricing it is straight-line float
+    arithmetic.  :func:`replay_schedule` runs that arithmetic over a
+    whole matrix of work vectors at once, validating per scenario that
+    the recorded event order is the order the scalar engine would have
+    chosen (exact lexicographic heap tie-breaks included); scenarios
+    whose ordering diverges are flagged invalid, never mispriced.
+
+    ``prologue`` is the initial frontier settle at t=0; each event is
+    ``(finished_op, others, starts, updates)`` where ``others`` holds
+    ``(op, strict)`` ordering guards against the other running ops and
+    ``updates`` holds ``(op, old_rate, new_rate)`` re-rates.
+    """
+
+    num_ops: int
+    zero_pattern: tuple[bool, ...]  # per op: work <= _EPS in the recording
+    prologue: tuple[tuple[int, ...], tuple[tuple[int, float, float], ...]]
+    events: tuple[
+        tuple[
+            int,
+            tuple[tuple[int, bool], ...],
+            tuple[int, ...],
+            tuple[tuple[int, float, float], ...],
+        ],
+        ...,
+    ]
+
+
 class SimEngine:
     """Runs a DAG of :class:`Op` to completion and returns a :class:`SimResult`.
 
-    Fast path: completion times live in an event heap; a heap entry is
-    valid only while its op's rate is unchanged, which the engine tracks
-    with a per-op token bumped whenever the op's device changes its
-    active stream-kind set.  Between events only the lanes unblocked by
-    the finished op and the devices whose active set changed are touched.
+    Completion times live in an event heap ordered by ``(time, op
+    index)``; a heap entry is valid only while its op's rate is
+    unchanged, which the engine tracks with a per-op token bumped
+    whenever the op's device changes its active stream-kind set.
+    Between events only the lanes unblocked by the finished op and the
+    devices whose active set changed are touched.
 
     ``device_rates`` makes the engine heterogeneous: the effective rate
     of an op is the interference slowdown of its (kind, active-set)
@@ -292,175 +313,13 @@ class SimEngine:
         return self.run(ops, record=False).makespan
 
     def run(self, ops: Sequence[Op], record: bool = True) -> SimResult:
-        """Run the DAG; ``record=False`` skips all trace allocation.
+        """Compile ``ops`` and run them; ``record=False`` skips the trace.
 
-        The records-free mode executes the identical event loop (same
-        makespan to the last bit) but never constructs an
-        :class:`OpRecord`, which removes the dominant allocation cost in
-        selector inner loops that only consume ``result.makespan``.
+        Simultaneous completions resolve in submission order, which is
+        ``uid`` order for any DAG listed in creation order.
         """
-        ops = list(ops)
-        children = _validate(ops)
+        return self.run_compiled(compile_dag(ops), record=record)
 
-        # Hot-path state is keyed by the int ``uid`` (and int lane keys):
-        # Op.__hash__ and StreamKind.__hash__ are Python-level calls, and
-        # at 10k+ ops they dominate the schedule loop.
-        kind_index = {StreamKind.COMP: 0, StreamKind.COMM: 1, StreamKind.MEM: 2}
-        kind_bit = {k: 1 << i for k, i in kind_index.items()}
-
-        # rate_table[(kind_index, active_bitmask)] -> slowdown factor,
-        # filled lazily; there are at most 3 * 8 distinct entries, so
-        # rates are recomputed only when a device's active set changes
-        # *to a combination never seen before*.
-        rate_table: dict[tuple[int, int], float] = {}
-
-        def rate_for(kidx: int, mask: int) -> float:
-            cached = rate_table.get((kidx, mask))
-            if cached is None:
-                kinds = {k for k, b in kind_bit.items() if mask & b}
-                victim = next(k for k, i in kind_index.items() if i == kidx)
-                cached = self.interference.slowdown(victim, kinds)
-                rate_table[(kidx, mask)] = cached
-            return cached
-
-        # Lane FIFO queues in submission order; lane key = device*4 + kind.
-        lanes: dict[int, list[Op]] = {}
-        for op in ops:
-            lanes.setdefault(op.device * 4 + kind_index[op.stream], []).append(op)
-        lane_pos = {key: 0 for key in lanes}
-
-        remaining_deps = {op.uid: len(op.deps) for op in ops}
-        child_map = {op.uid: children.get(op, ()) for op in ops}
-        done: set[int] = set()
-        records: list[OpRecord] = []
-        now = 0.0
-
-        # Running-op state (uid-keyed).  ``rem`` is the unfinished work,
-        # settled only when the op's rate changes; a valid heap entry
-        # therefore always predicts the true finish time.
-        rem: dict[int, float] = {}
-        rate: dict[int, float] = {}
-        synced_at: dict[int, float] = {}
-        started_at: dict[int, float] = {}
-        token: dict[int, int] = {}
-
-        # Per-device view of the running set.
-        dev_running: dict[int, list[tuple[int, int]]] = {}  # dev -> [(uid, kidx)]
-        dev_mask: dict[int, int] = {}  # dev -> active-kind bitmask
-        dirty: set[int] = set()  # devices whose active-kind set changed
-
-        heap: list[tuple[float, int, int, Op]] = []
-        pending: list[int] = list(lanes)
-
-        def complete(op: Op, start: float, end: float) -> None:
-            done.add(op.uid)
-            if record:
-                records.append(
-                    OpRecord(op.name, op.device, op.stream, op.tag, start, end)
-                )
-            for child in child_map[op.uid]:
-                cuid = child.uid
-                remaining_deps[cuid] -= 1
-                if remaining_deps[cuid] == 0:
-                    pending.append(child.device * 4 + kind_index[child.stream])
-
-        def try_start(key: int) -> None:
-            queue = lanes[key]
-            pos = lane_pos[key]
-            while True:
-                while pos < len(queue) and queue[pos].uid in done:
-                    pos += 1
-                lane_pos[key] = pos
-                if pos >= len(queue):
-                    return
-                op = queue[pos]
-                uid = op.uid
-                if uid in rem or remaining_deps[uid] > 0:
-                    return
-                if op.work <= _EPS:
-                    # Pure-dependency op: completes instantly and may
-                    # unblock further ops (its children's lanes join
-                    # ``pending``; this lane advances in place).
-                    complete(op, now, now)
-                    pos += 1
-                    lane_pos[key] = pos
-                    continue
-                device, kidx = key >> 2, key & 3
-                rem[uid] = op.work
-                rate[uid] = 0.0  # placeholder until the device refresh
-                synced_at[uid] = now
-                if record:
-                    started_at[uid] = now
-                token[uid] = 0
-                dev_running.setdefault(device, []).append((uid, kidx))
-                # One lane per (device, kind) runs one op at a time, so a
-                # start always adds a new kind to the active set.
-                dev_mask[device] = dev_mask.get(device, 0) | (1 << kidx)
-                dirty.add(device)
-                heap_by_uid[uid] = op
-                return
-
-        heap_by_uid: dict[int, Op] = {}
-        device_rates = self.device_rates
-
-        def refresh(device: int) -> None:
-            """Re-rate the device's running ops after an active-set change."""
-            mask = dev_mask.get(device, 0)
-            mult = None if device_rates is None else device_rates.multipliers(device)
-            for uid, kidx in dev_running.get(device, ()):
-                new_rate = rate_table.get((kidx, mask))
-                if new_rate is None:
-                    new_rate = rate_for(kidx, mask)
-                if mult is not None:
-                    new_rate = new_rate * mult[kidx]
-                old_rate = rate[uid]
-                if new_rate == old_rate:
-                    continue  # outstanding heap entry still predicts truth
-                if old_rate > 0.0:
-                    done_work = (now - synced_at[uid]) * old_rate
-                    remaining = rem[uid] - done_work
-                    rem[uid] = remaining if remaining > 0.0 else 0.0
-                rate[uid] = new_rate
-                synced_at[uid] = now
-                tok = token[uid] + 1
-                token[uid] = tok
-                heapq.heappush(
-                    heap, (now + rem[uid] / new_rate, uid, tok, heap_by_uid[uid])
-                )
-
-        def settle_frontier() -> None:
-            """Start every startable lane head, then re-rate dirty devices."""
-            while pending:
-                try_start(pending.pop())
-            if dirty:
-                for device in dirty:
-                    refresh(device)
-                dirty.clear()
-
-        settle_frontier()
-        while heap:
-            pred_finish, uid, entry_token, op = heapq.heappop(heap)
-            if uid not in rem or entry_token != token[uid]:
-                continue  # stale: op finished or was re-rated since push
-            now = pred_finish
-            del rem[uid], rate[uid], synced_at[uid], token[uid], heap_by_uid[uid]
-            device = op.device
-            kidx = kind_index[op.stream]
-            dev_running[device].remove((uid, kidx))
-            dev_mask[device] &= ~(1 << kidx)
-            dirty.add(device)
-            complete(op, started_at.pop(uid) if record else now, now)
-            pending.append(device * 4 + kidx)
-            settle_frontier()
-
-        if len(done) != len(ops):
-            done_ops = {op for op in ops if op.uid in done}
-            raise _deadlock_error(ops, done_ops)
-        if record:
-            records.sort(key=lambda r: (r.start, r.device, r.stream.value))
-        return SimResult(makespan=now, records=records)
-
-    # -- compiled fast path ----------------------------------------------------
     def _rate_table(self) -> list[float]:
         """Flat slowdown table indexed ``kidx * 8 + active_bitmask``.
 
@@ -508,12 +367,53 @@ class SimEngine:
     ) -> SimResult:
         """Run a :class:`CompiledDag` with per-op ``works`` plugged in.
 
-        Same fluid semantics and event order as :meth:`run` — heap ties
-        break on submission index exactly as they break on ``uid`` there
-        — but over flat index arrays with no Op or validation cost per
-        call.  ``record=True`` rebuilds the full :class:`OpRecord` trace
-        (identical to running the instantiated Op DAG); the default
-        makespan-only mode allocates nothing per op.
+        ``record=True`` collects the full :class:`OpRecord` trace, sorted
+        by (start, device, stream); the default makespan-only mode
+        allocates nothing per op.
+        """
+        records: list[OpRecord] = []
+        makespan = self._run(dag, works, records if record else None)
+        if record:
+            records.sort(key=lambda r: (r.start, r.device, r.stream.value))
+        return SimResult(makespan=makespan, records=records)
+
+    def record_compiled_schedule(
+        self, dag: CompiledDag, works: Sequence[float] | None = None
+    ) -> ScheduleTrace:
+        """Run ``works`` through the event loop, recording its schedule.
+
+        On top of executing the schedule, the loop logs every start,
+        re-rate and completion into a :class:`ScheduleTrace` that
+        :func:`replay_schedule` can re-price for a whole batch of work
+        vectors.  Runs once per template group, so it stays a plain
+        scalar pass.
+        """
+        if works is None:
+            works = dag.works
+        log: list = []
+        self._run(dag, works, schedule=log)
+        return ScheduleTrace(
+            num_ops=dag.num_ops,
+            zero_pattern=tuple(w <= _EPS for w in works),
+            prologue=log[0],
+            events=tuple(log[1:]),
+        )
+
+    def _run(
+        self,
+        dag: CompiledDag,
+        works: Sequence[float] | None,
+        records: list[OpRecord] | None = None,
+        schedule: list | None = None,
+    ) -> float:
+        """The event loop behind every entry point; returns the makespan.
+
+        Each optional sink costs one local ``None`` check where it is
+        fed.  ``records`` receives one :class:`OpRecord` per op, in
+        completion order.  ``schedule`` receives the control flow of a
+        :class:`ScheduleTrace`: the t=0 settle as ``(starts, updates)``,
+        then one ``(finished_op, others, starts, updates)`` entry per
+        completion event.
         """
         if works is None:
             works = dag.works
@@ -525,11 +425,13 @@ class SimEngine:
         rates = self._rate_table()
         device_rates = self.device_rates
         lane_ops, lane_device, lane_kidx = dag.lane_ops, dag.lane_device, dag.lane_kidx
-        op_lane, children = dag.op_lane, dag.children
-        if record:
-            names, tags = dag.names, dag.tags
+        op_lane, children, names, tags = dag.op_lane, dag.children, dag.names, dag.tags
+        if records is not None:
             lane_stream = tuple(_KIND_BY_INDEX[k] for k in lane_kidx)
             started_at = [0.0] * num
+        starts = updates = None
+        if schedule is not None:
+            starts, updates = [], []
 
         dep_rem = list(dag.dep_count)
         lane_pos = [0] * len(lane_ops)
@@ -539,12 +441,11 @@ class SimEngine:
         rate = [0.0] * num
         synced_at = [0.0] * num
         token = [0] * num
-        dev_running: dict[int, list[tuple[int, int]]] = {}
-        dev_mask: dict[int, int] = {}
+        dev_running: dict[int, list[tuple[int, int]]] = {d: [] for d in lane_device}
+        dev_mask = dict.fromkeys(lane_device, 0)  # device -> active-kind bitmask
         dirty: set[int] = set()
         heap: list[tuple[float, int, int]] = []
         pending: list[int] = list(range(len(lane_ops)))
-        records: list[OpRecord] = []
         done_count = 0
         now = 0.0
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -554,8 +455,7 @@ class SimEngine:
 
             The lane-head scan, zero-work completion, and device refresh
             are inlined (not helper calls): this body runs once per
-            event and per-event Python call overhead is what the
-            compiled mode exists to shave.
+            event and per-event Python call overhead dominates it.
             """
             nonlocal done_count
             while pending:
@@ -574,7 +474,7 @@ class SimEngine:
                     if works[i] <= _EPS:
                         # Zero-work op: completes instantly, may unblock
                         # children (their lanes join ``pending``).
-                        if record:
+                        if records is not None:
                             records.append(
                                 OpRecord(names[i], lane_device[lane],
                                          lane_stream[lane], tags[i], now, now)
@@ -593,26 +493,30 @@ class SimEngine:
                     rem[i] = works[i]
                     rate[i] = 0.0
                     synced_at[i] = now
-                    if record:
+                    if records is not None:
                         started_at[i] = now
+                    if starts is not None:
+                        starts.append(i)
                     token[i] = 0
-                    dev_running.setdefault(device, []).append((i, kidx))
-                    dev_mask[device] = dev_mask.get(device, 0) | (1 << kidx)
+                    dev_running[device].append((i, kidx))
+                    # One lane per (device, kind) runs one op at a time, so
+                    # a start always adds a new kind to the active set.
+                    dev_mask[device] |= 1 << kidx
                     dirty.add(device)
                     break
             if dirty:
                 for device in dirty:
-                    mask = dev_mask.get(device, 0)
+                    mask = dev_mask[device]
                     rtab = (
                         rates
                         if device_rates is None
                         else self._flat_rates_for(device)
                     )
-                    for i, kidx in dev_running.get(device, ()):
+                    for i, kidx in dev_running[device]:
                         new_rate = rtab[kidx * 8 + mask]
                         old_rate = rate[i]
                         if new_rate == old_rate:
-                            continue
+                            continue  # outstanding heap entry still predicts truth
                         if old_rate > 0.0:
                             remaining = rem[i] - (now - synced_at[i]) * old_rate
                             rem[i] = remaining if remaining > 0.0 else 0.0
@@ -621,21 +525,38 @@ class SimEngine:
                         tok = token[i] + 1
                         token[i] = tok
                         heappush(heap, (now + rem[i] / new_rate, i, tok))
+                        if updates is not None:
+                            updates.append((i, old_rate, new_rate))
                 dirty.clear()
 
         settle_frontier()
+        if schedule is not None:
+            schedule.append((tuple(starts), tuple(updates)))
+            starts.clear()
+            updates.clear()
         while heap:
             pred_finish, i, entry_token = heappop(heap)
             if not running[i] or entry_token != token[i]:
-                continue
+                continue  # stale: op finished or was re-rated since push
             now = pred_finish
+            if schedule is not None:
+                # Heap order is (time, op): op ``i`` wins against a lower-
+                # indexed running op only strictly, against a higher-
+                # indexed one also on ties.  Replay re-checks these
+                # guards per row.
+                others = tuple(
+                    (j, j < i)
+                    for lst in dev_running.values()
+                    for (j, _k) in lst
+                    if j != i
+                )
             running[i] = 0
             lane = op_lane[i]
             device, kidx = lane_device[lane], lane_kidx[lane]
             dev_running[device].remove((i, kidx))
             dev_mask[device] &= ~(1 << kidx)
             dirty.add(device)
-            if record:
+            if records is not None:
                 records.append(
                     OpRecord(names[i], device, lane_stream[lane], tags[i],
                              started_at[i], now)
@@ -648,205 +569,18 @@ class SimEngine:
                     pending.append(op_lane[child])
             pending.append(lane)
             settle_frontier()
+            if schedule is not None:
+                schedule.append((i, others, tuple(starts), tuple(updates)))
+                starts.clear()
+                updates.clear()
 
         if done_count != num:
-            stuck = [dag.names[i] for i in range(num) if not finished[i]][:8]
+            stuck = [names[i] for i in range(num) if not finished[i]][:8]
             raise RuntimeError(
                 f"simulation deadlocked with {num - done_count} ops pending, "
                 f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
             )
-        if record:
-            records.sort(key=lambda r: (r.start, r.device, r.stream.value))
-        return SimResult(makespan=now, records=records)
-
-    def record_compiled_schedule(
-        self, dag: CompiledDag, works: Sequence[float] | None = None
-    ) -> "ScheduleTrace":
-        """Run ``works`` through the compiled loop, recording its schedule.
-
-        An instrumented twin of :meth:`run_compiled` (same state, same
-        event order, same arithmetic — keep the two in lockstep): on top
-        of executing the schedule it logs every start, re-rate and
-        completion into a :class:`ScheduleTrace` that
-        :func:`replay_schedule` can re-price for a whole batch of work
-        vectors.  Runs once per template group, so it stays a plain
-        scalar pass.
-        """
-        if works is None:
-            works = dag.works
-        num = dag.num_ops
-        if len(works) != num:
-            raise ValueError(f"expected {num} works, got {len(works)}")
-        if num and min(works) < 0:
-            raise ValueError("op works must be non-negative")
-        rates = self._rate_table()
-        device_rates = self.device_rates
-        lane_ops, lane_device, lane_kidx = dag.lane_ops, dag.lane_device, dag.lane_kidx
-        op_lane, children = dag.op_lane, dag.children
-
-        dep_rem = list(dag.dep_count)
-        lane_pos = [0] * len(lane_ops)
-        finished = bytearray(num)
-        running = bytearray(num)
-        rem = [0.0] * num
-        rate = [0.0] * num
-        synced_at = [0.0] * num
-        token = [0] * num
-        dev_running: dict[int, list[tuple[int, int]]] = {}
-        dev_mask: dict[int, int] = {}
-        dirty: set[int] = set()
-        heap: list[tuple[float, int, int]] = []
-        pending: list[int] = list(range(len(lane_ops)))
-        done_count = 0
-        now = 0.0
-        heappush, heappop = heapq.heappush, heapq.heappop
-
-        cur_starts: list[int] = []
-        cur_updates: list[tuple[int, float, float]] = []
-        events: list = []
-
-        def settle_frontier() -> None:
-            nonlocal done_count
-            while pending:
-                lane = pending.pop()
-                queue = lane_ops[lane]
-                pos = lane_pos[lane]
-                while True:
-                    while pos < len(queue) and finished[queue[pos]]:
-                        pos += 1
-                    lane_pos[lane] = pos
-                    if pos >= len(queue):
-                        break
-                    i = queue[pos]
-                    if running[i] or dep_rem[i] > 0:
-                        break
-                    if works[i] <= _EPS:
-                        finished[i] = 1
-                        done_count += 1
-                        for child in children[i]:
-                            dep_rem[child] -= 1
-                            if dep_rem[child] == 0:
-                                pending.append(op_lane[child])
-                        pos += 1
-                        lane_pos[lane] = pos
-                        continue
-                    device, kidx = lane_device[lane], lane_kidx[lane]
-                    running[i] = 1
-                    rem[i] = works[i]
-                    rate[i] = 0.0
-                    synced_at[i] = now
-                    token[i] = 0
-                    dev_running.setdefault(device, []).append((i, kidx))
-                    dev_mask[device] = dev_mask.get(device, 0) | (1 << kidx)
-                    dirty.add(device)
-                    cur_starts.append(i)
-                    break
-            if dirty:
-                for device in dirty:
-                    mask = dev_mask.get(device, 0)
-                    rtab = (
-                        rates
-                        if device_rates is None
-                        else self._flat_rates_for(device)
-                    )
-                    for i, kidx in dev_running.get(device, ()):
-                        new_rate = rtab[kidx * 8 + mask]
-                        old_rate = rate[i]
-                        if new_rate == old_rate:
-                            continue
-                        if old_rate > 0.0:
-                            remaining = rem[i] - (now - synced_at[i]) * old_rate
-                            rem[i] = remaining if remaining > 0.0 else 0.0
-                        rate[i] = new_rate
-                        synced_at[i] = now
-                        tok = token[i] + 1
-                        token[i] = tok
-                        heappush(heap, (now + rem[i] / new_rate, i, tok))
-                        cur_updates.append((i, old_rate, new_rate))
-                dirty.clear()
-
-        settle_frontier()
-        prologue = (tuple(cur_starts), tuple(cur_updates))
-        cur_starts.clear()
-        cur_updates.clear()
-        while heap:
-            pred_finish, i, entry_token = heappop(heap)
-            if not running[i] or entry_token != token[i]:
-                continue
-            now = pred_finish
-            # Heap order is (time, op): op ``i`` wins against a lower-
-            # indexed running op only strictly, against a higher-indexed
-            # one also on ties.  Replay re-checks these guards per row.
-            others = tuple(
-                (j, j < i)
-                for lst in dev_running.values()
-                for (j, _k) in lst
-                if j != i
-            )
-            running[i] = 0
-            lane = op_lane[i]
-            device, kidx = lane_device[lane], lane_kidx[lane]
-            dev_running[device].remove((i, kidx))
-            dev_mask[device] &= ~(1 << kidx)
-            dirty.add(device)
-            finished[i] = 1
-            done_count += 1
-            for child in children[i]:
-                dep_rem[child] -= 1
-                if dep_rem[child] == 0:
-                    pending.append(op_lane[child])
-            pending.append(lane)
-            settle_frontier()
-            events.append((i, others, tuple(cur_starts), tuple(cur_updates)))
-            cur_starts.clear()
-            cur_updates.clear()
-
-        if done_count != num:
-            stuck = [dag.names[i] for i in range(num) if not finished[i]][:8]
-            raise RuntimeError(
-                f"simulation deadlocked with {num - done_count} ops pending, "
-                f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
-            )
-        return ScheduleTrace(
-            num_ops=num,
-            zero_pattern=tuple(w <= _EPS for w in works),
-            prologue=prologue,
-            events=tuple(events),
-        )
-
-
-@dataclass(frozen=True)
-class ScheduleTrace:
-    """The control flow of one :meth:`SimEngine.run_compiled` execution.
-
-    Interference rates are a pure function of the (stream kind, active
-    stream set) pair — they never depend on the work values — so once
-    the discrete schedule (which op finishes next, which ops start,
-    which re-rates fire) is fixed, pricing it is straight-line float
-    arithmetic.  :func:`replay_schedule` runs that arithmetic over a
-    whole matrix of work vectors at once, validating per scenario that
-    the recorded event order is the order the scalar engine would have
-    chosen (exact lexicographic heap tie-breaks included); scenarios
-    whose ordering diverges are flagged invalid, never mispriced.
-
-    ``prologue`` is the initial frontier settle at t=0; each event is
-    ``(finished_op, others, starts, updates)`` where ``others`` holds
-    ``(op, strict)`` ordering guards against the other running ops and
-    ``updates`` holds ``(op, old_rate, new_rate)`` re-rates.
-    """
-
-    num_ops: int
-    zero_pattern: tuple[bool, ...]  # per op: work <= _EPS in the recording
-    prologue: tuple[tuple[int, ...], tuple[tuple[int, float, float], ...]]
-    events: tuple[
-        tuple[
-            int,
-            tuple[tuple[int, bool], ...],
-            tuple[int, ...],
-            tuple[tuple[int, float, float], ...],
-        ],
-        ...,
-    ]
+        return now
 
 
 def replay_schedule(trace: ScheduleTrace, works_matrix) -> tuple:
@@ -881,7 +615,7 @@ def replay_schedule(trace: ScheduleTrace, works_matrix) -> tuple:
     def apply(now, starts, updates) -> None:
         # Mirrors one settle_frontier: starts first, then re-rates.
         # ``rem[j] - (now - synced[j]) * old`` and ``now + rem[j] / new``
-        # reproduce run_compiled's expressions operation for operation.
+        # reproduce the event loop's expressions operation for operation.
         for j in starts:
             rem[j] = W[:, j]
             synced[j] = now
@@ -905,121 +639,3 @@ def replay_schedule(trace: ScheduleTrace, works_matrix) -> tuple:
     if now is None:  # every op had zero work: makespan stays 0.0
         return np.zeros(W.shape[0]), valid
     return now, valid
-
-
-class ReferenceSimEngine:
-    """The original fluid loop: full-lane rescan and global re-rating at
-    every event.  O(lanes + running) per event — kept as the oracle the
-    fast path is proven against and benchmarked over.  Accepts the same
-    per-device ``device_rates`` table so heterogeneous runs can be
-    cross-checked against it too."""
-
-    def __init__(
-        self,
-        interference: InterferenceModel | None = None,
-        device_rates: DeviceRateTable | None = None,
-    ) -> None:
-        self.interference = interference or PAPER_INTERFERENCE
-        self.device_rates = _active_rate_table(device_rates)
-
-    def makespan(self, ops: Sequence[Op]) -> float:
-        """API parity with :meth:`SimEngine.makespan` (full run, no shortcut)."""
-        return self.run(ops).makespan
-
-    def run(self, ops: Sequence[Op]) -> SimResult:
-        ops = list(ops)
-        children = _validate(ops)
-
-        # Lane FIFO queues in submission order.
-        lanes: dict[tuple[int, StreamKind], list[Op]] = {}
-        for op in ops:
-            lanes.setdefault((op.device, op.stream), []).append(op)
-        lane_pos = {key: 0 for key in lanes}
-
-        remaining_deps = {op: len(op.deps) for op in ops}
-        done: set[Op] = set()
-        running: dict[Op, float] = {}  # op -> remaining work (seconds)
-        started_at: dict[Op, float] = {}
-        records: list[OpRecord] = []
-        now = 0.0
-
-        def dep_ready(op: Op) -> bool:
-            return remaining_deps[op] == 0
-
-        def start_ready() -> None:
-            """Start every lane-head op whose dependencies are satisfied.
-
-            ``lane_pos`` always points at the first op of the lane that has
-            not *completed*; a lane runs at most one op at a time (CUDA
-            stream FIFO), so the head may start only once its predecessor
-            finished.  Zero-work ops complete instantly, which can unblock
-            further ops — hence the fixed-point loop.
-            """
-            progressed = True
-            while progressed:
-                progressed = False
-                for key, queue in lanes.items():
-                    pos = lane_pos[key]
-                    while pos < len(queue) and queue[pos] in done:
-                        pos += 1
-                    lane_pos[key] = pos
-                    if pos >= len(queue):
-                        continue
-                    op = queue[pos]
-                    if op in running or not dep_ready(op):
-                        continue
-                    if op.work <= _EPS:
-                        # Pure-dependency op: completes instantly.
-                        done.add(op)
-                        for child in children.get(op, ()):
-                            remaining_deps[child] -= 1
-                        records.append(
-                            OpRecord(op.name, op.device, op.stream, op.tag, now, now)
-                        )
-                        lane_pos[key] = pos + 1
-                        progressed = True
-                    else:
-                        running[op] = op.work
-                        started_at[op] = now
-
-        start_ready()
-        while running:
-            rates = self._rates(running)
-            # Earliest completion under current rates.
-            dt = min(rem / rates[op] for op, rem in running.items())
-            now += dt
-            finished = []
-            for op in list(running):
-                running[op] -= dt * rates[op]
-                if running[op] <= _EPS * max(1.0, op.work):
-                    finished.append(op)
-            for op in finished:
-                del running[op]
-                done.add(op)
-                records.append(
-                    OpRecord(op.name, op.device, op.stream, op.tag, started_at[op], now)
-                )
-                for child in children.get(op, ()):
-                    remaining_deps[child] -= 1
-            start_ready()
-
-        if len(done) != len(ops):
-            raise _deadlock_error(ops, done)
-        records.sort(key=lambda r: (r.start, r.device, r.stream.value))
-        return SimResult(makespan=now, records=records)
-
-    # -- helpers ---------------------------------------------------------------
-    def _rates(self, running: dict[Op, float]) -> dict[Op, float]:
-        """Progress rate of each running op given per-device active lanes."""
-        active_by_device: dict[int, set[StreamKind]] = {}
-        for op in running:
-            active_by_device.setdefault(op.device, set()).add(op.stream)
-        rates = {
-            op: self.interference.slowdown(op.stream, active_by_device[op.device])
-            for op in running
-        }
-        if self.device_rates is not None:
-            for op in rates:
-                mult = self.device_rates.multipliers(op.device)
-                rates[op] *= mult[_KIND_INDEX[op.stream]]
-        return rates

@@ -98,6 +98,10 @@ class Scenario:
             raise ValueError(
                 f"unknown system {self.system!r}; available: {BACKEND_NAMES}"
             )
+        if self.spec not in PRESETS:
+            raise ValueError(
+                f"unknown spec {self.spec!r}; available: {sorted(set(PRESETS))}"
+            )
         if self.world_size < 1:
             raise ValueError("world_size must be >= 1")
         if self.batch < 1:
@@ -142,13 +146,12 @@ class Scenario:
             # Eager fan-out check (PR 4 convention: no late worker-side
             # failures): the effective expert count is knowable here —
             # the override field, or the named preset's E.
-            preset = PRESETS.get(self.spec)
             experts = (
                 self.num_experts
                 if self.num_experts is not None
-                else preset.num_experts if preset else None
+                else PRESETS[self.spec].num_experts
             )
-            if experts is not None and self.top_k > experts:
+            if self.top_k > experts:
                 raise ValueError(
                     f"top_k={self.top_k} exceeds num_experts={experts} "
                     f"for spec {self.spec!r}"

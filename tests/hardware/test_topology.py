@@ -14,8 +14,10 @@ def topo():
 
 class TestStructure:
     def test_gpu_count(self, topo):
-        gpus = [n for n, d in topo.graph.nodes(data=True) if d.get("kind") == "gpu"]
+        gpus = {topo.rank_to_gpu(rank) for rank in range(topo.spec.world_size)}
         assert len(gpus) == 64
+        assert {g.node for g in gpus} == set(range(8))
+        assert {g.local for g in gpus} == set(range(8))
 
     def test_rank_mapping_roundtrip(self, topo):
         gid = topo.rank_to_gpu(19)
@@ -41,6 +43,8 @@ class TestBandwidths:
     def test_p2p_self_rejected(self, topo):
         with pytest.raises(ValueError):
             topo.p2p_bandwidth(3, 3)
+        with pytest.raises(ValueError, match="itself"):
+            topo.path_bandwidth(3, 3)
 
     def test_alltoall_single_node_is_nvlink(self, topo):
         # NVLink line rate discounted by intra-node NCCL efficiency.
@@ -121,3 +125,50 @@ class TestLinkOverrides:
             LinkOverrides(gpu_scale=((0, 0.0),))
         with pytest.raises(ValueError, match="duplicate"):
             LinkOverrides(node_scale=((0, 0.5), (0, 0.7)))
+
+
+#: (rank_a, rank_b) -> (path_bandwidth, p2p_bandwidth) in bytes/s on a
+#: 2-node x 4-GPU cluster with two degraded NVLinks and one degraded IB
+#: uplink, captured from the networkx shortest-path implementation the
+#: closed form replaced.
+PINNED_2x4 = {
+    (0, 1): (60000000000.0, 60000000000.0),
+    (0, 2): (600000000000.0, 600000000000.0),
+    (0, 3): (600000000000.0, 600000000000.0),
+    (0, 4): (150000000000.0, 18750000000.0),
+    (0, 5): (150000000000.0, 18750000000.0),
+    (0, 6): (120000000000.0, 18750000000.0),
+    (0, 7): (150000000000.0, 18750000000.0),
+    (1, 2): (60000000000.0, 60000000000.0),
+    (1, 3): (60000000000.0, 60000000000.0),
+    (1, 4): (60000000000.0, 18750000000.0),
+    (1, 5): (60000000000.0, 18750000000.0),
+    (1, 6): (60000000000.0, 18750000000.0),
+    (1, 7): (60000000000.0, 18750000000.0),
+    (2, 3): (600000000000.0, 600000000000.0),
+    (2, 4): (150000000000.0, 18750000000.0),
+    (2, 5): (150000000000.0, 18750000000.0),
+    (2, 6): (120000000000.0, 18750000000.0),
+    (2, 7): (150000000000.0, 18750000000.0),
+    (3, 4): (150000000000.0, 18750000000.0),
+    (3, 5): (150000000000.0, 18750000000.0),
+    (3, 6): (120000000000.0, 18750000000.0),
+    (3, 7): (150000000000.0, 18750000000.0),
+    (4, 5): (600000000000.0, 600000000000.0),
+    (4, 6): (120000000000.0, 120000000000.0),
+    (4, 7): (600000000000.0, 600000000000.0),
+    (5, 6): (120000000000.0, 120000000000.0),
+    (5, 7): (600000000000.0, 600000000000.0),
+    (6, 7): (120000000000.0, 120000000000.0),
+}
+
+
+def test_closed_form_matches_pinned_table():
+    topo = ClusterTopology(
+        ClusterSpec(num_nodes=2, gpus_per_node=4),
+        LinkOverrides(gpu_scale=((1, 0.1), (6, 0.2)), node_scale=((0, 0.75),)),
+    )
+    for (a, b), (path, p2p) in PINNED_2x4.items():
+        for x, y in ((a, b), (b, a)):
+            assert topo.path_bandwidth(x, y) == path, (x, y)
+            assert topo.p2p_bandwidth(x, y) == p2p, (x, y)

@@ -20,14 +20,17 @@ from repro.systems import (
     PipeMoEModel,
 )
 from repro.systems.base import SystemContext
+from repro.testing.oracles import ColdEvaluator
 
 WORLD = 16
 BATCHES = (4096, 16384)
 
 
 def make_context(enabled: bool, **kwargs) -> SystemContext:
+    """A context whose evaluator is memoized (``enabled``) or cold."""
     ctx = SystemContext(world_size=WORLD, **kwargs)
-    ctx.evaluator.enabled = enabled
+    if not enabled:
+        ctx.evaluator = ColdEvaluator(ctx)
     return ctx
 
 

@@ -29,9 +29,10 @@ from repro.pipeline.schedule import (
     build_timeline,
     compile_timeline,
 )
-from repro.sim.engine import ReferenceSimEngine, SimEngine
+from repro.sim.engine import SimEngine
 from repro.systems import FastMoEModel, FasterMoEModel, MPipeMoEModel, PipeMoEModel
 from repro.systems.base import SystemContext
+from repro.testing.oracles import ColdEvaluator, ReferenceSimEngine
 
 SPEC = MOE_GPT3_S
 DEVICE = A100_SXM_40GB
@@ -270,7 +271,7 @@ class TestDegenerateIdentity:
 
     def test_disabled_evaluator_cold_path_identical(self):
         ctx = SystemContext(world_size=64)
-        ctx.evaluator.enabled = False
+        ctx.evaluator = ColdEvaluator(ctx)
         assert ctx.evaluator.makespan(SPEC, 8192, 4, "S1",
                                       workload=WorkloadSpec()) == \
             ctx.evaluator.makespan(SPEC, 8192, 4, "S1")

@@ -28,6 +28,7 @@ from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts, build_timeline, compile_timeline
 from repro.sim.engine import SimEngine, compile_dag
 from repro.systems.base import SystemContext
+from repro.testing.oracles import ColdEvaluator
 
 #: (E, W) geometries: divisible, E % W != 0, and W > E.
 GEOMETRIES = ((8, 4), (8, 3), (5, 3), (3, 8), (64, 64))
@@ -158,7 +159,7 @@ class TestContiguousIsTheSeedModel:
     def test_warm_and_cold_evaluator_paths_identical(self):
         ctx = SystemContext(world_size=64)
         cold = SystemContext(world_size=64)
-        cold.evaluator.enabled = False
+        cold.evaluator = ColdEvaluator(cold)
         for evaluator in (ctx.evaluator, cold.evaluator):
             for strategy in ("none", "S1", "S4"):
                 a = evaluator.makespan(
@@ -167,7 +168,7 @@ class TestContiguousIsTheSeedModel:
                 b = evaluator.makespan(
                     MOE_GPT3_XL, 8192, 4, strategy, workload=CONTIGUOUS
                 )
-                assert a == b, (strategy, evaluator.enabled)
+                assert a == b, (strategy, type(evaluator).__name__)
 
     def test_eq10_iteration_costs_identical(self):
         from repro.memory.strategies import STRATEGIES

@@ -18,6 +18,7 @@ from repro.perfmodel.cost import HardwareRates, PerfModel
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts
 from repro.systems.base import SystemContext
+from repro.testing.oracles import ColdEvaluator
 
 BATCHES = (1024, 4096, 16384, 16383)  # include a non-divisible point
 KS = (2, 4)
@@ -43,7 +44,7 @@ class TestTopKEqualsBatchScaling:
     def test_makespans_match_in_warm_and_cold_paths(self):
         ctx = SystemContext(world_size=64)
         cold = SystemContext(world_size=64)
-        cold.evaluator.enabled = False
+        cold.evaluator = ColdEvaluator(cold)
         for evaluator in (ctx.evaluator, cold.evaluator):
             for strategy in ("none", "S1", "S4"):
                 for batch in (4096, 16383):
@@ -55,7 +56,7 @@ class TestTopKEqualsBatchScaling:
                         MOE_GPT3_XL, 2 * batch, 4, strategy,
                         workload=WorkloadSpec(top_k=1),
                     )
-                    assert a == b, (strategy, batch, evaluator.enabled)
+                    assert a == b, (strategy, batch, type(evaluator).__name__)
 
     def test_eq10_iteration_costs_match(self):
         comm = NcclCostModel(ClusterTopology(DGX_A100_CLUSTER), 64)

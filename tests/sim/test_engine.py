@@ -176,7 +176,7 @@ class TestMakespanMode:
         ).makespan
 
     def test_reference_makespan_parity(self):
-        from repro.sim.engine import ReferenceSimEngine
+        from repro.testing.oracles import ReferenceSimEngine
 
         got = ReferenceSimEngine().makespan(_pipeline_dag())
         assert got == pytest.approx(SimEngine().makespan(_pipeline_dag()), rel=1e-9)

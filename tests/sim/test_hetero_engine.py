@@ -20,7 +20,8 @@ from repro.hardware.hetero import (
     StragglerModel,
 )
 from repro.hardware.interference import InterferenceModel, StreamKind
-from repro.sim.engine import Op, ReferenceSimEngine, SimEngine, compile_dag
+from repro.sim.engine import Op, SimEngine, compile_dag
+from repro.testing.oracles import ColdEvaluator, ReferenceSimEngine
 
 from .golden_dags import exact_dag, interference_timeline
 from .test_golden_trace import (
@@ -220,7 +221,8 @@ class TestContextLevelDegeneracy:
             assert sim_p.makespan == sim_h.makespan
             assert sim_p.records == sim_h.records
         # Cold (disabled-evaluator) path too.
-        plain.evaluator.enabled = hetero.evaluator.enabled = False
+        plain.evaluator = ColdEvaluator(plain)
+        hetero.evaluator = ColdEvaluator(hetero)
         assert plain.evaluator.simulate(spec, 8192, 4, "S1").records == (
             hetero.evaluator.simulate(spec, 8192, 4, "S1").records
         )

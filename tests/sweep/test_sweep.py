@@ -60,6 +60,7 @@ class TestScenario:
         "kwargs",
         [
             {"system": "nope"},
+            {"spec": "GPT-M"},
             {"world_size": 0},
             {"batch": 0},
             {"n": 0},
@@ -180,6 +181,15 @@ class TestScenarioGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             ScenarioGrid(batches=())
+
+    def test_unknown_spec_fails_before_any_point_runs(self):
+        """An unknown preset name used to build fine and then raise
+        KeyError mid-run, after other points had been computed."""
+        grid = ScenarioGrid(systems=("timeline",), specs=("GPT-S", "GPT-M"))
+        with pytest.raises(ValueError, match=r"unknown spec 'GPT-M'.*'GPT-S'"):
+            grid.scenarios()
+        with pytest.raises(ValueError, match="unknown spec"):
+            SweepRunner(fake_evaluate).run(grid)
 
 
 class TestRunnerCaching:

@@ -25,6 +25,7 @@ from repro.systems import (
     PipeMoEModel,
 )
 from repro.systems.base import SystemContext
+from repro.testing.oracles import ColdEvaluator
 
 WORLD = 64
 SPEC = get_preset("GPT-XL")
@@ -150,7 +151,8 @@ class TestWarmEqualsColdUnderSkew:
     def test_reports_identical(self, kind, severity):
         def make(enabled):
             ctx = straggler_context(kind, severity=severity)
-            ctx.evaluator.enabled = enabled
+            if not enabled:
+                ctx.evaluator = ColdEvaluator(ctx)
             return MPipeMoEModel(ctx)
 
         cold, warm = make(False), make(True)
