@@ -19,7 +19,11 @@ Two searchers share that objective:
 * :func:`optimize_placement` — greedy (hottest expert first, onto the
   device where it raises the score least, feasible devices only)
   followed by local-search refinement (single-expert moves and pairwise
-  swaps until a sweep finds no improvement);
+  swaps until a sweep finds no improvement).  A candidate re-scores
+  only the two ranks it touches; the exactness contract is that every
+  decision equals the one a full rescan of all ranks would make, and
+  each call checks its result against one full rescan before
+  returning;
 * :func:`exhaustive_placement` — all ``W^E`` assignments, for the small
   cases the agreement property test sweeps (``E <= 6, W <= 4``).
 
@@ -31,7 +35,10 @@ sees them.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.config import BYTES_PER_ELEM, MoELayerSpec
@@ -125,20 +132,35 @@ class PlacementProblem:
         )
 
     # -- objective -----------------------------------------------------------
-    def score(self, assignment: tuple[int, ...]) -> float:
-        """The bottleneck metric: worst rank's anchored rows over its rate."""
-        e = self.spec.num_experts
+    def rank_totals(
+        self, assignment: Sequence[int]
+    ) -> tuple[list[float], list[int]]:
+        """Per-rank (summed rows, hosted expert count) of an assignment.
+
+        Rows accumulate in expert-index order: the one summation order
+        :meth:`score`, :meth:`feasible` and the optimizer's rescoring
+        share, so their floats agree bit for bit.
+        """
         loads = [0.0] * self.world_size
         counts = [0] * self.world_size
         for expert, rank in enumerate(assignment):
             loads[rank] += self.per_expert_rows[expert]
             counts[rank] += 1
-        worst = 0.0
-        for rank in range(self.world_size):
-            if counts[rank]:
-                anchored = e * loads[rank] / counts[rank]
-                worst = max(worst, anchored / self.comp_rates[rank])
-        return worst
+        return loads, counts
+
+    def rank_score(self, rank: int, count: int, load: float) -> float:
+        """One rank's anchored rows over its rate (0 when it hosts none)."""
+        if not count:
+            return 0.0
+        return self.spec.num_experts * load / count / self.comp_rates[rank]
+
+    def score(self, assignment: tuple[int, ...]) -> float:
+        """The bottleneck metric: worst rank's anchored rows over its rate."""
+        loads, counts = self.rank_totals(assignment)
+        return max(
+            self.rank_score(r, counts[r], loads[r])
+            for r in range(self.world_size)
+        )
 
     # -- Eq. 5 feasibility ---------------------------------------------------
     def device_bytes(self, count: int, load: float) -> int:
@@ -158,20 +180,19 @@ class PlacementProblem:
         act = activations_elems(self.spec, self.batch, rows) * self.bytes_per_elem
         return states + 2 * act
 
+    def rank_fits(self, count: int, load: float) -> bool:
+        """Whether one rank hosting ``count`` experts that receive
+        ``load`` rows keeps the count cap and its Eq. 5 memory bound."""
+        return count <= self.rank_cap and (
+            self.memory_bytes is None
+            or self.device_bytes(count, load) <= self.memory_bytes
+        )
+
     def feasible(self, assignment: tuple[int, ...]) -> bool:
         """Whether the count cap and every Eq. 5 memory bound hold."""
-        loads = [0.0] * self.world_size
-        counts = [0] * self.world_size
-        for expert, rank in enumerate(assignment):
-            loads[rank] += self.per_expert_rows[expert]
-            counts[rank] += 1
-        if max(counts) > self.rank_cap:
-            return False
-        if self.memory_bytes is None:
-            return True
+        loads, counts = self.rank_totals(assignment)
         return all(
-            self.device_bytes(counts[r], loads[r]) <= self.memory_bytes
-            for r in range(self.world_size)
+            self.rank_fits(counts[r], loads[r]) for r in range(self.world_size)
         )
 
 
@@ -221,92 +242,129 @@ def optimize_placement(
     the feasible device where the resulting bottleneck score is lowest
     — ties prefer the fastest device, then the lowest rank, so results
     are deterministic.  Refinement: alternating sweeps of single-expert
-    moves and pairwise swaps, accepting strict improvements, until a
-    full sweep changes nothing or ``max_rounds`` is hit.  Raises if no
-    feasible assignment exists (every expert must land somewhere).
+    moves and pairwise swaps, accepting strict improvements in
+    first-improvement order, until a full sweep changes nothing or
+    ``max_rounds`` is hit.  Raises if no feasible assignment exists
+    (every expert must land somewhere).
+
+    Scoring is incremental.  Per rank the search keeps the hosted
+    experts, the rank's term of :meth:`PlacementProblem.score` and its
+    :meth:`~PlacementProblem.rank_fits` verdict; a move or swap
+    re-scores only the two ranks it touches, against the top three
+    terms of the rest and a running count of failing ranks, and a
+    per-call memo answers repeated ``(count, load)`` Eq. 5 checks.  A
+    touched rank's load is re-summed in expert-index order, exactly as
+    :meth:`~PlacementProblem.rank_totals` sums it, so every candidate
+    scores bit-identically to a full rescan and the search picks the
+    placement a full-rescan search would.  Post-condition: the result's
+    full :meth:`~PlacementProblem.feasible` and
+    :meth:`~PlacementProblem.score` equal the incremental verdict and
+    score, else this raises ``RuntimeError``.
     """
     e, w = problem.spec.num_experts, problem.world_size
-    order = sorted(
-        range(e), key=lambda i: (-problem.per_expert_rows[i], i)
-    )
-    assignment: list[int | None] = [None] * e
+    rows, cap = problem.per_expert_rows, problem.rank_cap
+    verdicts: dict[tuple[int, float], bool] = {}
 
-    def partial_metrics(
-        upto_assignment: list[int | None],
-    ) -> tuple[list[float], list[int]]:
-        loads = [0.0] * w
-        counts = [0] * w
-        for expert, rank in enumerate(upto_assignment):
-            if rank is not None:
-                loads[rank] += problem.per_expert_rows[expert]
-                counts[rank] += 1
-        return loads, counts
+    def fits(count: int, load: float) -> bool:
+        ok = verdicts.get((count, load))
+        if ok is None:
+            ok = verdicts[count, load] = problem.rank_fits(count, load)
+        return ok
 
-    for expert in order:
-        loads, counts = partial_metrics(assignment)
-        rows = problem.per_expert_rows[expert]
-        best_rank = None
-        best_key: tuple[float, float, int] | None = None
+    def rescore(rank: int, hosted: list[int]) -> tuple[float, float]:
+        """(load, term) of ``rank`` hosting the sorted ``hosted``."""
+        load = 0.0
+        for expert in hosted:
+            load += rows[expert]
+        return load, problem.rank_score(rank, len(hosted), load)
+
+    def top(terms: list[float], k: int) -> list[tuple[float, int]]:
+        # Padded: the max over no rank is score()'s 0.0 floor.
+        return heapq.nlargest(k, zip(terms, range(w))) + [(0.0, -1)] * k
+
+    # Greedy: the worst term among the other ranks is the top term, or
+    # the runner-up when the candidate rank holds the top one.
+    members: list[list[int]] = [[] for _ in range(w)]
+    loads, terms = [0.0] * w, [0.0] * w
+    for expert in sorted(range(e), key=lambda i: (-rows[i], i)):
+        (t1, r1), (t2, _) = top(terms, 2)[:2]
+        best: tuple[float, float, int] | None = None
         for rank in range(w):
-            new_load = loads[rank] + rows
-            new_count = counts[rank] + 1
-            if new_count > problem.rank_cap:
+            count, load = len(members[rank]) + 1, loads[rank] + rows[expert]
+            if not fits(count, load):
                 continue
-            if problem.memory_bytes is not None and (
-                problem.device_bytes(new_count, new_load)
-                > problem.memory_bytes
-            ):
-                continue
-            # Projected bottleneck over the partially-built assignment.
-            score = 0.0
-            for r in range(w):
-                load = new_load if r == rank else loads[r]
-                count = new_count if r == rank else counts[r]
-                if count:
-                    score = max(
-                        score, e * load / count / problem.comp_rates[r]
-                    )
+            score = max(
+                t2 if rank == r1 else t1, problem.rank_score(rank, count, load)
+            )
             key = (score, -problem.comp_rates[rank], rank)
-            if best_key is None or key < best_key:
-                best_key, best_rank = key, rank
-        if best_rank is None:
+            if best is None or key < best:
+                best = key
+        if best is None:
             raise ValueError(
                 "no feasible placement under the per-device memory bound"
             )
-        assignment[expert] = best_rank
+        rank = best[2]
+        bisect.insort(members[rank], expert)
+        loads[rank], terms[rank] = rescore(rank, members[rank])
 
-    current = tuple(assignment)  # type: ignore[arg-type]
-    current_score = problem.score(current)
+    current = [0] * e
+    for rank, hosted in enumerate(members):
+        for expert in hosted:
+            current[expert] = rank
+    loads, counts = problem.rank_totals(current)
+    terms = [problem.rank_score(r, counts[r], loads[r]) for r in range(w)]
+    bad = [not fits(counts[r], loads[r]) for r in range(w)]
+    best3, failing = top(terms, 3), bad.count(True)
+
+    def exchange(x: int, y: int | None, ra: int, rb: int) -> bool:
+        """Commit "``x``: ``ra`` -> ``rb`` (and ``y``: ``rb`` -> ``ra``)"
+        if the result is feasible and strictly better."""
+        nonlocal best3, failing
+        threshold = best3[0][0] - 1e-12
+        if not next(t for t, r in best3 if r != ra and r != rb) < threshold:
+            return False
+        touched = []
+        for rank, out, into in ((ra, x, y), (rb, y, x)):
+            hosted = [m for m in members[rank] if m != out]
+            if into is not None:
+                bisect.insort(hosted, into)
+            load, term = rescore(rank, hosted)
+            if not term < threshold:
+                return False
+            touched.append((rank, hosted, term, not fits(len(hosted), load)))
+        if failing - bad[ra] - bad[rb] + touched[0][3] + touched[1][3]:
+            return False
+        for rank, hosted, term, fails in touched:
+            members[rank], terms[rank], bad[rank] = hosted, term, fails
+        best3, failing = top(terms, 3), bad.count(True)
+        return True
 
     for _ in range(max_rounds):
         improved = False
-        # Single-expert moves.
         for expert in range(e):
             for rank in range(w):
-                if rank == current[expert]:
-                    continue
-                cand = current[:expert] + (rank,) + current[expert + 1:]
-                if not problem.feasible(cand):
-                    continue
-                score = problem.score(cand)
-                if score < current_score - 1e-12:
-                    current, current_score = cand, score
+                src = current[expert]
+                # Onto a full rank is infeasible whatever the loads.
+                if rank != src and len(members[rank]) < cap and exchange(
+                    expert, None, src, rank
+                ):
+                    current[expert] = rank
                     improved = True
-        # Pairwise swaps (escape move-local minima).
         for a in range(e):
             for b in range(a + 1, e):
-                if current[a] == current[b]:
-                    continue
-                cand = list(current)
-                cand[a], cand[b] = cand[b], cand[a]
-                cand_t = tuple(cand)
-                if not problem.feasible(cand_t):
-                    continue
-                score = problem.score(cand_t)
-                if score < current_score - 1e-12:
-                    current, current_score = cand_t, score
+                ra, rb = current[a], current[b]
+                if ra != rb and exchange(a, b, ra, rb):
+                    current[a], current[b] = rb, ra
                     improved = True
         if not improved:
             break
 
-    return PlacementSpec.explicit(current)
+    final = tuple(current)
+    if (
+        problem.feasible(final) != (failing == 0)
+        or problem.score(final) != best3[0][0]
+    ):
+        raise RuntimeError(
+            "incremental placement scoring disagrees with a full rescan"
+        )
+    return PlacementSpec.explicit(final)

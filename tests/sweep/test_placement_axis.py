@@ -7,17 +7,23 @@ row minted before this axis existed keeps verifying.
 """
 
 import json
+import sys
 
 import pytest
 
 from repro.api.result import ResultSet
+from repro.perfmodel.placeopt import optimize_placement
 from repro.sweep import (
     Scenario,
     ScenarioGrid,
     SweepResult,
     SweepRunner,
+    evaluate_eq10,
+    evaluate_system,
     evaluate_timeline,
+    scenario_workload,
 )
+from repro.sweep import runner as runner_mod
 from repro.sweep.grid import scenario_payload
 
 BASE = dict(system="timeline", spec="GPT-S", world_size=8, batch=1024,
@@ -141,3 +147,104 @@ class TestRunnerIntegration:
             Scenario(**base, placement="optimized")
         )
         assert optimized["makespan"] < contiguous["makespan"]
+
+
+OPTIMIZED = dict(spec="GPT-S", world_size=8, batch=2048, imbalance=4.0,
+                 straggler="single-slow-gpu", severity=0.5,
+                 placement="optimized")
+
+
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """A fresh context pool, and every problem the runner optimizes."""
+    monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
+    calls = []
+
+    def recording(problem):
+        calls.append(problem)
+        return optimize_placement(problem)
+
+    monkeypatch.setattr(runner_mod, "optimize_placement", recording)
+    return calls
+
+
+class TestOptimizedLoweringMemo:
+    def test_systems_on_one_point_optimize_once(self, optimizer_calls):
+        for system in ("pipemoe", "mpipemoe"):
+            evaluate_system(Scenario(system=system, **OPTIMIZED))
+        assert len(optimizer_calls) == 1
+
+    def test_distinct_problems_keep_their_own_assignments(
+        self, optimizer_calls
+    ):
+        variants = ({}, {"severity": 1.0}, {"batch": 4096},
+                    {"imbalance": 2.0}, {"straggler": "degraded-link"})
+        scenarios = [
+            Scenario(system="pipemoe", **{**OPTIMIZED, **v}) for v in variants
+        ]
+        lowered = [scenario_workload(s).placement for s in scenarios]
+        assert len(optimizer_calls) == len(variants)
+        assert lowered == [optimize_placement(p) for p in optimizer_calls]
+        # Served from the memo, every variant gets its own entry back.
+        assert [scenario_workload(s).placement for s in scenarios] == lowered
+        assert len(optimizer_calls) == len(variants)
+        # A compute straggler moves the cold experts onto the slow rank;
+        # a healthy or link-degraded cluster keeps the contiguous map.
+        contiguous = tuple(r for r in range(8) for _ in range(8))
+        assert lowered[1].assignment == lowered[4].assignment == contiguous
+        assert lowered[0].assignment != contiguous
+
+    def test_thread_backend_shares_the_memo(self, optimizer_calls):
+        grid = ScenarioGrid(
+            systems=("pipemoe", "mpipemoe"), specs=("GPT-S",),
+            world_sizes=(8,), batches=(1024, 2048), imbalances=(2.0, 4.0),
+            stragglers=("single-slow-gpu",), severities=(0.5,),
+            placements=("optimized",),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = SweepRunner(
+                evaluate_system, backend="thread", workers=8
+            ).run(grid)
+        finally:
+            sys.setswitchinterval(interval)
+        # Racing threads may optimize one problem twice, never mix two.
+        assert len(set(optimizer_calls)) == 4
+        (ctx,) = runner_mod._CONTEXTS.values()
+        assert ctx.placements == {p: optimize_placement(p)
+                                  for p in optimizer_calls}
+        runner_mod._CONTEXTS.clear()
+        serial = SweepRunner(evaluate_system, backend="serial").run(grid)
+        assert [r.values for r in threaded] == [r.values for r in serial]
+
+    def test_clearing_the_context_pool_recomputes(self, optimizer_calls):
+        scenario = Scenario(system="pipemoe", **OPTIMIZED)
+        first = scenario_workload(scenario).placement
+        scenario_workload(scenario)
+        assert len(optimizer_calls) == 1
+        runner_mod._CONTEXTS.clear()
+        assert scenario_workload(scenario).placement == first
+        assert len(optimizer_calls) == 2
+
+    @pytest.mark.parametrize("evaluate, axes", [
+        (evaluate_system, dict(system="mpipemoe")),
+        (evaluate_timeline, dict(system="timeline", n=2, strategy="S1")),
+        (evaluate_eq10, dict(system="mpipemoe", n=2)),
+    ])
+    def test_lowering_runs_outside_the_context_lock(
+        self, monkeypatch, optimizer_calls, evaluate, axes
+    ):
+        scenario = Scenario(**axes, **OPTIMIZED)
+        ctx = runner_mod.shared_context(
+            scenario.world_size, runner_mod.scenario_hetero(scenario)
+        )
+        held = []
+
+        def probing(problem):
+            held.append(ctx.sweep_lock.locked())
+            return optimize_placement(problem)
+
+        monkeypatch.setattr(runner_mod, "optimize_placement", probing)
+        evaluate(scenario)
+        assert held == [False]
