@@ -20,7 +20,7 @@ Three measurements:
 
 3. **Routing grid sweep** — a :class:`ScenarioGrid` crossing the new
    ``top_ks`` / ``dtypes`` / ``imbalances`` axes with capacity factors
-   on the thread backend, reporting per-expert overflow and
+   on the serial backend, reporting per-expert overflow and
    hottest-expert capacity pressure from the workload model.
 
 Results append to ``benchmarks/results/BENCH_routing.json``.
@@ -191,7 +191,7 @@ def topk_dtype_table(args) -> tuple[dict, bool]:
 
 
 def routing_grid_sweep(args) -> dict:
-    """Thread-backend sweep over the top-k / dtype / imbalance axes."""
+    """Serial-backend sweep over the top-k / dtype / imbalance axes."""
     if args.smoke:
         grid = ScenarioGrid(
             systems=("mpipemoe",), specs=(SPEC,), world_sizes=(16,),
@@ -203,11 +203,11 @@ def routing_grid_sweep(args) -> dict:
             batches=(8192,), top_ks=(None, 2), dtypes=(None, "fp32"),
             imbalances=(1.0, 4.0), capacity_factors=(None, 1.25),
         )
-    study = Study(grid).backend("thread").workers(args.workers)
+    study = Study(grid).backend("serial")
     results, wall = timed(study.run)
     print(results.table(
         ["label", "n", "strategy", ("time (s)", "iteration_time")],
-        title=f"Routing grid, {len(results)} scenarios, thread backend",
+        title=f"Routing grid, {len(results)} scenarios, serial backend",
     ))
     spec = get_preset(SPEC)
     points = []
@@ -253,8 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small workloads for CI (gates still checked)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="thread-pool width for the grid sweep")
     args = parser.parse_args(argv)
 
     imbalance_payload, ok_shift = imbalance_sweep(args)

@@ -16,7 +16,7 @@ Two measurements:
 
 2. **Hetero grid sweep** — a :class:`ScenarioGrid` crossing straggler
    severity with the new expert-count (E) and capacity-factor axes,
-   fanned out on the thread backend so all points share one in-process
+   run on the serial backend so all points share one in-process
    evaluator memo; the reported cache stats come from the per-scenario
    deltas the runner now persists.
 
@@ -165,7 +165,7 @@ def severity_sweep(args) -> tuple[dict, bool]:
 
 
 def hetero_grid_sweep(args) -> dict:
-    """Thread-backend sweep over the straggler / E / capacity-factor axes."""
+    """Serial-backend sweep over the straggler / E / capacity-factor axes."""
     if args.smoke:
         grid = ScenarioGrid(
             systems=("mpipemoe",), specs=(SPEC,), world_sizes=(16,),
@@ -179,13 +179,13 @@ def hetero_grid_sweep(args) -> dict:
             severities=(1.0, 0.7, 0.4), num_experts=(64, 128),
             capacity_factors=(1.0, 1.25),
         )
-    study = Study(grid).backend("thread").workers(args.workers)
+    study = Study(grid).backend("serial")
     t0 = time.perf_counter()
     results = study.run()
     wall = time.perf_counter() - t0
     print(results.table(
         ["label", "n", "strategy", ("time (s)", "iteration_time")],
-        title=f"Hetero grid, {len(results)} scenarios, thread backend",
+        title=f"Hetero grid, {len(results)} scenarios, serial backend",
     ))
     hits = sum(r.cache_stats["hits"] for r in results if r.cache_stats)
     misses = sum(r.cache_stats["misses"] for r in results if r.cache_stats)
@@ -340,8 +340,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small workloads for CI (gate still checked)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="thread-pool width for the grid sweep")
     args = parser.parse_args(argv)
 
     mode = "smoke" if args.smoke else "full"

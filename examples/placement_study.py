@@ -34,7 +34,7 @@ BATCH = 24576
 IMBALANCE = 4.0
 
 
-def straggler_ladder(workers: int) -> None:
+def straggler_ladder() -> None:
     severities = (1.0, 0.8, 0.6, 0.5, 0.4)
     grid = ScenarioGrid(
         systems=("mpipemoe",), specs=(SPEC,), world_sizes=(WORLD,),
@@ -42,7 +42,7 @@ def straggler_ladder(workers: int) -> None:
         stragglers=("single-slow-gpu",), severities=severities,
         placements=("contiguous", "optimized"),
     )
-    results = Study(grid).backend("thread").workers(workers).run()
+    results = Study(grid).backend("serial").run()
     by_point = {
         (r.scenario.severity, r.scenario.placement): r for r in results
     }
@@ -67,13 +67,13 @@ def straggler_ladder(workers: int) -> None:
     print(table)
 
 
-def skew_ladder(workers: int) -> None:
+def skew_ladder() -> None:
     grid = ScenarioGrid(
         systems=("mpipemoe",), specs=(SPEC,), world_sizes=(WORLD,),
         batches=(BATCH,), imbalances=(1.0, 2.0, 4.0, 8.0),
         placements=("contiguous", "round_robin", "shadowed", "optimized"),
     )
-    results = Study(grid).backend("thread").workers(workers).run()
+    results = Study(grid).backend("serial").run()
     table = Table(
         ["skew", "placement", "n", "strategy", "time (ms)", "vs contig"],
         title=f"Gating skew x placement, healthy cluster, B={BATCH}",
@@ -95,11 +95,9 @@ def skew_ladder(workers: int) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=4)
-    args = parser.parse_args()
-    straggler_ladder(args.workers)
-    skew_ladder(args.workers)
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    straggler_ladder()
+    skew_ladder()
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ fp16 activations, perfectly uniform gating):
    overflow (drop) per device.
 
 Everything drives the public :class:`repro.api.Study` facade on the
-thread backend (shared in-process evaluator memo); the workload
+serial backend (shared in-process evaluator memo); the workload
 diagnostics come from :class:`repro.perfmodel.workload.WorkloadSpec`
 — the same object the pricing layers consume.
 
@@ -40,12 +40,12 @@ SPEC = "GPT-XL"
 BATCH = 8192
 
 
-def skew_ladder(workers: int) -> None:
+def skew_ladder() -> None:
     grid = ScenarioGrid(
         systems=("mpipemoe",), specs=(SPEC,), world_sizes=(WORLD,),
         batches=(BATCH,), imbalances=(1.0, 2.0, 4.0, 8.0),
     )
-    results = Study(grid).backend("thread").workers(workers).run()
+    results = Study(grid).backend("serial").run()
     spec = get_preset(SPEC)
     table = Table(
         ["skew", "bottleneck rows", "n", "strategy", "time (ms)",
@@ -67,12 +67,12 @@ def skew_ladder(workers: int) -> None:
     print("-> a hot expert acts like a bigger batch: n coarsens with skew\n")
 
 
-def dtype_ladder(workers: int) -> None:
+def dtype_ladder() -> None:
     grid = ScenarioGrid(
         systems=("mpipemoe",), specs=(SPEC,), world_sizes=(WORLD,),
         batches=(BATCH,), dtypes=("fp8", None, "fp32"),
     )
-    results = Study(grid).backend("thread").workers(workers).run()
+    results = Study(grid).backend("serial").run()
     table = Table(
         ["dtype", "n", "strategy", "time (ms)"],
         title=f"Activation dtype on the wire, {SPEC}, B={BATCH}",
@@ -86,13 +86,13 @@ def dtype_ladder(workers: int) -> None:
     print("-> wider activations are comm-bound: coarser n, different reuse\n")
 
 
-def capacity_planner(workers: int) -> None:
+def capacity_planner() -> None:
     grid = ScenarioGrid(
         systems=("mpipemoe",), specs=(SPEC,), world_sizes=(WORLD,),
         batches=(BATCH,), imbalances=(1.0, 4.0),
         capacity_factors=(None, 1.0, 1.25),
     )
-    results = Study(grid).backend("thread").workers(workers).run()
+    results = Study(grid).backend("serial").run()
     spec = get_preset(SPEC)
     table = Table(
         ["skew", "capacity f", "priced rows", "hot pressure",
@@ -121,12 +121,10 @@ def capacity_planner(workers: int) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=4)
-    args = parser.parse_args()
-    skew_ladder(args.workers)
-    dtype_ladder(args.workers)
-    capacity_planner(args.workers)
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    skew_ladder()
+    dtype_ladder()
+    capacity_planner()
 
 
 if __name__ == "__main__":

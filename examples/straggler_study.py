@@ -15,7 +15,7 @@ Three short studies on the GPT-XL x 64-GPU testbed:
    derived from the specs).
 
 All of it drives the public :class:`repro.api.Study` facade — the same
-machinery as the paper-figure benches — on the thread backend so every
+machinery as the paper-figure benches — on the serial backend so every
 point shares one in-process evaluator memo; the cache columns show what
 that sharing saved.  The skew-kind study uses ``Study.cluster(...)``,
 the facade's hetero overlay: one homogeneous grid, re-run per cluster.
@@ -40,13 +40,13 @@ SPEC = "GPT-XL"
 BATCH = 24576
 
 
-def severity_ladder(workers: int) -> None:
+def severity_ladder() -> None:
     grid = ScenarioGrid(
         systems=("mpipemoe",), specs=(SPEC,), world_sizes=(WORLD,),
         batches=(BATCH,), stragglers=("single-slow-gpu",),
         severities=(1.0, 0.8, 0.6, 0.5, 0.4),
     )
-    results = Study(grid).backend("thread").workers(workers).run()
+    results = Study(grid).backend("serial").run()
     table = Table(
         ["severity", "n", "strategy", "time (ms)", "vs healthy",
          "memo hits"],
@@ -62,13 +62,13 @@ def severity_ladder(workers: int) -> None:
     print(table)
 
 
-def skew_kinds(workers: int) -> None:
+def skew_kinds() -> None:
     # One homogeneous grid; the facade's cluster overlay re-targets it
     # at each straggler kind without rebuilding the axes.
     base = Study(
         ScenarioGrid(systems=("mpipemoe",), specs=(SPEC,),
                      world_sizes=(WORLD,), batches=(BATCH,))
-    ).backend("thread").workers(workers)
+    ).backend("serial")
     rows = []
     for kind in ("single-slow-gpu", "degraded-link", "slow-node"):
         rows.extend(base.cluster(kind, severity=0.5).run())
@@ -101,11 +101,9 @@ def mixed_pool() -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=4)
-    args = parser.parse_args()
-    severity_ladder(args.workers)
-    skew_kinds(args.workers)
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    severity_ladder()
+    skew_kinds()
     mixed_pool()
     # A jitter postscript: every device slightly off-nominal.
     jittered = SystemContext(

@@ -11,11 +11,9 @@ every scale).
 Re-running is nearly free: completed scenarios are cached under
 ``--cache-dir`` keyed by scenario hash, so extending the grids only
 evaluates the new points.  The same study runs unchanged on any
-registered backend (serial / thread / process / asyncio) — results are
-byte-identical by contract.
+registered backend — results are byte-identical by contract.
 
 Run:  PYTHONPATH=src python examples/sweep_cluster.py [--workers 4]
-      PYTHONPATH=src python examples/sweep_cluster.py --backend thread
 """
 
 from __future__ import annotations

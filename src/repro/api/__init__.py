@@ -9,7 +9,7 @@ Everything a study needs lives here::
         world_sizes=(16, 64),
         batches=(8192, 16384),
     )
-    results = Study(grid).backend("thread").workers(4).run()
+    results = Study(grid).backend("serial").run()
     print(results.table())
     front = results.pareto()            # Fig. 11-style frontier
     print(results.to_json())            # deterministic across backends
@@ -23,10 +23,9 @@ The pieces:
   ``.pareto()``, ``.table()``, ``.group_by()``, ``.cache_stats()``,
   ``.to_json()``.
 * :mod:`repro.api.backends` — the execution-backend registry
-  (``serial`` / ``thread`` / ``process`` / ``asyncio`` /
-  ``vectorized`` / ``remote``), third-party extensible via
-  :func:`register_backend` / :func:`unregister_backend` /
-  :func:`temporary_backend`.
+  (``serial`` / ``process`` / ``vectorized`` / ``remote``),
+  third-party extensible via :func:`register_backend` /
+  :func:`unregister_backend` / :func:`temporary_backend`.
 * ``python -m repro`` — the CLI over all of it (:mod:`repro.api.cli`).
 
 Grid construction (:class:`Scenario`, :class:`ScenarioGrid`,
@@ -37,11 +36,9 @@ backend registry is import-cycle-free and always available, while
 """
 
 from repro.api.backends import (
-    AsyncioBackend,
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     VectorizedBackend,
     available_backends,
     get_backend,
@@ -54,9 +51,7 @@ __all__ = [
     # backends (eager; stdlib-only)
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "AsyncioBackend",
     "VectorizedBackend",
     "register_backend",
     "unregister_backend",

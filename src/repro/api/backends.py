@@ -1,20 +1,13 @@
 """Pluggable execution backends for studies and sweeps.
 
 A :class:`Backend` turns an evaluator function and a list of work items
-into a list of results, preserving item order.  Six implementations
+into a list of results, preserving item order.  Four implementations
 ship registered under well-known names:
 
 * ``serial`` — in-process loop; the reference semantics.
-* ``thread`` — :class:`~concurrent.futures.ThreadPoolExecutor`; workers
-  share the process's memoized evaluator contexts, the right choice for
-  cheap makespan-only points.
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`;
   isolates heavy evaluations, each worker grows its own context pool.
   Evaluators must be module-level (picklable by qualified name).
-* ``asyncio`` — an event loop driving either native ``async def``
-  evaluators (awaited concurrently, bounded by ``workers``) or plain
-  callables (via ``asyncio.to_thread``); built for latency-bound
-  evaluators such as remote or I/O-backed objectives.
 * ``vectorized`` — whole-grid evaluation: evaluators with a batched
   twin registered in :mod:`repro.perfmodel.batcheval` price every item
   in one numpy pass (bit-identical values, no per-item Python); others
@@ -23,6 +16,10 @@ ship registered under well-known names:
   lazily): shards the grid across ``python -m repro serve`` worker
   hosts, streams results back, and reshards a dead host's unfinished
   work onto the survivors.
+
+There is no in-process thread or event-loop backend: pricing is pure
+Python and holds the GIL, so threads only add scheduling cost, and
+every evaluator is a plain callable (coroutine functions are rejected).
 
 Third-party backends plug in through :func:`register_backend` (usable
 as a decorator, undone by :func:`unregister_backend` or scoped with
@@ -42,7 +39,7 @@ when observability is on and pay a single boolean check when it is off.
 
 Determinism contract: a backend must return ``[fn(item) for item in
 items]`` — same values, same order — differing only in *how* the calls
-are scheduled.  The pool backends degrade to the in-line loop at
+are scheduled.  The process backend degrades to the in-line loop at
 ``workers == 1`` (no pool spin-up, and in-process side effects such as
 shared evaluator memos stay visible to the caller).
 """
@@ -50,11 +47,10 @@ shared evaluator memos stay visible to the caller).
 from __future__ import annotations
 
 import abc
-import asyncio
 import contextlib
 import inspect
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
@@ -75,13 +71,13 @@ class Backend(abc.ABC):
         """Return ``[fn(item) for item in items]`` (order preserved)."""
 
     def _require_sync(self, fn: Callable) -> None:
-        """Reject ``async def`` evaluators on non-async backends loudly —
-        silently returning un-awaited coroutine objects is never right."""
+        """Reject coroutine-function evaluators loudly — silently
+        returning coroutine objects that never run is never right."""
         if inspect.iscoroutinefunction(fn):
             raise TypeError(
                 f"evaluator {getattr(fn, '__qualname__', fn)!r} is a coroutine "
                 f"function; the {self.name!r} backend runs plain callables — "
-                f"use backend='asyncio' for async evaluators"
+                f"wrap it in a synchronous function that runs it to completion"
             )
 
     def _inline_map(self, fn, items) -> list:
@@ -106,25 +102,6 @@ class SerialBackend(Backend):
     def map(self, fn, items, *, workers: int = 1) -> list:
         self._require_sync(fn)
         return self._inline_map(fn, items)
-
-
-class ThreadBackend(Backend):
-    """Thread-pool fan-out sharing the caller's process (and its memos)."""
-
-    name = "thread"
-
-    def map(self, fn, items, *, workers: int = 1) -> list:
-        self._require_sync(fn)
-        if workers <= 1 or len(items) <= 1:
-            return self._inline_map(fn, items)
-        call = fn
-        if _obs_active():
-            def call(item, _fn=fn, _name=self.name):
-                value = _fn(item)
-                _obs_emit("backend.item", backend=_name)
-                return value
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(call, items))
 
 
 class ProcessBackend(Backend):
@@ -199,58 +176,6 @@ class ProcessBackend(Backend):
                     pending=len(pending),
                 )
         return [results[i] for i in range(len(items))]
-
-
-class AsyncioBackend(Backend):
-    """Event-loop backend for latency-bound evaluators.
-
-    ``async def`` evaluators are awaited directly, up to ``workers``
-    in flight at once; plain callables are offloaded to threads via
-    :func:`asyncio.to_thread` under the same concurrency bound, so the
-    backend is a drop-in for the built-in (synchronous) evaluators too.
-    """
-
-    name = "asyncio"
-
-    def map(self, fn, items, *, workers: int = 1) -> list:
-        if not items:
-            return []
-        coro = self._gather(fn, items, max(1, workers))
-        # The try block covers ONLY the running-loop detection: an
-        # evaluator that itself raises RuntimeError must surface as a
-        # scenario failure from asyncio.run below, not be mistaken for
-        # "loop already running" and rerouted (or chained into the
-        # detection's exception context).
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            loop_running = False
-        else:
-            loop_running = True
-        if not loop_running:
-            return asyncio.run(coro)
-        # Called from inside a running loop (a notebook, an async app):
-        # asyncio.run() would raise, so drive the gather on a private
-        # loop in a helper thread and block this caller on the result.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(asyncio.run, coro).result()
-
-    async def _gather(self, fn, items, workers: int) -> list:
-        semaphore = asyncio.Semaphore(workers)
-        is_async = inspect.iscoroutinefunction(fn)
-        observing = _obs_active()
-
-        async def one(item):
-            async with semaphore:
-                if is_async:
-                    value = await fn(item)
-                else:
-                    value = await asyncio.to_thread(fn, item)
-                if observing:
-                    _obs_emit("backend.item", backend=self.name)
-                return value
-
-        return list(await asyncio.gather(*(one(item) for item in items)))
 
 
 class VectorizedBackend(Backend):
@@ -395,8 +320,6 @@ def _remote_backend() -> Backend:
 
 
 register_backend("serial", SerialBackend)
-register_backend("thread", ThreadBackend)
 register_backend("process", ProcessBackend)
-register_backend("asyncio", AsyncioBackend)
 register_backend("vectorized", VectorizedBackend)
 register_backend("remote", _remote_backend)

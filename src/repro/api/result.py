@@ -3,8 +3,8 @@
 :class:`StudyResult` is one evaluated scenario; :class:`ResultSet` is an
 ordered, immutable collection of them with first-class accessors —
 ``.pareto()``, ``.table()``, ``.group_by()``, ``.to_json()``,
-``.cache_stats()`` — replacing the module-level helpers that used to
-live in ``repro.sweep.analysis`` (which remains as a deprecation shim).
+``.cache_stats()`` — backed by the module-level analysis helpers
+defined here.
 
 The module-level functions (:func:`pareto_front`, :func:`sweep_table`,
 :func:`group_by`) are the relocated implementations and still operate on
@@ -15,7 +15,7 @@ JSON contract: :meth:`ResultSet.to_json` is deterministic — scenario
 order, sorted keys, and (by default) only the *physical* values.  The
 per-run evaluator-cache deltas depend on worker scheduling, so they are
 opt-in (``include_cache_stats=True``); this is what makes the same study
-byte-identical across the serial/thread/process/asyncio backends.
+byte-identical across the serial/process/vectorized/remote backends.
 """
 
 from __future__ import annotations

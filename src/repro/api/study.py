@@ -16,9 +16,9 @@ base study can fan out over backends or clusters without aliasing::
     grid = ScenarioGrid(systems=("pipemoe", "mpipemoe"),
                         batches=(8192, 16384, 32768))
     base = Study(grid).cache(".sweep_cache")
-    fast = base.backend("thread").workers(4).run()
+    healthy = base.backend("serial").run()
     skewed = base.cluster("single-slow-gpu", severity=0.5).run()
-    print(fast.table())
+    print(healthy.table())
 
 Studies serialize: :meth:`Study.describe` emits a JSON-able spec and
 :meth:`Study.from_spec` rebuilds one — the contract the

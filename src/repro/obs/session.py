@@ -274,8 +274,8 @@ class ObsSession:
     def fold(self, blob) -> None:
         """Replay a worker's event sidecar onto the live bus.
 
-        Skips sidecars recorded in this very process (serial/thread/
-        asyncio backends delivered those events live — replaying would
+        Skips sidecars recorded in this very process (in-process
+        evaluations delivered those events live — replaying would
         double-count); replayed events carry ``_replayed=True`` so the
         log bridge and third-party hooks can tell them apart.
         """

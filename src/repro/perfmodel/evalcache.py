@@ -80,7 +80,7 @@ class _LruMemo:
             try:
                 self._data.move_to_end(key)
             except KeyError:
-                pass  # concurrently evicted (thread backend); value stands
+                pass  # concurrently evicted (server thread pool); value stands
         return value
 
     def __setitem__(self, key, value) -> None:

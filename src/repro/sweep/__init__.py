@@ -17,9 +17,8 @@ prefer ``Study``/``ResultSet`` for new code::
 The legacy surface (``SweepRunner``, the module-level evaluators, and
 the analysis helpers) remains fully supported; ``SweepRunner`` executes
 on the same :mod:`repro.api.backends` registry the facade uses.  The
-analysis helpers (``pareto_front``/``sweep_table``/``group_by``) now
-live in :mod:`repro.api.result` and resolve lazily here;
-``repro.sweep.analysis`` is a deprecation shim.
+analysis helpers (``pareto_front``/``sweep_table``/``group_by``) live
+in :mod:`repro.api.result` and resolve lazily here.
 """
 
 from repro.sweep.grid import (
@@ -81,9 +80,8 @@ __all__ = [
     "sweep_table",
 ]
 
-#: Relocated to repro.api.result (PR 4); resolved lazily so importing
-#: repro.sweep never pulls the facade in (and emits no deprecation
-#: warning — these aliases are supported, unlike repro.sweep.analysis).
+#: Defined in repro.api.result; resolved lazily so importing
+#: repro.sweep never pulls the facade in.
 _RELOCATED = ("group_by", "pareto_front", "sweep_table")
 
 

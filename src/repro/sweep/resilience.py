@@ -15,18 +15,17 @@ those — without changing a single byte of what a healthy run computes:
   :class:`SweepTimeoutError` (the objective overran the policy
   timeout), :class:`WorkerCrashError` (a pool worker died and the pool
   could not be recovered);
-* :func:`run_with_policy` / :func:`run_with_policy_async` — the retry
-  loops the runner wraps around objectives, returning either the values
-  dict (with the attempt count attached under :data:`ATTEMPTS_KEY`) or,
-  under ``on_error="keep"``, a serialized error marker under
-  :data:`ERROR_KEY` instead of raising;
+* :func:`run_with_policy` — the retry loop the runner wraps around
+  objectives, returning either the values dict (with the attempt count
+  attached under :data:`ATTEMPTS_KEY`) or, under ``on_error="keep"``, a
+  serialized error marker under :data:`ERROR_KEY` instead of raising;
 * :class:`RunManifest` — the resumability record written next to the
   JSON scenario cache (``manifest.json``: grid hash, per-slot status,
   cumulative attempt counts) that lets ``SweepRunner(resume=True)``
   re-execute only the failed-or-missing points of a crashed run.
 
 Fault injection for tests lives in :mod:`repro.testing.faults`; the
-retry loops consult the active plan so injected faults hit every
+retry loop consults the active plan so injected faults hit every
 backend — including process-pool workers — through one code path.
 """
 
@@ -336,114 +335,6 @@ def run_with_policy(
                 once, timeout=policy.timeout, scenario=scenario
             )
         except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            last = _classify(exc, scenario, attempt)
-            if observing:
-                _obs_emit(
-                    "scenario.attempt",
-                    label=_label_of(scenario),
-                    attempt=attempt,
-                    ok=False,
-                    error=type(last).__name__,
-                    cause=type(last.cause).__name__
-                    if last.cause is not None
-                    else None,
-                    ts=attempt_ts,
-                    dur=time.perf_counter() - attempt_p0,
-                )
-        else:
-            if observing:
-                _obs_emit(
-                    "scenario.attempt",
-                    label=_label_of(scenario),
-                    attempt=attempt,
-                    ok=True,
-                    ts=attempt_ts,
-                    dur=time.perf_counter() - attempt_p0,
-                )
-            values[ATTEMPTS_KEY] = attempt
-            return values
-    if on_error == "raise":
-        raise last
-    if _obs_active():
-        _obs_emit(
-            "scenario.failed",
-            label=_label_of(scenario),
-            error=type(last).__name__,
-            attempts=attempts,
-            ts=time.time(),
-        )
-    return {ERROR_KEY: error_payload(last), ATTEMPTS_KEY: attempts}
-
-
-async def run_with_policy_async(
-    evaluate: Callable,
-    scenario,
-    policy: RetryPolicy,
-    on_error: str = "raise",
-) -> dict:
-    """Async twin of :func:`run_with_policy` for coroutine objectives.
-
-    The timeout rides :func:`asyncio.wait_for` (cancelling the attempt
-    instead of abandoning a thread); backoff awaits the loop clock so
-    concurrent scenarios keep interleaving while one of them backs off.
-    """
-    import asyncio
-
-    from repro.testing.faults import active_plan
-
-    plan = active_plan()
-    key = scenario.key() if hasattr(scenario, "key") else repr(scenario)
-    last: SweepError | None = None
-    attempts = 0
-    for attempt in range(1, policy.max_attempts + 1):
-        attempts = attempt
-        observing = _obs_active()
-        if attempt > 1:
-            delay = policy.delay(attempt - 1, key)
-            if observing:
-                retry_ts = time.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if observing:
-                _obs_emit(
-                    "scenario.retry",
-                    label=_label_of(scenario),
-                    attempt=attempt,
-                    ts=retry_ts,
-                    dur=delay,
-                )
-
-        async def once() -> dict:
-            if plan is not None:
-                plan.maybe_inject(scenario)
-            return await evaluate(scenario)
-
-        if observing:
-            attempt_ts = time.time()
-            attempt_p0 = time.perf_counter()
-        try:
-            if policy.timeout is None:
-                values = await once()
-            else:
-                values = await asyncio.wait_for(once(), policy.timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            last = SweepTimeoutError(
-                scenario=scenario, timeout=policy.timeout, attempts=attempt
-            )
-            if observing:
-                _obs_emit(
-                    "scenario.attempt",
-                    label=_label_of(scenario),
-                    attempt=attempt,
-                    ok=False,
-                    error="SweepTimeoutError",
-                    cause=None,
-                    ts=attempt_ts,
-                    dur=time.perf_counter() - attempt_p0,
-                )
-        except asyncio.CancelledError:
             raise
         except Exception as exc:
             last = _classify(exc, scenario, attempt)

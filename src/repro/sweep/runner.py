@@ -3,8 +3,8 @@
 :class:`SweepRunner` takes any iterable of :class:`Scenario` (usually a
 :class:`ScenarioGrid`), evaluates each point with a module-level
 evaluator function through a backend from the
-:mod:`repro.api.backends` registry (serial / thread / process /
-asyncio, or any registered third-party backend), and returns
+:mod:`repro.api.backends` registry (serial / process / vectorized /
+remote, or any registered third-party backend), and returns
 :class:`SweepResult` objects in scenario order regardless of worker
 count or backend.  Completed points are
 cached as JSON files keyed by the scenario hash, so re-running a study —
@@ -19,14 +19,15 @@ built in:
 * :func:`evaluate_timeline` — price one raw ``build_timeline`` schedule,
   for ablation studies that pin every knob.
 
-Custom evaluators must be module-level functions (worker processes
-import them by qualified name, the standard pickle contract).
+Custom evaluators must be plain module-level functions, not coroutine
+functions (worker processes import them by qualified name, the standard
+pickle contract).
 
 Both built-in evaluators resolve their :class:`SystemContext` through a
 process-wide pool (:func:`shared_context`), so every scenario evaluated
-in one process — serially, inside one pool worker, or across every
-thread of the ``backend="thread"`` pool — shares the context's memoized
-:class:`~repro.perfmodel.evalcache.Evaluator`: stage costs,
+in one process — serially, inside one pool worker, or on any thread of
+a ``python -m repro serve`` worker's shard pool — shares the context's
+memoized :class:`~repro.perfmodel.evalcache.Evaluator`: stage costs,
 compiled-timeline makespans and footprints computed for one scenario
 are reused by every later scenario at the same (world size, hetero
 spec).  Timeline scenarios never read the trace, so they are priced
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import inspect
 import json
 import os
 import tempfile
@@ -68,7 +68,6 @@ from repro.sweep.resilience import (
     error_payload,
     grid_digest,
     run_with_policy,
-    run_with_policy_async,
 )
 from repro.config import DGX_A100_CLUSTER, MoELayerSpec, get_preset
 from repro.hardware.device import A100_SXM_40GB
@@ -167,30 +166,12 @@ def _bound_call(evaluate: "Evaluator", bound: int, scenario: "Scenario"):
         _MEMO_BOUND.reset(token)
 
 
-async def _bound_acall(evaluate: Callable, bound: int, scenario: "Scenario"):
-    """Async twin of :func:`_bound_call` for asyncio-backend evaluators."""
-    token = _MEMO_BOUND.set(bound)
-    try:
-        return await evaluate(scenario)
-    finally:
-        _MEMO_BOUND.reset(token)
-
-
 def _resilient_call(
     evaluate: Callable, policy: RetryPolicy, on_error: str, scenario: "Scenario"
 ):
     """One scenario under the retry policy; module-level so the process
     backend can pickle it (wrapped via :func:`functools.partial`)."""
     return run_with_policy(evaluate, scenario, policy, on_error=on_error)
-
-
-async def _resilient_acall(
-    evaluate: Callable, policy: RetryPolicy, on_error: str, scenario: "Scenario"
-):
-    """Async twin of :func:`_resilient_call` for coroutine objectives."""
-    return await run_with_policy_async(
-        evaluate, scenario, policy, on_error=on_error
-    )
 
 
 def _observed_call(evaluate: Callable, run_t0: float, scenario: "Scenario"):
@@ -211,42 +192,6 @@ def _observed_call(evaluate: Callable, run_t0: float, scenario: "Scenario"):
     p0 = time.perf_counter()
     try:
         values = evaluate(scenario)
-    except BaseException as exc:
-        _obs_emit(
-            "scenario.span",
-            label=_label_of(scenario),
-            ok=False,
-            attempts=1,
-            error=type(exc).__name__,
-            ts=start_ts,
-            dur=time.perf_counter() - p0,
-            queue_s=start_ts - run_t0,
-        )
-        pop_collector(token)
-        raise
-    _obs_emit(
-        "scenario.span",
-        label=_label_of(scenario),
-        ok=ERROR_KEY not in values,
-        attempts=values.get(ATTEMPTS_KEY, 1),
-        ts=start_ts,
-        dur=time.perf_counter() - p0,
-        queue_s=start_ts - run_t0,
-    )
-    pop_collector(token)
-    values[OBS_KEY] = {"pid": os.getpid(), "events": events}
-    return values
-
-
-async def _observed_acall(evaluate: Callable, run_t0: float, scenario: "Scenario"):
-    """Async twin of :func:`_observed_call` (collector rides the task's
-    contextvar context, so concurrent scenarios never mix sidecars)."""
-    events: list = []
-    token = push_collector(events)
-    start_ts = time.time()
-    p0 = time.perf_counter()
-    try:
-        values = await evaluate(scenario)
     except BaseException as exc:
         _obs_emit(
             "scenario.span",
@@ -464,9 +409,10 @@ def evaluate_system(scenario: Scenario) -> dict:
     # memo, so it runs before the lock instead of stalling it.
     spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
     # The context lock makes (snapshot, evaluate, snapshot) atomic so
-    # concurrent thread-backend scenarios cannot misattribute each
-    # other's cache hits; same-context evaluations would contend on the
-    # GIL anyway, and different contexts still proceed concurrently.
+    # scenarios a ``repro serve`` worker prices concurrently on its shard
+    # thread pool cannot misattribute each other's cache hits;
+    # same-context evaluations would contend on the GIL anyway, and
+    # different contexts still proceed concurrently.
     with ctx.sweep_lock:
         before = ctx.evaluator.cache_info()
         report = model.evaluate(spec, scenario.batch, workload=workload)
@@ -601,19 +547,16 @@ class SweepRunner:
     """Fan scenarios out over workers with per-scenario JSON caching.
 
     Execution delegates to the :mod:`repro.api.backends` registry:
-    ``backend`` is a registered name (``"serial"``, ``"thread"``,
-    ``"process"`` — the default — or ``"asyncio"``) or any
+    ``backend`` is a registered name (``"serial"``, ``"process"`` — the
+    default — ``"vectorized"`` or ``"remote"``) or any
     :class:`~repro.api.backends.Backend` instance.  ``process`` isolates
-    workers in subprocesses; ``thread`` (and ``asyncio`` driving plain
-    callables) runs them in threads sharing this process's
-    :func:`shared_context` pool, so cheap makespan-only points reuse the
-    in-process evaluator memo instead of paying process fan-out and a
-    cold cache per worker.  Scenarios on the *same* context serialize on
-    its lock (they would contend on the GIL regardless), which keeps the
-    per-scenario cache stats exact; scenarios on different contexts run
-    concurrently.  Every backend degrades to the in-line serial loop at
-    ``workers=1``, and all of them return identical values in identical
-    order — only the scheduling differs.
+    workers in subprocesses, each growing its own :func:`shared_context`
+    pool; ``serial`` prices every point in-line on this process's pool.
+    The evaluator must be a plain callable: a coroutine-function
+    objective is rejected here, when the runner is built.  ``process``
+    degrades to the in-line serial loop at ``workers=1``, and every
+    backend returns identical values in identical order — only the
+    scheduling differs.
 
     ``evaluator_max_entries`` bounds every shared context's memo (LRU)
     for grids too large to cache whole.  The bound travels with each
@@ -675,6 +618,9 @@ class SweepRunner:
                 f"obs must be an ObsSession or None, got {type(obs).__name__}"
             )
         self._backend = get_backend(backend)  # rejects unknown backend names
+        # Checked here, not only in Backend.map: the whole-grid path
+        # never reaches a backend's map.
+        self._backend._require_sync(evaluate)
         if evaluator_max_entries is not None and evaluator_max_entries < 1:
             raise ValueError("evaluator_max_entries must be >= 1 (or None)")
         if isinstance(retry, int) and not isinstance(retry, bool):
@@ -840,24 +786,18 @@ class SweepRunner:
         When the runner is resilient the retry loop wraps *outside* the
         memo-bound wrapper — each attempt gets the bound in scope — and
         the whole stack stays a :func:`functools.partial` over
-        module-level functions, so process-backend workers unpickle it
-        (and ``iscoroutinefunction`` still sees through to an async
-        objective, keeping asyncio-backend dispatch correct).
+        module-level functions, so process-backend workers unpickle it.
         """
-        is_async = inspect.iscoroutinefunction(self.evaluate)
         fn: Callable = self.evaluate
         if self.evaluator_max_entries is not None:
-            wrapper = _bound_acall if is_async else _bound_call
-            fn = functools.partial(wrapper, fn, self.evaluator_max_entries)
+            fn = functools.partial(_bound_call, fn, self.evaluator_max_entries)
         if self._resilient:
             policy = self.retry if self.retry is not None else RetryPolicy()
-            wrapper = _resilient_acall if is_async else _resilient_call
-            fn = functools.partial(wrapper, fn, policy, self.on_error)
+            fn = functools.partial(_resilient_call, fn, policy, self.on_error)
         if self.obs is not None:
             # Outermost, so the span covers retries and backoff sleeps
             # and the collector is in place before any inner layer emits.
-            wrapper = _observed_acall if is_async else _observed_call
-            fn = functools.partial(wrapper, fn, self.obs.run_t0)
+            fn = functools.partial(_observed_call, fn, self.obs.run_t0)
         return fn
 
     def _use_batch_path(self, misses: list[Scenario]) -> bool:

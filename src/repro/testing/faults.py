@@ -5,10 +5,10 @@ scenario k on its first j-1 attempts*, *hang for t seconds*, *kill the
 worker process mid-shard* — plus cache-sabotage helpers (*corrupt an
 entry*, *version-skew its scenario payload*).  Faults trigger inside
 the resilience retry loop (:func:`repro.sweep.resilience
-.run_with_policy`), so one plan reaches every backend: the serial loop,
-thread and asyncio pools, and process-pool workers (which load the plan
-from the :data:`FAULT_PLAN_ENV` environment variable their parent
-exports via :meth:`FaultPlan.install`).
+.run_with_policy`), so one plan reaches every backend: the serial loop
+and process-pool workers (which load the plan from the
+:data:`FAULT_PLAN_ENV` environment variable their parent exports via
+:meth:`FaultPlan.install`).
 
 Everything is deterministic.  Attempt counters live as files under the
 plan's ``state_dir`` — appended *before* a fault fires, so even a
@@ -113,7 +113,7 @@ class FaultPlan:
 
     ``state_dir`` holds one counter file per (fault, scenario) pair and
     the serialized plan for worker processes.  Activate in-process with
-    ``with plan.active(): ...`` (serial/thread/asyncio backends) or
+    ``with plan.active(): ...`` (the serial backend) or
     cross-process with :meth:`install` / :meth:`uninstall` (exports
     :data:`FAULT_PLAN_ENV` for pool workers to pick up).
     """
@@ -219,7 +219,7 @@ class FaultPlan:
     # -- activation ------------------------------------------------------------
     @contextlib.contextmanager
     def active(self):
-        """In-process activation (serial / thread / asyncio backends)."""
+        """In-process activation (the serial backend)."""
         global _ACTIVE
         previous = _ACTIVE
         _ACTIVE = self

@@ -1,33 +1,29 @@
 """Execution-backend registry and cross-backend equivalence.
 
 The acceptance contract of the api_redesign PR: the same study run under
-``serial``, ``thread``, ``process`` and ``asyncio`` yields byte-identical
+``serial``, ``process`` and ``vectorized`` yields byte-identical
 ResultSet JSON and byte-identical cache files for a >= 50-scenario grid.
 """
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.api import Study
 from repro.api.backends import (
-    AsyncioBackend,
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     get_backend,
     register_backend,
     temporary_backend,
     unregister_backend,
 )
-from repro.sweep import Scenario, ScenarioGrid, shared_context
+from repro.sweep import Scenario, ScenarioGrid, SweepRunner, shared_context
 from repro.sweep.runner import scenario_hetero
 
-ALL_BACKENDS = ("serial", "thread", "process", "asyncio")
+ALL_BACKENDS = ("serial", "process", "vectorized")
 
 #: The acceptance grid: 4 batches x 3 granularities x 5 strategies = 60
 #: timeline points, all priced through the memoized makespan-only path.
@@ -61,22 +57,33 @@ def pure_makespan(scenario: Scenario) -> dict:
     return {"makespan": makespan}
 
 
-async def async_probe(scenario: Scenario) -> dict:
-    """A latency-bound (async-native) objective for the asyncio backend."""
-    await asyncio.sleep(0)
-    return {"metric": scenario.batch * (scenario.n or 1)}
-
-
 class TestRegistry:
     def test_builtins_registered(self):
         assert set(ALL_BACKENDS) <= set(available_backends())
 
+    def test_builtins_are_exactly_the_four(self):
+        assert available_backends() == (
+            "process", "remote", "serial", "vectorized"
+        )
+
+    @pytest.mark.parametrize("name", ["thread", "asyncio"])
+    def test_removed_backend_names_fail_at_build_time(self, name):
+        """No alias survives: every way of naming a removed backend hits
+        the registry's unknown-name error before any point runs."""
+        listing = "registered backends: " + ", ".join(available_backends())
+        with pytest.raises(ValueError, match=listing):
+            SweepRunner(pure_makespan, backend=name)
+        with pytest.raises(ValueError, match=listing):
+            Study(EQUIVALENCE_GRID).backend(name)
+        with pytest.raises(ValueError, match=listing):
+            Study.from_spec(
+                {"scenarios": [{"system": "timeline"}], "backend": name}
+            )
+
     def test_get_backend_by_name_and_instance(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
-        assert isinstance(get_backend("asyncio"), AsyncioBackend)
-        instance = ThreadBackend()
+        instance = ProcessBackend()
         assert get_backend(instance) is instance
 
     def test_unknown_name_lists_registered_backends(self):
@@ -136,8 +143,8 @@ class TestRegistry:
         assert "scoped-test" not in available_backends()
 
     def test_temporary_backend_restores_the_shadowed_factory(self):
-        with temporary_backend("serial", ThreadBackend, overwrite=True):
-            assert isinstance(get_backend("serial"), ThreadBackend)
+        with temporary_backend("serial", ProcessBackend, overwrite=True):
+            assert isinstance(get_backend("serial"), ProcessBackend)
         assert isinstance(get_backend("serial"), SerialBackend)
 
     def test_temporary_backend_cleans_up_on_error(self):
@@ -161,32 +168,26 @@ class TestBackendMap:
     def test_empty_items(self, name):
         assert get_backend(name).map(square, [], workers=2) == []
 
-    def test_asyncio_backend_runs_native_coroutines(self):
-        backend = get_backend("asyncio")
-
-        async def double(x):
-            await asyncio.sleep(0)
-            return 2 * x
-
-        assert backend.map(double, [1, 2, 3], workers=2) == [2, 4, 6]
-
-    def test_asyncio_backend_usable_from_a_running_loop(self):
-        """Inside a notebook or async app a loop is already running;
-        map() must not die on asyncio.run()'s reentrancy check."""
-        backend = get_backend("asyncio")
-
-        async def driver():
-            return backend.map(square, [1, 2, 3], workers=2)
-
-        assert asyncio.run(driver()) == [1, 4, 9]
-
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", available_backends())
     def test_sync_backends_reject_async_evaluators(self, name):
         async def probe(x):
             return x
 
-        with pytest.raises(TypeError, match="asyncio"):
+        with pytest.raises(TypeError, match="coroutine function"):
             get_backend(name).map(probe, [1], workers=2)
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_runner_rejects_async_objectives_when_built(self, name):
+        """The whole-grid path never reaches ``Backend.map``, so the
+        check runs when the runner is built, for every backend."""
+
+        async def probe(scenario):
+            return {}
+
+        with pytest.raises(TypeError, match="coroutine function"):
+            SweepRunner(probe, backend=name)
+        with pytest.raises(TypeError, match="coroutine function"):
+            Study(EQUIVALENCE_GRID).objective(probe).backend(name).run()
 
 
 class TestBackendEquivalence:
@@ -239,21 +240,7 @@ class TestBackendEquivalence:
         for name in ALL_BACKENDS:
             assert contents[name] == reference, name
 
-    def test_async_objective_through_the_study_facade(self):
-        grid = ScenarioGrid(
-            systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
-            batches=(1024, 2048), ns=(1, 2),
-        )
-        results = (
-            Study(grid).objective(async_probe).backend("asyncio").workers(4).run()
-        )
-        assert [r["metric"] for r in results] == [
-            sc.batch * sc.n for sc in grid
-        ]
-
     def test_sweeprunner_accepts_backend_instances(self):
-        from repro.sweep import SweepRunner
-
         runner = SweepRunner(pure_makespan, backend=SerialBackend())
         assert runner.backend == "serial"
         (result,) = runner.run(
@@ -291,10 +278,6 @@ def kill_always(item):
     return value * 2
 
 
-def raise_runtime(item):
-    raise RuntimeError(f"objective bug at {item}")
-
-
 class TestWorkerDeathAbsorption:
     def test_pool_respawn_retries_only_the_unfinished_shard(self, tmp_path):
         counter = tmp_path / "attempts"
@@ -318,17 +301,3 @@ class TestWorkerDeathAbsorption:
     def test_respawn_budget_validation(self):
         with pytest.raises(ValueError):
             ProcessBackend(max_pool_respawns=-1)
-
-    def test_asyncio_backend_propagates_objective_runtime_errors(self):
-        """An evaluator raising RuntimeError must surface as the
-        objective's failure, not be mistaken for the running-loop
-        detection's RuntimeError and rerouted."""
-        with pytest.raises(RuntimeError, match="objective bug"):
-            AsyncioBackend().map(raise_runtime, [1, 2], workers=2)
-
-    def test_asyncio_backend_propagates_runtime_errors_inside_a_loop(self):
-        async def driver():
-            return AsyncioBackend().map(raise_runtime, [1, 2], workers=2)
-
-        with pytest.raises(RuntimeError, match="objective bug"):
-            asyncio.run(driver())

@@ -163,6 +163,18 @@ def test_unknown_backend_is_a_clean_failure(capsys):
     assert "unknown backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["thread", "asyncio"])
+def test_removed_backend_names_are_clean_failures(name, tmp_path, capsys):
+    assert main(["sweep", "--smoke", "--backend", name]) == 2
+    assert "unknown backend" in capsys.readouterr().err
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"scenarios": [{"system": "timeline"}], "backend": name}
+    ))
+    assert main(["study", str(spec)]) == 2
+    assert "unknown backend" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main([])

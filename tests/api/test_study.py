@@ -34,12 +34,12 @@ GRID = ScenarioGrid(
 class TestStudyBuilder:
     def test_fluent_calls_return_new_studies(self):
         base = Study(GRID)
-        threaded = base.backend("thread").workers(4)
-        assert threaded is not base
+        pooled = base.backend("process").workers(4)
+        assert pooled is not base
         assert base.describe()["backend"] == "serial"
         assert base.describe()["workers"] == 1
-        assert threaded.describe()["backend"] == "thread"
-        assert threaded.describe()["workers"] == 4
+        assert pooled.describe()["backend"] == "process"
+        assert pooled.describe()["workers"] == 4
 
     def test_eager_validation(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -96,7 +96,7 @@ class TestStudyBuilder:
     def test_describe_from_spec_round_trip(self):
         study = (
             Study(GRID, objective="timeline")
-            .backend("thread")
+            .backend("process")
             .workers(2)
             .cluster("slow-node", severity=0.7)
         )
@@ -104,7 +104,7 @@ class TestStudyBuilder:
             {
                 "scenarios": study.describe()["scenarios"],
                 "objective": "timeline",
-                "backend": "thread",
+                "backend": "process",
                 "workers": 2,
             }
         )

@@ -1,5 +1,5 @@
-"""Export hygiene: the public surfaces import cleanly, the deprecation
-shim warns exactly once, and the supported aliases warn never."""
+"""Export hygiene: the public surfaces import cleanly, the supported
+aliases warn never, and importing the facade stays lean."""
 
 from __future__ import annotations
 
@@ -48,24 +48,35 @@ def test_sweep_aliases_resolve_without_warning():
         sweep.not_a_thing
 
 
-def test_analysis_shim_warns_exactly_once_and_reexports():
-    import repro.api.result as result_mod
-
+def test_analysis_shim_is_gone():
     sys.modules.pop("repro.sweep.analysis", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim = importlib.import_module("repro.sweep.analysis")
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "repro.api" in str(deprecations[0].message)
-    assert shim.pareto_front is result_mod.pareto_front
-    assert shim.sweep_table is result_mod.sweep_table
-    assert shim.group_by is result_mod.group_by
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sweep.analysis")
 
 
-def test_python_dash_m_repro_wires_the_cli():
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    """The README's first ``repro.api`` example runs as printed."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    readme = Path(repro.__file__).parents[2] / "README.md"
+    section = readme.read_text().split("## Public API (`repro.api`)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(code, str(readme), "exec"), namespace)
+    results = namespace["results"]
+    assert len(results) == len(namespace["grid"])
+    assert set(namespace["by_world"]) == {16, 64}
+    assert namespace["front"]
+    assert len(list((tmp_path / ".sweep_cache").glob("*.json"))) >= len(results)
+    assert results.to_json() in capsys.readouterr().out
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's ``src`` importable."""
     import os
     from pathlib import Path
 
@@ -74,13 +85,25 @@ def test_python_dash_m_repro_wires_the_cli():
     src = str(Path(repro.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
+
+
+def test_python_dash_m_repro_wires_the_cli():
+    proc = run_python("-m", "repro", "--help")
     assert proc.returncode == 0, proc.stderr
     for command in ("sweep", "bench", "study"):
         assert command in proc.stdout
+
+
+def test_importing_the_facade_leaves_asyncio_unloaded():
+    proc = run_python(
+        "-c", "import sys, repro.api; print('asyncio' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -37,6 +37,37 @@ def make_inputs(layer: repro.MoELayer, batch: int = 12, seed: int = 5,
     ]
 
 
+def on_thread_pool(evaluate, scenarios, workers: int) -> list:
+    """Evaluate scenarios on a thread pool sharing this process's
+    context pool — the way a ``repro serve`` worker executes its shards
+    — as :class:`~repro.sweep.runner.SweepResult` rows, cache stats
+    split out of the values as the runner does."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.sweep.runner import CACHE_STATS_KEY, SweepResult
+
+    scenarios = list(scenarios)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        computed = list(pool.map(evaluate, scenarios))
+    return [
+        SweepResult(sc, values, cache_stats=values.pop(CACHE_STATS_KEY, None))
+        for sc, values in zip(scenarios, computed)
+    ]
+
+
+@pytest.fixture
+def loopback_server(monkeypatch):
+    """One in-process ``repro serve`` worker, set as the ``remote``
+    backend's endpoint: its thread pool evaluates shards concurrently
+    against this process's context pool."""
+    from repro.distrib.backend import ENDPOINTS_ENV
+    from repro.distrib.server import StudyServer
+
+    with StudyServer(workers=4) as server:
+        monkeypatch.setenv(ENDPOINTS_ENV, f"{server.host}:{server.port}")
+        yield server
+
+
 def scalar_loss(outputs, aux=None, aux_weight=0.01):
     loss = outputs[0].sum()
     for o in outputs[1:]:

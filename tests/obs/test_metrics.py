@@ -21,7 +21,9 @@ GRID = ScenarioGrid(
     batches=(1024, 2048, 4096, 8192), ns=(2,),
 )
 
-POOL_BACKENDS = ("serial", "thread", "process", "asyncio")
+#: ``remote`` runs against one in-process ``repro serve`` worker, whose
+#: thread pool evaluates the shard concurrently in this process.
+POOL_BACKENDS = ("serial", "process", "remote")
 
 
 # Module-level so process-pool workers unpickle it by name.
@@ -30,6 +32,14 @@ def fake_evaluate(scenario: Scenario) -> dict:
         "iteration_time": scenario.batch * 1e-6 * (scenario.n or 1),
         "peak_memory_bytes": scenario.batch * 100,
     }
+
+
+@pytest.fixture(params=POOL_BACKENDS)
+def backend(request):
+    """A backend name, with a loopback server up when it is ``remote``."""
+    if request.param == "remote":
+        request.getfixturevalue("loopback_server")
+    return request.param
 
 
 def observed_run(backend: str, workers: int = 2) -> ObsSession:
@@ -86,7 +96,6 @@ class TestRunCounterDeterminism:
             name: h["count"] for name, h in second["histograms"].items()
         }
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
     def test_workload_counters_match_serial(self, backend):
         baseline = observed_run("serial").registry.snapshot()["counters"]
         counters = observed_run(backend).registry.snapshot()["counters"]
@@ -104,7 +113,6 @@ class TestRunCounterDeterminism:
         ):
             assert counters.get(name, 0) == baseline.get(name, 0), name
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
     def test_every_scenario_lands_in_the_wall_histogram(self, backend):
         snap = observed_run(backend).registry.snapshot()
         assert snap["counters"]["sweep.scenarios.computed"] == len(GRID)

@@ -146,8 +146,10 @@ class TestEq10Identity:
 
 
 class TestBackendsIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "asyncio"])
-    def test_backend_matches_vectorized(self, backend):
+    @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+    def test_backend_matches_vectorized(self, backend, request):
+        if backend == "remote":
+            request.getfixturevalue("loopback_server")
         scenarios = grid(strategies=(None, "S1"))
         per_point = SweepRunner(
             evaluate_timeline, backend=backend, workers=2, vectorize=False

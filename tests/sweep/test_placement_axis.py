@@ -25,6 +25,7 @@ from repro.sweep import (
 )
 from repro.sweep import runner as runner_mod
 from repro.sweep.grid import scenario_payload
+from tests.conftest import on_thread_pool
 
 BASE = dict(system="timeline", spec="GPT-S", world_size=8, batch=1024,
             n=1, strategy="S1")
@@ -194,7 +195,7 @@ class TestOptimizedLoweringMemo:
         assert lowered[1].assignment == lowered[4].assignment == contiguous
         assert lowered[0].assignment != contiguous
 
-    def test_thread_backend_shares_the_memo(self, optimizer_calls):
+    def test_thread_pool_shares_the_memo(self, optimizer_calls):
         grid = ScenarioGrid(
             systems=("pipemoe", "mpipemoe"), specs=("GPT-S",),
             world_sizes=(8,), batches=(1024, 2048), imbalances=(2.0, 4.0),
@@ -204,9 +205,7 @@ class TestOptimizedLoweringMemo:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = SweepRunner(
-                evaluate_system, backend="thread", workers=8
-            ).run(grid)
+            threaded = on_thread_pool(evaluate_system, grid, workers=8)
         finally:
             sys.setswitchinterval(interval)
         # Racing threads may optimize one problem twice, never mix two.
@@ -217,6 +216,26 @@ class TestOptimizedLoweringMemo:
         runner_mod._CONTEXTS.clear()
         serial = SweepRunner(evaluate_system, backend="serial").run(grid)
         assert [r.values for r in threaded] == [r.values for r in serial]
+
+    def test_server_pool_shares_the_memo(
+        self, optimizer_calls, loopback_server
+    ):
+        """A ``repro serve`` worker prices its shard on a thread pool
+        in this process: the placement memo is shared there too."""
+        grid = ScenarioGrid(
+            systems=("pipemoe", "mpipemoe"), specs=("GPT-S",),
+            world_sizes=(8,), batches=(1024, 2048), imbalances=(2.0, 4.0),
+            stragglers=("single-slow-gpu",), severities=(0.5,),
+            placements=("optimized",),
+        )
+        served = SweepRunner(evaluate_system, backend="remote").run(grid)
+        assert len(set(optimizer_calls)) == 4
+        (ctx,) = runner_mod._CONTEXTS.values()
+        assert ctx.placements == {p: optimize_placement(p)
+                                  for p in optimizer_calls}
+        runner_mod._CONTEXTS.clear()
+        serial = SweepRunner(evaluate_system, backend="serial").run(grid)
+        assert [r.values for r in served] == [r.values for r in serial]
 
     def test_clearing_the_context_pool_recomputes(self, optimizer_calls):
         scenario = Scenario(system="pipemoe", **OPTIMIZED)

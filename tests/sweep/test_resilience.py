@@ -43,7 +43,7 @@ GRID = ScenarioGrid(
     batches=(1024, 2048, 4096, 8192), ns=(2,),
 )
 
-ALL_BACKENDS = ("serial", "thread", "process", "asyncio")
+ALL_BACKENDS = ("serial", "process", "vectorized")
 
 
 # Module-level so process-backend workers unpickle them by name.
@@ -277,19 +277,19 @@ class TestTimeouts:
         by_batch = {r.scenario.batch: r for r in results}
         assert by_batch[2048].ok and by_batch[2048].attempts == 2
 
-    def test_async_objectives_use_the_loop_timeout(self, tmp_path):
+    def test_async_objectives_are_rejected_before_any_attempt(self):
+        """The retry and timeout loop runs plain callables only; a
+        coroutine function fails when the runner is built, not as a
+        timed-out or retried attempt."""
         async def slow_evaluate(scenario):
-            import asyncio
-
-            if scenario.batch == 2048:
-                await asyncio.sleep(5.0)
             return {"iteration_time": scenario.batch * 1e-6}
 
-        with pytest.raises(SweepTimeoutError):
-            SweepRunner(
-                slow_evaluate, backend="asyncio", workers=2,
-                retry=RetryPolicy(max_attempts=1, timeout=0.2),
-            ).run(GRID)
+        for kwargs in (
+            dict(retry=RetryPolicy(max_attempts=2, timeout=0.2)),
+            dict(on_error="keep"),
+        ):
+            with pytest.raises(TypeError, match="coroutine function"):
+                SweepRunner(slow_evaluate, backend="serial", **kwargs)
 
 
 class TestWorkerDeath:

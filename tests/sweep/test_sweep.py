@@ -15,6 +15,7 @@ from repro.sweep import (
     pareto_front,
     sweep_table,
 )
+from tests.conftest import on_thread_pool
 
 # Module-level so worker processes can unpickle it by qualified name.
 def fake_evaluate(scenario: Scenario) -> dict:
@@ -276,26 +277,24 @@ class TestRunnerParallelism:
         with pytest.raises(ValueError, match="backend"):
             SweepRunner(fake_evaluate, backend="fiber")
 
-    def test_thread_backend_matches_serial_and_process(self):
+    def test_thread_pool_matches_serial_and_process(self):
         grid = ScenarioGrid(
             systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
             batches=(2048, 4096), ns=(2, 4), strategies=(None, "S1"),
         )
         serial = SweepRunner(evaluate_timeline, workers=1).run(grid)
-        threaded = SweepRunner(evaluate_timeline, workers=4,
-                               backend="thread").run(grid)
+        threaded = on_thread_pool(evaluate_timeline, grid, workers=4)
         assert [r.scenario for r in threaded] == [r.scenario for r in serial]
         assert [r.values for r in threaded] == [r.values for r in serial]
 
-    def test_thread_backend_shares_the_in_process_memo(self):
+    def test_thread_pool_shares_the_in_process_memo(self):
         """Threads hit the shared evaluator: across the whole run, at
         least the repeated stage-cost lookups must be cache hits."""
         grid = ScenarioGrid(
             systems=("timeline",), specs=("GPT-S",), world_sizes=(4,),
             batches=(1024,), ns=(2,), strategies=("S1", "S2", "S3", "S4"),
         )
-        results = SweepRunner(evaluate_timeline, workers=2,
-                              backend="thread").run(grid)
+        results = on_thread_pool(evaluate_timeline, grid, workers=2)
         hits = sum(r.cache_stats["hits"] for r in results if r.cache_stats)
         assert hits > 0
 
@@ -564,7 +563,7 @@ class TestHeteroScenarios:
         assert second.cache_stats == first.cache_stats
 
 
-# Module-level so thread/process workers resolve it by qualified name.
+# Module-level so process workers resolve it by qualified name.
 def record_bound_evaluate(scenario: Scenario) -> dict:
     import time
 
@@ -594,10 +593,9 @@ class TestConcurrentMemoBounds:
         import threading
 
         monkeypatch.delenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", raising=False)
-        bounded = SweepRunner(record_bound_evaluate, backend="thread",
-                              workers=2, evaluator_max_entries=5)
-        unbounded = SweepRunner(record_bound_evaluate, backend="thread",
-                                workers=2)
+        bounded = SweepRunner(record_bound_evaluate, backend="serial",
+                              evaluator_max_entries=5)
+        unbounded = SweepRunner(record_bound_evaluate, backend="serial")
         results: dict = {}
 
         def run(name, runner, start):
@@ -610,7 +608,8 @@ class TestConcurrentMemoBounds:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
 
         assert {r.values["bound"] for r in results["bounded"]} == {5}
         assert {r.values["bound"] for r in results["unbounded"]} == {None}
@@ -618,6 +617,37 @@ class TestConcurrentMemoBounds:
         for rs in results.values():
             assert {r.values["env"] for r in rs} == {None}
         assert "REPRO_SWEEP_MAX_MEMO_ENTRIES" not in os.environ
+
+    def test_server_pool_keeps_each_runners_bound(
+        self, monkeypatch, loopback_server
+    ):
+        """The bound rides the submit frame, and the server's pool
+        threads scope it per evaluation as the local runner does."""
+        import threading
+
+        monkeypatch.delenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", raising=False)
+        bounded = SweepRunner(record_bound_evaluate, backend="remote",
+                              evaluator_max_entries=5)
+        unbounded = SweepRunner(record_bound_evaluate, backend="remote")
+        results: dict = {}
+
+        def run(name, runner, start):
+            results[name] = runner.run(self._scenarios(start))
+
+        threads = [
+            threading.Thread(target=run, args=("bounded", bounded, 0)),
+            threading.Thread(target=run, args=("unbounded", unbounded, 1000)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+
+        assert {r.values["bound"] for r in results["bounded"]} == {5}
+        assert {r.values["bound"] for r in results["unbounded"]} == {None}
+        for rs in results.values():
+            assert {r.values["env"] for r in rs} == {None}
 
     def test_env_default_survives_and_is_overridden_per_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", "11")
