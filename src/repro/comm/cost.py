@@ -54,36 +54,25 @@ class NcclCostModel:
         if self.bandwidth_scale <= 0:
             raise ValueError("bandwidth_scale must be positive")
 
-    def _collective_bandwidth(
-        self, w: int, traffic: tuple[float, ...] | None = None
-    ) -> float:
-        """Effective per-GPU collective rate, overrides and derate applied."""
-        if traffic is None:
-            bw = self.topology.alltoall_bandwidth(w)
-        else:
-            bw = self.topology.alltoall_bandwidth(w, traffic=traffic)
-        if self.bandwidth_scale != 1.0:
-            bw *= self.bandwidth_scale
-        return bw
-
     def collective_bandwidth(
         self,
         world_size: int | None = None,
         traffic: tuple[float, ...] | None = None,
     ) -> float:
-        """Public view of the effective collective bandwidth (bytes/s).
+        """Effective per-GPU collective rate (bytes/s) over ``world_size``.
 
-        Batched evaluation (``repro.perfmodel.batcheval``) prices the
-        latency/bandwidth split of :meth:`alltoall_time` and
-        :meth:`decomposed_alltoall_time` as array math and needs the
-        same per-GPU rate those methods use internally.  ``traffic`` is
+        Link overrides and the uniform ``bandwidth_scale`` derate are
+        applied.  Every collective below prices against this rate, and
+        :meth:`~repro.pipeline.schedule.MoEStageCosts.from_rows` resolves
+        it once for both All-to-All flavours of a stage.  ``traffic`` is
         the placement-dependent per-rank load view (see
         :meth:`ClusterTopology.alltoall_bandwidth`).
         """
-        return self._collective_bandwidth(
-            self.effective_world if world_size is None else world_size,
-            traffic=traffic,
-        )
+        w = self.effective_world if world_size is None else world_size
+        bw = self.topology.alltoall_bandwidth(w, traffic=traffic)
+        if self.bandwidth_scale != 1.0:
+            bw *= self.bandwidth_scale
+        return bw
 
     @property
     def effective_world(self) -> int:
@@ -112,7 +101,7 @@ class NcclCostModel:
         if w == 1:
             return 0.0
         cross = bytes_per_rank * (w - 1) / w
-        bw = self._collective_bandwidth(w, traffic=traffic)
+        bw = self.collective_bandwidth(w, traffic=traffic)
         return NCCL_LATENCY + cross / bw
 
     def allreduce_time(self, nbytes: float) -> float:
@@ -122,7 +111,7 @@ class NcclCostModel:
         w = self.effective_world
         if w == 1:
             return 0.0
-        bw = self._collective_bandwidth(w)
+        bw = self.collective_bandwidth(w)
         return NCCL_LATENCY + 2 * (w - 1) / w * nbytes / bw
 
     def allgather_time(self, nbytes_per_rank: float) -> float:
@@ -130,7 +119,7 @@ class NcclCostModel:
         w = self.effective_world
         if w == 1:
             return 0.0
-        bw = self._collective_bandwidth(w)
+        bw = self.collective_bandwidth(w)
         return NCCL_LATENCY + (w - 1) * nbytes_per_rank / bw
 
     # -- point-to-point decomposition (FasterMoE fashion) -------------------------
@@ -165,5 +154,5 @@ class NcclCostModel:
         if w == 1:
             return 0.0
         cross = bytes_per_rank * (w - 1) / w
-        bw = self._collective_bandwidth(w, traffic=traffic) / STRAGGLER_FACTOR
+        bw = self.collective_bandwidth(w, traffic=traffic) / STRAGGLER_FACTOR
         return (w - 1) * P2P_LATENCY + cross / bw

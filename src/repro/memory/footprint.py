@@ -12,6 +12,10 @@ Eq. 3   M_buf     = B*M + B*H                   peak adjacent grad pair
 Eq. 4   M^pipe_buf = M^pipe_act = 4*B*M + B*H   pipelining alone saves nothing
 Eq. 5   dM_buf = dM_act = B*(2M(n-2)/n + H(n-1)/n)   reuse savings
 Eq. 6   phi = (dM_act + dM_buf) / (M_ms + M^pipe_act + M^pipe_buf)
+
+The formulas are plain arithmetic, so ``batch`` and ``rows`` may also be
+int64 arrays with one entry per scenario: that is how the whole-grid
+Eq. 10 selector (:mod:`repro.perfmodel.batcheval`) sizes a group at once.
 """
 
 from __future__ import annotations
@@ -40,13 +44,9 @@ def activations_elems(spec: MoELayerSpec, batch: int, rows: int | None = None) -
     ``rows=None`` (or ``rows == batch``) reproduces Eq. 2 exactly.
     """
     _check_batch(batch)
-    if rows is None or rows == batch:
-        return 4 * batch * spec.d_model + batch * spec.d_hidden
-    return (
-        2 * batch * spec.d_model
-        + 2 * rows * spec.d_model
-        + rows * spec.d_hidden
-    )
+    if rows is None:
+        rows = batch
+    return 2 * batch * spec.d_model + 2 * rows * spec.d_model + rows * spec.d_hidden
 
 
 def buffers_elems(spec: MoELayerSpec, batch: int, rows: int | None = None) -> int:
@@ -95,7 +95,8 @@ def reuse_savings_elems(
     if rows is None:
         rows = batch
     m, h = spec.d_model, spec.d_hidden
-    return int(rows * (2 * m * (n - 2) / n + h * (n - 1) / n))
+    saved = rows * (2 * m * (n - 2) / n + h * (n - 1) / n)
+    return saved.astype("int64") if _is_array(saved) else int(saved)
 
 
 def memory_saving_ratio(spec: MoELayerSpec, batch: int, n: int) -> float:
@@ -109,8 +110,14 @@ def memory_saving_ratio(spec: MoELayerSpec, batch: int, n: int) -> float:
     return 2 * delta / denom
 
 
+def _is_array(x) -> bool:
+    """Whether ``x`` is an array with one entry per scenario."""
+    return getattr(x, "ndim", 0) > 0
+
+
 def _check_batch(batch: int) -> None:
-    if batch <= 0:
+    # Array batches come from scenarios, which validated each entry.
+    if not _is_array(batch) and batch <= 0:
         raise ValueError("batch must be positive")
 
 
@@ -166,9 +173,15 @@ class FootprintModel:
             ).max_experts_per_rank
         return self.spec.num_experts // self.world_size
 
-    def model_states_bytes(self) -> int:
-        """Per-device model states: replicated gate + local experts, x4 (Adam)."""
-        local = self.spec.gate_params + self.experts_per_rank * self.spec.expert_params
+    def model_states_bytes(self, experts: int | None = None) -> int:
+        """Per-device model states: replicated gate + local experts, x4 (Adam).
+
+        ``experts`` is the device's local expert count (default:
+        :attr:`experts_per_rank`).
+        """
+        if experts is None:
+            experts = self.experts_per_rank
+        local = self.spec.gate_params + experts * self.spec.expert_params
         return 4 * local * self.bytes_per_elem
 
     def _rows(self, batch: int) -> int | None:
@@ -199,24 +212,31 @@ class FootprintModel:
         """
         if self._placed:
             return max(self.per_device_bytes(batch, pipelined, reuse_n))
-        states = self.model_states_bytes()
-        act = self.activations_bytes(batch)
-        buf = (
-            self.activations_bytes(batch)  # Eq. 4 when pipelined
-            if pipelined
-            else self.buffers_bytes(batch)
-        )
-        saved = 0
-        if reuse_n >= 2:
-            if not pipelined:
-                raise ValueError("memory reuse requires pipelined execution")
-            saved = (
-                2
-                * reuse_savings_elems(
-                    self.spec, batch, reuse_n, self._rows(batch)
-                )
-                * self.bytes_per_elem
-            )
+        return self.device_bytes(batch, self._rows(batch), pipelined, reuse_n)
+
+    def device_bytes(
+        self,
+        batch: int,
+        rows: int | None = None,
+        pipelined: bool = False,
+        reuse_n: int = 0,
+        experts: int | None = None,
+    ) -> int:
+        """Footprint of one device computing ``rows`` dispatch rows.
+
+        The device stores ``experts`` experts (default: the Eq. 1 sizing
+        count, :attr:`experts_per_rank`); ``rows=None`` means B itself.
+        ``batch`` and ``rows`` may be equal-length int64 arrays, one
+        entry per scenario, for whole-grid pricing.
+        """
+        if reuse_n >= 2 and not pipelined:
+            raise ValueError("memory reuse requires pipelined execution")
+        spec, bpe = self.spec, self.bytes_per_elem
+        states = self.model_states_bytes(experts)
+        act = activations_elems(spec, batch, rows) * bpe
+        # Eq. 4: pipelined temp buffers grow to match the activations.
+        buf = act if pipelined else buffers_elems(spec, batch, rows) * bpe
+        saved = 2 * reuse_savings_elems(spec, batch, reuse_n, rows) * bpe
         return states + act + buf - saved
 
     def per_device_bytes(
@@ -235,32 +255,15 @@ class FootprintModel:
         """
         if self.workload is None:
             return (self.total_bytes(batch, pipelined, reuse_n),) * self.world_size
-        if reuse_n >= 2 and not pipelined:
-            raise ValueError("memory reuse requires pipelined execution")
         load = self.workload.load(self.spec, batch, self.world_size)
-        counts = load.effective_placement().counts()
-        anchored = load.anchored_rank_rows()
-        gate = self.spec.gate_params
-        expert = self.spec.expert_params
-        out = []
-        for count, rank_rows in zip(counts, anchored):
-            states = 4 * (gate + count * expert) * self.bytes_per_elem
-            rows = max(0, math.ceil(rank_rows))
-            act = activations_elems(self.spec, batch, rows) * self.bytes_per_elem
-            buf = (
-                act
-                if pipelined
-                else buffers_elems(self.spec, batch, rows) * self.bytes_per_elem
+        return tuple(
+            self.device_bytes(
+                batch, max(0, math.ceil(rank_rows)), pipelined, reuse_n, count
             )
-            saved = 0
-            if reuse_n >= 2:
-                saved = (
-                    2
-                    * reuse_savings_elems(self.spec, batch, reuse_n, rows)
-                    * self.bytes_per_elem
-                )
-            out.append(states + act + buf - saved)
-        return tuple(out)
+            for count, rank_rows in zip(
+                load.effective_placement().counts(), load.anchored_rank_rows()
+            )
+        )
 
     def breakdown(self, batch: int) -> dict[str, int]:
         """Fig. 2 bars: bytes per category in plain expert parallelism."""

@@ -47,6 +47,7 @@ epoch-seconds + ``dur`` seconds):
   ``evictions``, ``skews``).
 * ``batch.group`` / ``batch.fallback`` — vectorized template groups
   (``size``, ``distinct``, ``schedules`` / ``error``).
+* ``batch.pass`` — a whole-grid pass returned (``scenarios``).
 * ``fault.injected`` — a scripted :mod:`repro.testing.faults` fault
   fired (``kind``, ``label``, ``attempt``).
 

@@ -18,11 +18,13 @@ Event-to-metric mapping (the metrics catalogue):
 metric                                source
 ====================================  =======================================
 ``sweep.scenarios.computed``          one per ``scenario.span`` (fresh
-                                      evaluations; cache hits excluded)
+                                      evaluations; cache hits excluded),
+                                      plus each ``batch.pass``'s points
 ``sweep.scenario.wall_s`` (hist)      ``scenario.span`` duration
 ``sweep.scenario.queue_latency_s``    ``scenario.span`` queue-to-dispatch
 (hist)                                delay (dispatch start - run start)
 ``sweep.attempts``                    attempts summed over ``scenario.span``
+                                      (one per ``batch.pass`` point)
 ``sweep.attempts.failed``             failed ``scenario.attempt`` events
 ``sweep.timeouts``                    attempts failing with SweepTimeoutError
 ``sweep.retries``                     ``scenario.retry`` events
@@ -471,6 +473,12 @@ class ObsSession:
                     pid=fields.get("pid"),
                     tid=fields.get("tid"),
                 )
+        elif event == "batch.pass":
+            # A whole-grid pass measures no per-scenario wall time, so
+            # its points add no scenario.wall_s sample.
+            scenarios = fields.get("scenarios", 0)
+            reg.inc("sweep.scenarios.computed", scenarios)
+            reg.inc("sweep.attempts", scenarios)
         elif event == "batch.fallback":
             size = fields.get("size", 0)
             reg.inc("batch.fallbacks")

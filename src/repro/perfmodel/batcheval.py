@@ -3,24 +3,32 @@
 The per-scenario fast path (compiled DAGs + the memoized
 :class:`~repro.perfmodel.evalcache.Evaluator`) still pays Python once
 per scenario — prohibitive for the 10k-1M-point studies the paper's
-sweep artifact wants.  This module removes the per-scenario Python:
+sweep artifact wants.  This module prices a grid in groups instead, one
+array pass per group:
 
 * scenarios sharing an ``(n, strategy, decomposed, sequential)``
-  timeline template (and cluster shape) are grouped, their
-  :class:`~repro.pipeline.schedule.MoEStageCosts` computed as (S,)
-  numpy columns (:func:`stage_cost_columns`), stacked into a work
-  matrix (:meth:`TimelineTemplate.works_matrix`), and priced through
-  the schedule-replay engine (:func:`batched_makespans`);
-* the analytic Eq. 10 selection is broadcast across the grid the same
-  way (:func:`batch_evaluate_eq10`): ``WorkloadSpec.device_rows`` and
-  the ``HardwareRates`` arithmetic run over batch/top-k/imbalance
-  axes at once.
+  timeline template (and cluster shape) get their
+  :class:`~repro.pipeline.schedule.MoEStageCosts` from
+  :meth:`~repro.pipeline.schedule.MoEStageCosts.from_rows` with one
+  array entry per scenario, stacked into a work matrix
+  (:meth:`~repro.pipeline.schedule.TimelineTemplate.works_matrix`) and
+  priced through the schedule-replay engine (:func:`batched_makespans`);
+* the analytic Eq. 10 selection (:func:`batch_evaluate_eq10`) runs the
+  scalar selector's own rates, its
+  :func:`~repro.perfmodel.cost.stage_stream_times` and its Eq. 5
+  :meth:`~repro.memory.footprint.FootprintModel.device_bytes` over a
+  group's arrays.
 
-Everything is bit-for-bit identical to the memoized scalar path: each
-numpy expression mirrors its scalar source operation for operation, and
-the replay engine validates per scenario that the recorded event order
-is the one the scalar engine would execute (divergent scenarios are
-re-recorded or priced scalar — never approximated).
+The cost formulas are written once, as plain arithmetic that runs on
+Python ints and on int64 arrays alike, so the batched values are the
+scalar path's bit for bit.  The one array twin kept here is
+:func:`batched_device_rows`, because the scalar ``WorkloadSpec.load``
+branches per point.  The replay engine validates per scenario that the
+recorded event order is the one the scalar engine would execute
+(divergent scenarios are re-recorded or priced scalar — never
+approximated).  Both objectives share one group loop and take their
+validation and values-row shape from their scalar evaluators in
+:mod:`repro.sweep.runner`.
 
 The registry at the bottom maps scalar evaluator functions to their
 batched twins; :func:`batch_map` is what the sweep runner and the
@@ -35,21 +43,13 @@ from typing import Callable, Iterable, Sequence
 from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 
-from repro.comm.cost import (
-    NCCL_LATENCY,
-    P2P_LATENCY,
-    STRAGGLER_FACTOR,
-    NcclCostModel,
-)
-from repro.config import BYTES_PER_ELEM, MoELayerSpec
-from repro.hardware.device import DeviceSpec
-from repro.hardware.interference import PAPER_INTERFERENCE
+from repro.config import MoELayerSpec
 from repro.memory.strategies import STRATEGIES
-from repro.perfmodel.cost import HardwareRates
+from repro.perfmodel.cost import stage_stream_times
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import (
-    GEMM_SATURATION_ROWS,
     TIMING_BYTES_PER_ELEM,
+    MoEStageCosts,
     compile_timeline,
 )
 from repro.sim.engine import CompiledDag, SimEngine, replay_schedule
@@ -61,7 +61,11 @@ from repro.sweep.runner import (
     scenario_hetero,
     scenario_workload,
     shared_context,
+    _check_eq10,
+    _check_timeline,
+    _eq10_values,
     _scenario_spec,
+    _timeline_values,
 )
 
 
@@ -91,16 +95,6 @@ def _scalar_group_fallback(evaluate, scenarios, group, out, objective) -> None:
         stats["batch_group"] = group_stats
         values[CACHE_STATS_KEY] = stats
         out[i] = values
-
-def _placed_group(group: dict) -> bool:
-    """Whether this group carries a non-default expert placement.
-
-    ``placement=None`` and the explicit ``"contiguous"`` baseline price
-    through the exact unplaced arithmetic (``WorkloadSpec.placed`` is
-    False for both), so they ride the vectorized pass; the genuinely
-    re-placed strategies take the scalar fallback.
-    """
-    return group["scenario"].placement not in (None, "contiguous")
 
 
 #: Distinct recorded schedules tried per template group before the
@@ -181,60 +175,6 @@ def batched_device_rows(
     return rows
 
 
-# -- batched stage costs (MoEStageCosts.compute over arrays) ------------------
-def stage_cost_columns(
-    np,
-    spec: MoELayerSpec,
-    device: DeviceSpec,
-    comm: NcclCostModel,
-    rows,
-    bytes_per_elem,
-    n: int,
-    gemm_derate: float = 1.0,
-) -> dict:
-    """:meth:`MoEStageCosts.compute` for a whole group at once.
-
-    ``rows`` and ``bytes_per_elem`` are (S,) int arrays; the returned
-    dict maps each :class:`MoEStageCosts` field to an (S,) float array,
-    ready for :meth:`TimelineTemplate.works_matrix`.  Every expression
-    copies the scalar source left to right, so each column equals the
-    scalar field bit for bit.
-    """
-    b = -(-rows // n)
-    m, h = spec.d_model, spec.d_hidden
-    gemm_flops = 2.0 * b * m * h
-    comm_bytes = (b * m * bytes_per_elem).astype(np.float64)
-    rate = gemm_derate * (b / (b + GEMM_SATURATION_ROWS))
-    sustained = device.sustained_gemm_flops
-    launch = device.kernel_launch_overhead
-    pcie = device.pcie_bandwidth
-
-    def gemm_time(num: int):
-        return (num * gemm_flops / sustained + num * launch) / rate
-
-    def memcpy_time(nbytes):
-        return nbytes / pcie + 1 * launch
-
-    w = comm.effective_world
-    if w == 1:
-        s_time = np.zeros(len(b))
-        p2p_s_time = s_time
-    else:
-        cross = comm_bytes * (w - 1) / w
-        s_time = NCCL_LATENCY + cross / comm.collective_bandwidth(w)
-        p2p_bw = comm.collective_bandwidth(w) / STRAGGLER_FACTOR
-        p2p_s_time = (w - 1) * P2P_LATENCY + cross / p2p_bw
-    return {
-        "s_time": s_time,
-        "c_fw_time": gemm_time(2),
-        "c_bw_time": gemm_time(4),
-        "recompute_time": gemm_time(1),
-        "offload_tdi_time": memcpy_time(b * m * bytes_per_elem),
-        "offload_tm_time": memcpy_time(b * h * bytes_per_elem),
-        "p2p_s_time": p2p_s_time,
-    }
-
-
 # -- batched compiled pricing -------------------------------------------------
 def batched_makespans(
     engine: SimEngine,
@@ -284,31 +224,31 @@ def _group_makespans(ctx, dag, W, stats: dict | None = None):
     """Worst-profile makespans: the hetero ``max()`` as elementwise maximum."""
     import numpy as np
 
-    profiles = ctx.sim_profiles
-    if not profiles:
-        return batched_makespans(ctx.engine, dag, W, stats=stats)
-    spans = batched_makespans(ctx.engine_for(profiles[0]), dag, W, stats=stats)
-    for profile in profiles[1:]:
-        spans = np.maximum(
-            spans,
-            batched_makespans(ctx.engine_for(profile), dag, W, stats=stats),
-        )
-    return spans
+    engines = [ctx.engine_for(p) for p in ctx.sim_profiles] or [ctx.engine]
+    return np.maximum.reduce(
+        [batched_makespans(engine, dag, W, stats=stats) for engine in engines]
+    )
 
 
-# -- the timeline objective, batched ------------------------------------------
-def _context_key(sc: Scenario) -> tuple:
-    return (sc.world_size, sc.straggler, sc.severity, sc.straggler_seed)
+# -- the group loop -----------------------------------------------------------
+def _batch_evaluate(
+    scenarios: Iterable[Scenario],
+    objective: str,
+    evaluate: Callable,
+    check: Callable,
+    group_key: Callable,
+    price: Callable,
+) -> list[dict]:
+    """Group scenarios by ``group_key`` and price each group in one pass.
 
-
-def batch_evaluate_timeline(scenarios: Iterable[Scenario]) -> list[dict]:
-    """Batched twin of :func:`repro.sweep.runner.evaluate_timeline`.
-
-    Groups scenarios by (cluster shape, spec, n, strategy, decomposed,
-    sequential), prices each group in one numpy pass, and returns the
-    values dicts in scenario order — each bit-identical to what the
-    memoized scalar evaluator computes for that scenario.  Per-scenario
-    validation errors raise in scenario order, like a serial map.
+    ``check`` is the scalar evaluator's own validation, run per scenario
+    in order so errors raise exactly where a serial map would raise
+    them.  ``price(np, group)`` returns the group's ``batch_group``
+    stats and its values rows in group order; the stats dict rides every
+    row as its cache-stats entry, one shared blob per group (rows only
+    read it, and a per-row copy is measurable on 10k-point grids).
+    Placed groups, and groups whose pass raises, go through the scalar
+    ``evaluate`` instead.
     """
     import numpy as np
 
@@ -316,24 +256,9 @@ def batch_evaluate_timeline(scenarios: Iterable[Scenario]) -> list[dict]:
     out: list = [None] * len(scenarios)
     groups: dict[tuple, dict] = {}
     for i, sc in enumerate(scenarios):
-        if sc.n is None:
-            raise ValueError("timeline scenarios need an explicit n")
+        check(sc)
         workload = scenario_workload(sc)
-        if workload is not None:
-            workload.resolved_k(_scenario_spec(sc))  # top_k check, in order
-        key = (
-            sc.world_size,
-            sc.straggler,
-            sc.severity,
-            sc.straggler_seed,
-            sc.spec,
-            sc.num_experts,
-            sc.n,
-            sc.strategy or "none",
-            sc.decomposed_comm,
-            sc.sequential,
-            sc.placement,
-        )
+        key = group_key(sc)
         group = groups.get(key)
         if group is None:
             group = groups[key] = {
@@ -343,246 +268,58 @@ def batch_evaluate_timeline(scenarios: Iterable[Scenario]) -> list[dict]:
                 "batches": [],
                 "workloads": [],
             }
-        group["idx"].append(i)
-        group["batches"].append(sc.batch)
-        group["workloads"].append(workload)
-
-    for group in groups.values():
-        if _placed_group(group):
-            # Per-rank placed pricing has no batched mirror (anchored
-            # rank vectors + per-rank engine maxima); the memoized
-            # scalar path owns those rows.
-            _scalar_group_fallback(
-                evaluate_timeline, scenarios, group, out, "timeline"
-            )
-            continue
-        observing = _obs_active()
-        if observing:
-            group_ts = time.time()
-            group_p0 = time.perf_counter()
-        try:
-            stats = _price_timeline_group(np, group, out)
-        except Exception as exc:
-            if observing:
-                _obs_emit(
-                    "batch.fallback",
-                    objective="timeline",
-                    size=len(group["idx"]),
-                    error=type(exc).__name__,
-                    ts=time.time(),
-                )
-            _scalar_group_fallback(
-                evaluate_timeline, scenarios, group, out, "timeline"
-            )
-        else:
-            if observing:
-                _obs_emit(
-                    "batch.group",
-                    objective="timeline",
-                    size=stats["size"],
-                    distinct=stats.get("distinct", 0),
-                    schedules=stats.get("schedules", 0),
-                    ts=group_ts,
-                    dur=time.perf_counter() - group_p0,
-                )
-    return out
-
-
-def _price_timeline_group(np, group: dict, out: list) -> dict:
-    """One (cluster, spec, template) group in a single numpy pass.
-
-    Returns the group's ``batch_group`` stats dict (also attached to
-    every row's cache-stats entry)."""
-    sc = group["scenario"]
-    spec = group["spec"]
-    ctx = shared_context(sc.world_size, scenario_hetero(sc))
-    comm = ctx.comm_model()
-    rows = batched_device_rows(
-        np, spec, comm.effective_world, group["batches"], group["workloads"]
-    )
-    bpe = np.asarray(
-        [
-            TIMING_BYTES_PER_ELEM if wl is None else wl.bytes_per_elem
-            for wl in group["workloads"]
-        ],
-        dtype=np.int64,
-    )
-    columns = stage_cost_columns(np, spec, ctx.device, comm, rows, bpe, sc.n)
-    compiled = compile_timeline(
-        sc.n,
-        sc.strategy or "none",
-        decomposed_comm=sc.decomposed_comm,
-        sequential=sc.sequential,
-    )
-    # Work vectors are a pure function of the stage-cost columns, and
-    # the columns quantize rows through ``b = ceil(rows / n)`` — dense
-    # batch axes collapse onto far fewer distinct vectors (an n=16
-    # group keeps ~1/16th).  Price each distinct vector once and
-    # scatter; identical inputs make identical (bit-for-bit) outputs.
-    names = sorted(columns)
-    colmat = np.stack([columns[f] for f in names], axis=1)
-    _, first, inverse = np.unique(
-        colmat, axis=0, return_index=True, return_inverse=True
-    )
-    W = compiled.template.works_matrix(
-        {f: columns[f][first] for f in names}, len(first)
-    )
-    group_stats = {
-        "objective": "timeline",
-        "size": len(group["idx"]),
-        "distinct": int(len(first)),
-    }
-    spans = _group_makespans(ctx, compiled.dag, W, stats=group_stats)
-    spans = spans[inverse].tolist()
-    strategy = sc.strategy or "none"
-    n = sc.n
-    # One shared stats blob for the whole group: rows only ever read it
-    # (the runner pops it into SweepResult.cache_stats), and a per-row
-    # dict here is measurable on 10k-point grids.
-    stats_blob = {"batch_group": group_stats}
-    for j, i in enumerate(group["idx"]):
-        value = spans[j]
-        out[i] = {
-            "makespan": value,
-            "iteration_time": value,
-            "n": n,
-            "strategy": strategy,
-            CACHE_STATS_KEY: stats_blob,
-        }
-    return group_stats
-
-
-# -- the analytic Eq. 10 selection, batched -----------------------------------
-def _batched_reuse_memory_bytes(np, spec, world: int, n: int, batches, rows, neutral):
-    """Eq. 1-5 peak bytes under pipelined reuse, over arrays (int64).
-
-    Mirrors ``FootprintModel.total_bytes(batch, pipelined=True,
-    reuse_n=n)``: fp32 accounting regardless of wire dtype, ``rows``
-    sizing the dispatch-side tensors, and the Eq. 5 savings truncated
-    exactly like the scalar ``int()``.
-    """
-    if spec.num_experts % world:
-        raise ValueError(
-            f"num_experts {spec.num_experts} must divide evenly across "
-            f"world_size {world}"
-        )
-    m, h = spec.d_model, spec.d_hidden
-    experts_per_rank = spec.num_experts // world
-    states = 4 * (
-        spec.gate_params + experts_per_rank * spec.expert_params
-    ) * BYTES_PER_ELEM
-    act_elems = np.where(
-        neutral,
-        4 * batches * m + batches * h,
-        2 * batches * m + 2 * rows * m + rows * h,
-    )
-    act = act_elems * BYTES_PER_ELEM
-    saved = 0
-    if n >= 2:
-        per_row = 2 * m * (n - 2) / n + h * (n - 1) / n  # group scalar
-        # Eq. 5 sizes by the dispatch rows; workload-free scenarios have
-        # rows == batch already, so ``rows`` covers the scalar None case.
-        saved = 2 * (rows * per_row).astype(np.int64) * BYTES_PER_ELEM
-    return states + act + act - saved
-
-
-def batch_evaluate_eq10(scenarios: Iterable[Scenario]) -> list[dict]:
-    """Batched twin of :func:`repro.sweep.runner.evaluate_eq10`.
-
-    Runs the Eq. 10 strategy selection for every scenario in one numpy
-    pass per (cluster shape, spec, n) group: device rows, the
-    ``HardwareRates`` stage costs, and the footprint capacity check all
-    broadcast over the batch/top-k/imbalance axes.  Values are
-    bit-identical to the scalar selector's.
-    """
-    import numpy as np
-
-    scenarios = list(scenarios)
-    out: list = [None] * len(scenarios)
-    groups: dict[tuple, dict] = {}
-    for i, sc in enumerate(scenarios):
-        if sc.n is None:
-            raise ValueError("eq10 scenarios need an explicit n")
-        if sc.decomposed_comm or sc.sequential:
-            raise ValueError(
-                "decomposed_comm/sequential only apply to the 'timeline' "
-                "backend, not 'eq10'"
-            )
-        if sc.strategy is not None:
-            raise ValueError(
-                "'eq10' selects the strategy itself; drop the strategy axis"
-            )
-        workload = scenario_workload(sc)
-        spec = _scenario_spec(sc)
         if workload is not None:
-            workload.resolved_k(spec)
-        key = _context_key(sc) + (sc.spec, sc.num_experts, sc.n, sc.placement)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = {
-                "scenario": sc,
-                "spec": spec,
-                "idx": [],
-                "batches": [],
-                "workloads": [],
-            }
+            workload.resolved_k(group["spec"])  # top_k check, in order
         group["idx"].append(i)
         group["batches"].append(sc.batch)
         group["workloads"].append(workload)
 
     for group in groups.values():
-        if _placed_group(group):
-            # Placed Eq. 10 runs the traffic-aware selector per point.
-            _scalar_group_fallback(evaluate_eq10, scenarios, group, out, "eq10")
+        if group["scenario"].placement not in (None, "contiguous"):
+            # Placed pricing (anchored per-rank rows, per-rank engine
+            # maxima, the traffic-aware selector) has no array form;
+            # the memoized scalar path owns those rows.  ``None`` and
+            # the explicit "contiguous" baseline price unplaced.
+            _scalar_group_fallback(evaluate, scenarios, group, out, objective)
             continue
         observing = _obs_active()
         if observing:
             group_ts = time.time()
             group_p0 = time.perf_counter()
         try:
-            stats = _price_eq10_group(np, group, out)
+            stats, rows = price(np, group)
         except Exception as exc:
             if observing:
                 _obs_emit(
                     "batch.fallback",
-                    objective="eq10",
+                    objective=objective,
                     size=len(group["idx"]),
                     error=type(exc).__name__,
                     ts=time.time(),
                 )
-            _scalar_group_fallback(evaluate_eq10, scenarios, group, out, "eq10")
-        else:
-            if observing:
-                _obs_emit(
-                    "batch.group",
-                    objective="eq10",
-                    size=stats["size"],
-                    distinct=stats.get("distinct", 0),
-                    schedules=stats.get("schedules", 0),
-                    ts=group_ts,
-                    dur=time.perf_counter() - group_p0,
-                )
+            _scalar_group_fallback(evaluate, scenarios, group, out, objective)
+            continue
+        blob = {"batch_group": stats}
+        for i, values in zip(group["idx"], rows):
+            values[CACHE_STATS_KEY] = blob
+            out[i] = values
+        if observing:
+            _obs_emit(
+                "batch.group",
+                objective=objective,
+                size=stats["size"],
+                distinct=stats.get("distinct", 0),
+                schedules=stats.get("schedules", 0),
+                ts=group_ts,
+                dur=time.perf_counter() - group_p0,
+            )
     return out
 
 
-def _price_eq10_group(np, group: dict, out: list) -> dict:
-    """One (cluster, spec, n) Eq. 10 group in a single numpy pass.
-
-    Returns the group's ``batch_group`` stats dict (also attached to
-    every row's cache-stats entry)."""
-    sc = group["scenario"]
-    spec = group["spec"]
-    n = sc.n
-    ctx = shared_context(sc.world_size, scenario_hetero(sc))
-    comm = ctx.comm_model()
-    world = ctx.effective_world
-    rates = HardwareRates.from_cluster(ctx.device, comm)
-    if ctx.hetero is not None:
-        worst = ctx.hetero.bottleneck_rates(world)
-        rates = rates.scaled(comp=worst.comp, mem=worst.mem)
+def _group_rows(np, group: dict, world: int) -> tuple:
+    """The group's bottleneck rows and activation widths, (S,) int64 each."""
     workloads = group["workloads"]
-    batches = np.asarray(group["batches"], dtype=np.int64)
-    rows = batched_device_rows(np, spec, world, batches, workloads)
+    rows = batched_device_rows(np, group["spec"], world, group["batches"], workloads)
     bpe = np.asarray(
         [
             TIMING_BYTES_PER_ELEM if wl is None else wl.bytes_per_elem
@@ -590,77 +327,145 @@ def _price_eq10_group(np, group: dict, out: list) -> dict:
         ],
         dtype=np.int64,
     )
-    # Eq. 7-9 volumes per micro-batch of the bottleneck rows.
-    b = -(-rows // n)
-    m, h = spec.d_model, spec.d_hidden
-    v_comp = 2.0 * b * m * h
-    v_bytes = (b * m * bpe).astype(np.float64)
-    sigma = PAPER_INTERFERENCE.sigma
+    return rows, bpe
 
-    neutral = np.asarray([wl is None for wl in workloads]) | (rows == batches)
-    memory = _batched_reuse_memory_bytes(
-        np, spec, world, n, batches, rows, neutral
+
+# -- the timeline objective, batched ------------------------------------------
+def _timeline_key(sc: Scenario) -> tuple:
+    """A timeline group: one cluster shape, layer spec and template."""
+    return (
+        sc.world_size, sc.straggler, sc.severity, sc.straggler_seed,
+        sc.spec, sc.num_experts, sc.n, sc.strategy or "none",
+        sc.decomposed_comm, sc.sequential, sc.placement,
     )
-    fits = memory <= ctx.device_memory_bytes
 
-    size = len(batches)
+
+def _price_timeline_group(np, group: dict) -> tuple[dict, list]:
+    """One (cluster, spec, template) group through the replay engine."""
+    sc = group["scenario"]
+    n, strategy = sc.n, sc.strategy or "none"
+    ctx = shared_context(sc.world_size, scenario_hetero(sc))
+    rows, bpe = _group_rows(np, group, ctx.effective_world)
+    costs = MoEStageCosts.from_rows(
+        group["spec"], rows, n, ctx.device, ctx.comm_model(), bpe
+    )
+    compiled = compile_timeline(
+        n, strategy, decomposed_comm=sc.decomposed_comm, sequential=sc.sequential
+    )
+    # Work vectors are a pure function of the stage costs, and those
+    # quantize rows through ``b = ceil(rows / n)`` — dense batch axes
+    # collapse onto far fewer distinct cost vectors (an n=16 group
+    # keeps ~1/16th).  Price each distinct vector once and scatter;
+    # identical inputs make identical (bit-for-bit) outputs.
+    size = len(rows)
+    names = sorted(vars(costs))
+    colmat = np.stack(
+        [np.broadcast_to(getattr(costs, f), (size,)) for f in names], axis=1
+    )
+    _, first, inverse = np.unique(
+        colmat, axis=0, return_index=True, return_inverse=True
+    )
+    distinct = colmat[first]
+    W = compiled.template.works_matrix(
+        MoEStageCosts(**{f: distinct[:, j] for j, f in enumerate(names)}),
+        len(first),
+    )
+    stats = {"objective": "timeline", "size": size, "distinct": int(len(first))}
+    spans = _group_makespans(ctx, compiled.dag, W, stats=stats)[inverse].tolist()
+    return stats, [_timeline_values(value, n, strategy) for value in spans]
+
+
+def batch_evaluate_timeline(scenarios: Iterable[Scenario]) -> list[dict]:
+    """Batched twin of :func:`repro.sweep.runner.evaluate_timeline`.
+
+    Groups scenarios by (cluster shape, spec, n, strategy, decomposed,
+    sequential), prices each group in one numpy pass, and returns the
+    values dicts in scenario order — each bit-identical to what the
+    memoized scalar evaluator computes for that scenario.
+    """
+    return _batch_evaluate(
+        scenarios, "timeline", evaluate_timeline, _check_timeline,
+        _timeline_key, _price_timeline_group,
+    )
+
+
+# -- the analytic Eq. 10 selection, batched -----------------------------------
+def _eq10_key(sc: Scenario) -> tuple:
+    """An Eq. 10 group: one cluster shape, layer spec and granularity."""
+    return (
+        sc.world_size, sc.straggler, sc.severity, sc.straggler_seed,
+        sc.spec, sc.num_experts, sc.n, sc.placement,
+    )
+
+
+def _price_eq10_group(np, group: dict) -> tuple[dict, list]:
+    """One (cluster, spec, n) group through the scalar selector's parts.
+
+    The group's selector is built the way the memoized path builds one
+    (unmemoized, so the evaluator memo is untouched); its Eq. 5
+    footprint sizes every scenario's reuse bytes from the bottleneck
+    rows, and :func:`~repro.perfmodel.cost.stage_stream_times` prices
+    every candidate strategy's stages over the whole group.
+    """
+    sc, spec = group["scenario"], group["spec"]
+    n = sc.n
+    ctx = shared_context(sc.world_size, scenario_hetero(sc))
+    selector = ctx.evaluator.build_selector(spec, None)
+    model = selector.perf_model
+    rows, bpe = _group_rows(np, group, ctx.effective_world)
+    batches = np.asarray(group["batches"], dtype=np.int64)
+    memory = selector.footprint.device_bytes(batches, rows, True, reuse_n=n)
+    fits = memory <= selector.device_capacity
+    b = -(-rows // n)  # ceil: padded final micro-batch
+    sigma = model.interference.sigma
+    size = len(rows)
     costs: dict[str, object] = {}
     best_idx = np.full(size, -1)
     best_cost = np.empty(size)
-    names: list[str] = []
     for name, strategy in STRATEGIES.items():
-        if strategy.name == "none":
+        if strategy.name == "none" or (strategy.reuses_memory and n < 2):
             continue
-        if strategy.reuses_memory and n < 2:
-            continue
-        mu = PAPER_INTERFERENCE.mu(strategy.uses_mem_stream)
-        eta = PAPER_INTERFERENCE.eta(strategy.uses_mem_stream)
-
-        def stage_total(q):
-            q1, q2, q3 = q
-            comp = q1 * v_comp / (sigma * rates.w_comp)
-            comm_t = q2 * v_bytes / (mu * rates.w_comm)
-            mem_t = q3 * v_bytes / (eta * rates.w_mem)
-            return np.maximum(np.maximum(comp, comm_t), mem_t)
-
-        cost = n * (stage_total(strategy.q_fw) + stage_total(strategy.q_bw))
-        costs[name] = cost
-        pos = len(names)
-        names.append(name)
+        mu = model.interference.mu(strategy.uses_mem_stream)
+        eta = model.interference.eta(strategy.uses_mem_stream)
+        fw, bw = (
+            np.maximum.reduce(
+                stage_stream_times(spec, model.rates, q, b, bpe, sigma, mu, eta)
+            )
+            for q in model.strategy_queues(strategy)
+        )
+        cost = n * (fw + bw)
         take = fits & ((best_idx == -1) | (cost < best_cost))
-        best_idx = np.where(take, pos, best_idx)
+        best_idx = np.where(take, len(costs), best_idx)
         best_cost = np.where(take, cost, best_cost)
+        costs[name] = cost
 
-    group_stats = {"objective": "eq10", "size": size}
-    stats_blob = {"batch_group": group_stats}  # shared, read-only downstream
-    for j, i in enumerate(group["idx"]):
-        if best_idx[j] < 0:
-            # The scalar path raises MemoryError before its costs
-            # dict escapes select(); match its empty-costs shape.
-            out[i] = {
-                "strategy": None,
-                "cost": None,
-                "iteration_time": None,
-                "memory_bytes": None,
-                "costs": {},
-                "n": n,
-                "feasible": False,
-                CACHE_STATS_KEY: stats_blob,
-            }
+    names = list(costs)
+    columns = [c.tolist() for c in costs.values()]
+    values = []
+    for j, (k, cost, mem) in enumerate(
+        zip(best_idx.tolist(), best_cost.tolist(), memory.tolist())
+    ):
+        # The scalar selector raises MemoryError before its costs
+        # escape select(): an infeasible row has the empty-costs shape.
+        if k < 0:
+            values.append(_eq10_values(n))
         else:
-            point_costs = {name: float(costs[name][j]) for name in costs}
-            cost = float(best_cost[j])
-            out[i] = {
-                "strategy": names[int(best_idx[j])],
-                "cost": cost,
-                "iteration_time": cost,
-                "memory_bytes": int(memory[j]),
-                "costs": point_costs,
-                "n": n,
-                "feasible": True,
-                CACHE_STATS_KEY: stats_blob,
-            }
-    return group_stats
+            point_costs = dict(zip(names, [col[j] for col in columns]))
+            values.append(_eq10_values(n, names[k], cost, mem, point_costs))
+    return {"objective": "eq10", "size": size}, values
+
+
+def batch_evaluate_eq10(scenarios: Iterable[Scenario]) -> list[dict]:
+    """Batched twin of :func:`repro.sweep.runner.evaluate_eq10`.
+
+    Runs the Eq. 10 strategy selection for every scenario in one numpy
+    pass per (cluster shape, spec, n) group.  Values are bit-identical
+    to the scalar selector's.
+    """
+    return _batch_evaluate(
+        scenarios, "eq10", evaluate_eq10, _check_eq10, _eq10_key,
+        _price_eq10_group,
+    )
 
 
 # -- the evaluator registry ---------------------------------------------------

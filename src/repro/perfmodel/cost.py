@@ -28,7 +28,7 @@ from repro.hardware.device import DeviceSpec
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE
 from repro.memory.strategies import Strategy
 from repro.perfmodel.workload import WorkloadSpec
-from repro.pipeline.schedule import TIMING_BYTES_PER_ELEM
+from repro.pipeline.schedule import TIMING_BYTES_PER_ELEM, stage_volumes
 
 if TYPE_CHECKING:
     from repro.hardware.hetero import DeviceRates
@@ -47,17 +47,25 @@ class HardwareRates:
             raise ValueError("hardware rates must be positive")
 
     @classmethod
-    def from_cluster(cls, device: DeviceSpec, comm: NcclCostModel) -> "HardwareRates":
+    def from_cluster(
+        cls,
+        device: DeviceSpec,
+        comm: NcclCostModel,
+        traffic: tuple[float, ...] | None = None,
+    ) -> "HardwareRates":
         """Derive rates from the device spec and cluster topology.
 
         W_comm is the effective All-to-All injection rate scaled by the
         cross-traffic fraction so that time = bytes / W_comm matches the
-        collective cost model's bandwidth term.
+        collective cost model's bandwidth term.  ``traffic`` (a
+        placement's per-rank load view, see
+        :meth:`~repro.hardware.topology.ClusterTopology.alltoall_bandwidth`)
+        gates that rate on the links the placement actually loads.
         """
         w = comm.effective_world
         if w > 1:
             cross = (w - 1) / w
-            w_comm = comm.topology.alltoall_bandwidth(w) / cross
+            w_comm = comm.topology.alltoall_bandwidth(w, traffic=traffic) / cross
         else:
             w_comm = float("inf")
         return cls(
@@ -103,6 +111,34 @@ class StageCost:
             (("comp", self.comp), ("comm", self.comm), ("mem", self.mem)),
             key=lambda kv: kv[1],
         )[0]
+
+
+def stage_stream_times(
+    spec: MoELayerSpec,
+    rates: HardwareRates,
+    q: tuple[float, float, float],
+    b,
+    bytes_per_elem,
+    sigma: float,
+    mu: float,
+    eta: float,
+) -> tuple:
+    """Eq. 10's per-stream times ``(comp, comm, mem)`` of one stage.
+
+    A micro-batch of ``b`` rows with ``bytes_per_elem``-byte activations
+    runs the ``q`` queue volumes against ``rates`` under the sigma/mu/eta
+    interference factors; Eq. 10's stage cost is the max of the three.
+    Plain arithmetic: :class:`PerfModel` passes ints, the whole-grid
+    selector (:mod:`repro.perfmodel.batcheval`) int64 arrays with one
+    entry per scenario.
+    """
+    q1, q2, q3 = q
+    v_comp, v_bytes = stage_volumes(spec, b, bytes_per_elem)
+    return (
+        q1 * v_comp / (sigma * rates.w_comp),
+        q2 * v_bytes / (mu * rates.w_comm),
+        q3 * v_bytes / (eta * rates.w_mem),
+    )
 
 
 class PerfModel:
@@ -159,34 +195,28 @@ class PerfModel:
 
     # -- Eq. 7-9 ------------------------------------------------------------
     def v_comp(self, b: int) -> float:
-        return 2.0 * b * self.spec.d_model * self.spec.d_hidden
+        return stage_volumes(self.spec, b, self.bytes_per_elem)[0]
 
     def v_comm(self, b: int) -> float:
-        return float(b * self.spec.d_model * self.bytes_per_elem)
+        return stage_volumes(self.spec, b, self.bytes_per_elem)[1]
 
-    def v_mem(self, b: int) -> float:
-        return float(b * self.spec.d_model * self.bytes_per_elem)
+    v_mem = v_comm  # Eq. 9: one TDI copy moves an All-to-All's bytes
 
     # -- Eq. 10 --------------------------------------------------------------
     def stage_cost(
-        self, q: tuple[float, float, float], b: int, mu: float, eta: float
-    ) -> StageCost:
-        return self._stage_cost(self.rates, q, b, mu, eta)
-
-    def _stage_cost(
         self,
-        rates: HardwareRates,
         q: tuple[float, float, float],
         b: int,
         mu: float,
         eta: float,
+        rates: HardwareRates | None = None,
     ) -> StageCost:
-        q1, q2, q3 = q
-        sigma = self.interference.sigma
+        """One stage's streams against ``rates`` (default: the model's)."""
         return StageCost(
-            comp=q1 * self.v_comp(b) / (sigma * rates.w_comp),
-            comm=q2 * self.v_comm(b) / (mu * rates.w_comm),
-            mem=q3 * self.v_mem(b) / (eta * rates.w_mem),
+            *stage_stream_times(
+                self.spec, self.rates if rates is None else rates, q, b,
+                self.bytes_per_elem, self.interference.sigma, mu, eta,
+            )
         )
 
     def strategy_queues(
@@ -196,21 +226,22 @@ class PerfModel:
             return strategy.q_fw, strategy.q_bw
         return strategy.workload(self.spec.d_hidden / self.spec.d_model)
 
-    def _device_rows(self, batch: int) -> int:
-        """The priced row count: the routed bottleneck load, or B itself."""
-        if self.workload is None:
-            return batch
-        return self.workload.device_rows(self.spec, batch, self.world_size)
+    def _profiles(self, batch: int) -> list[tuple[int, HardwareRates]]:
+        """Distinct (rows, rates) pairs to price.
 
-    def _rank_profiles(self, batch: int) -> list[tuple[int, HardwareRates]]:
-        """Distinct (rows, rates) pairs to price for a placed workload.
-
-        One entry per rank hosting experts: the rank's anchored row
-        count joined with its own comp/mem-scaled rates (comm stays at
-        the collective's shared rate — a rank-local comm multiplier
-        already shows up through the topology's link overrides).
-        Expertless ranks run nothing and drop out.
+        Without a placement: the routed bottleneck rows (or B itself) at
+        the model's rates.  A placed workload has one entry per rank
+        hosting experts: the rank's anchored row count joined with its
+        own comp/mem-scaled rates (comm stays at the collective's shared
+        rate — a rank-local comm multiplier already shows up through the
+        topology's link overrides).  Expertless ranks run nothing and
+        drop out.
         """
+        if self.workload is None:
+            return [(batch, self.rates)]
+        if not self.workload.placed:
+            rows = self.workload.device_rows(self.spec, batch, self.world_size)
+            return [(rows, self.rates)]
         load = self.workload.load(self.spec, batch, self.world_size)
         profiles: dict[tuple[int, HardwareRates], None] = {}
         for rank, rank_rows in enumerate(load.anchored_rank_rows()):
@@ -232,44 +263,30 @@ class PerfModel:
         """
         if batch < 1 or n < 1:
             raise ValueError("batch and n must be >= 1")
-        mu = self.interference.mu(strategy.uses_mem_stream)
-        eta = self.interference.eta(strategy.uses_mem_stream)
-        q_fw, q_bw = self.strategy_queues(strategy)
-        if self.workload is not None and self.workload.placed:
-            worst = 0.0
-            for rows, rates in self._rank_profiles(batch):
-                b = -(-rows // n)
-                fw = self._stage_cost(rates, q_fw, b, mu, eta).total
-                bw = self._stage_cost(rates, q_bw, b, mu, eta).total
-                worst = max(worst, fw + bw)
-            return n * worst
-        b = -(-self._device_rows(batch) // n)  # ceil: padded final micro-batch
-        fw = self.stage_cost(q_fw, b, mu, eta).total
-        bw = self.stage_cost(q_bw, b, mu, eta).total
-        return n * (fw + bw)
+        return n * self._gating_stages(strategy, batch, n)[2]
 
     def breakdown(self, strategy: Strategy, batch: int, n: int) -> dict[str, StageCost]:
         """Per-phase stream costs, for analysis output.
 
         For a placed workload: the gating (worst) rank's breakdown.
         """
+        fw, bw, _ = self._gating_stages(strategy, batch, n)
+        return {"forward": fw, "backward": bw}
+
+    def _gating_stages(
+        self, strategy: Strategy, batch: int, n: int
+    ) -> tuple[StageCost, StageCost, float]:
+        """The gating profile's forward and backward stages and their
+        total; the first profile with the largest total wins."""
         mu = self.interference.mu(strategy.uses_mem_stream)
         eta = self.interference.eta(strategy.uses_mem_stream)
         q_fw, q_bw = self.strategy_queues(strategy)
-        if self.workload is not None and self.workload.placed:
-            best: dict[str, StageCost] | None = None
-            worst = -1.0
-            for rows, rates in self._rank_profiles(batch):
-                b = -(-rows // n)
-                fw = self._stage_cost(rates, q_fw, b, mu, eta)
-                bw = self._stage_cost(rates, q_bw, b, mu, eta)
-                if fw.total + bw.total > worst:
-                    worst = fw.total + bw.total
-                    best = {"forward": fw, "backward": bw}
-            assert best is not None
-            return best
-        b = -(-self._device_rows(batch) // n)
-        return {
-            "forward": self.stage_cost(q_fw, b, mu, eta),
-            "backward": self.stage_cost(q_bw, b, mu, eta),
-        }
+        gating = None
+        for rows, rates in self._profiles(batch):
+            b = -(-rows // n)  # ceil: padded final micro-batch
+            fw = self.stage_cost(q_fw, b, mu, eta, rates)
+            bw = self.stage_cost(q_bw, b, mu, eta, rates)
+            total = fw.total + bw.total
+            if gating is None or total > gating[2]:
+                gating = (fw, bw, total)
+        return gating

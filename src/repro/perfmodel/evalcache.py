@@ -389,43 +389,42 @@ class Evaluator:
         key = (spec, workload)
         selector = self._selectors.get(key)
         if selector is None:
-            selector = self._build_selector(spec, workload)
+            selector = self.build_selector(spec, workload)
             self._selectors[key] = selector
         return selector
 
-    def _build_selector(
+    def build_selector(
         self, spec: MoELayerSpec, workload: WorkloadSpec | None
     ) -> StrategySelector:
-        """Construct the Eq. 10 selector for one (layer spec, workload)."""
+        """Construct the Eq. 10 selector for one (layer spec, workload).
+
+        Unmemoized: :meth:`selector` caches it, and the whole-grid
+        selector builds one per group without touching the memo.
+        """
         hetero = self.context.hetero
         world = self.context.effective_world
         placed = workload is not None and workload.placed
-        rates = HardwareRates.from_cluster(self.context.device, self.comm_model())
-        rank_rates = None
-        if placed:
+        traffic = None
+        if placed and world > 1:
             # Placement-aware W_comm: gate degraded links by the
             # traffic the placement actually routes over them (the
             # relative per-rank profile is batch-independent, so any
             # batch resolves the same factor).
-            comm = self.comm_model()
-            if world > 1:
-                traffic = workload.load(spec, 1, world).traffic()
-                w_comm = comm.topology.alltoall_bandwidth(
-                    world, traffic=traffic
-                ) / ((world - 1) / world)
-                rates = HardwareRates(
-                    w_comp=rates.w_comp, w_comm=w_comm, w_mem=rates.w_mem
+            traffic = workload.load(spec, 1, world).traffic()
+        rates = HardwareRates.from_cluster(
+            self.context.device, self.comm_model(), traffic
+        )
+        rank_rates = None
+        if placed and hetero is not None:
+            # Per-rank composition instead of the worst-device
+            # rescale: each rank's load meets its own rates.
+            rank_rates = tuple(
+                DeviceRates(
+                    comp=hetero.rates_for(r).comp,
+                    mem=hetero.rates_for(r).mem,
                 )
-            if hetero is not None:
-                # Per-rank composition instead of the worst-device
-                # rescale: each rank's load meets its own rates.
-                rank_rates = tuple(
-                    DeviceRates(
-                        comp=hetero.rates_for(r).comp,
-                        mem=hetero.rates_for(r).mem,
-                    )
-                    for r in range(world)
-                )
+                for r in range(world)
+            )
         elif hetero is not None:
             # W_comm already rides the link-overridden topology; the
             # bottleneck device rescales W_comp and W_mem.

@@ -28,7 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.comm.cost import NcclCostModel
+from repro.comm.cost import (
+    NCCL_LATENCY,
+    P2P_LATENCY,
+    STRAGGLER_FACTOR,
+    NcclCostModel,
+)
 from repro.config import MoELayerSpec
 from repro.hardware.device import DeviceSpec
 from repro.hardware.interference import StreamKind
@@ -52,11 +57,16 @@ TIMING_BYTES_PER_ELEM = 2
 GEMM_SATURATION_ROWS = 512
 
 
-def small_batch_gemm_factor(rows: int) -> float:
-    """Fraction of sustained GEMM throughput achieved with ``rows`` rows."""
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
-    return rows / (rows + GEMM_SATURATION_ROWS)
+def stage_volumes(spec: MoELayerSpec, b, bytes_per_elem) -> tuple:
+    """Eq. 7-8 volumes of one ``b``-row micro-batch: ``(v_comp, v_comm)``.
+
+    ``v_comp`` is one GEMM's 2*b*M*H FLOPs and ``v_comm`` one
+    All-to-All's b*M*bytes, which Eq. 9 reuses as ``v_mem`` (one TDI
+    PCIe copy).  Plain arithmetic: ints give floats, int64 arrays give
+    float64 arrays.
+    """
+    m = spec.d_model
+    return 2.0 * b * m * spec.d_hidden, 1.0 * (b * m * bytes_per_elem)
 
 
 @dataclass(frozen=True)
@@ -141,31 +151,60 @@ class MoEStageCosts:
                 raise ValueError("rows_override needs a workload")
             if bytes_per_elem is None:
                 bytes_per_elem = TIMING_BYTES_PER_ELEM
+            elif bytes_per_elem < 0:
+                raise ValueError("bytes_per_elem must be non-negative")
             rows = batch
+        return cls.from_rows(
+            spec, rows, n, device, comm, bytes_per_elem, gemm_derate, traffic
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        spec: MoELayerSpec,
+        rows,
+        n: int,
+        device: DeviceSpec,
+        comm: NcclCostModel,
+        bytes_per_elem,
+        gemm_derate: float = 1.0,
+        traffic: tuple[float, ...] | None = None,
+    ) -> "MoEStageCosts":
+        """Stage costs of ``rows`` bottleneck rows split ``n`` ways.
+
+        The one body of the Eq. 7-9 arithmetic.  It runs unchanged on
+        Python ints (:meth:`compute`, after validating and resolving a
+        point) and on int64 arrays with one entry per scenario (the
+        whole-grid :mod:`repro.perfmodel.batcheval`).  The device and
+        collective op times are inlined without their scalar argument
+        checks, the collective bandwidth resolved once for both
+        All-to-All flavours; a test pins every field to those helpers.
+        """
         b = -(-rows // n)  # ceil: the last micro-batch may be padded
-        m, h = spec.d_model, spec.d_hidden
-        gemm_flops = 2.0 * b * m * h  # one GEMM
-        comm_bytes = float(b * m * bytes_per_elem)
-        rate = gemm_derate * small_batch_gemm_factor(b)
+        gemm_flops, comm_bytes = stage_volumes(spec, b, bytes_per_elem)
+        rate = gemm_derate * (b / (b + GEMM_SATURATION_ROWS))
+        sustained = device.sustained_gemm_flops
+        launch = device.kernel_launch_overhead
+        pcie = device.pcie_bandwidth
 
-        def gemm_time(num: int) -> float:
-            return device.gemm_time(num * gemm_flops, num_kernels=num) / rate
+        def gemm_time(num: int):
+            return (num * gemm_flops / sustained + num * launch) / rate
 
-        if traffic is None:
-            s_time = comm.alltoall_time(comm_bytes)
-            p2p_s_time = comm.decomposed_alltoall_time(comm_bytes)
+        w = comm.effective_world
+        if w == 1:
+            s_time = p2p_s_time = 0.0
         else:
-            s_time = comm.alltoall_time(comm_bytes, traffic=traffic)
-            p2p_s_time = comm.decomposed_alltoall_time(
-                comm_bytes, traffic=traffic
-            )
+            cross = comm_bytes * (w - 1) / w
+            bw = comm.collective_bandwidth(w, traffic=traffic)
+            s_time = NCCL_LATENCY + cross / bw
+            p2p_s_time = (w - 1) * P2P_LATENCY + cross / (bw / STRAGGLER_FACTOR)
         return cls(
             s_time=s_time,
             c_fw_time=gemm_time(2),
             c_bw_time=gemm_time(4),
             recompute_time=gemm_time(1),
-            offload_tdi_time=device.memcpy_time(b * m * bytes_per_elem),
-            offload_tm_time=device.memcpy_time(b * h * bytes_per_elem),
+            offload_tdi_time=comm_bytes / pcie + launch,
+            offload_tm_time=b * spec.d_hidden * bytes_per_elem / pcie + launch,
             p2p_s_time=p2p_s_time,
         )
 
@@ -222,32 +261,27 @@ class TimelineTemplate:
                 continue
             value = getattr(costs, fields[0])
             for f in fields[1:]:
-                value += getattr(costs, f)
+                # Not ``+=``: array-valued costs must never be mutated.
+                value = value + getattr(costs, f)
             for i in indices:
                 out[i] = value
         return out
 
-    def works_matrix(self, columns, size: int):
-        """Work vectors for a whole batch of scenarios at once.
+    def works_matrix(self, costs: MoEStageCosts, size: int):
+        """:meth:`works` of ``size`` scenarios as a (size, num_ops) matrix.
 
-        ``columns`` maps :class:`MoEStageCosts` field names to (size,)
-        float64 arrays (one row per scenario).  Returns a (size,
-        num_ops) matrix whose row ``s`` equals ``works(costs_s)`` bit
-        for bit: each distinct fields-tuple is summed left to right
-        exactly as the scalar fill does, then broadcast into its op
-        columns.
+        ``costs`` holds (size,) float64 arrays, one entry per scenario
+        (:meth:`MoEStageCosts.from_rows` over a group's rows); scalar
+        fields and zero-work barriers broadcast down their column.  It
+        is filled one op at a time, so the matrix is column-major.
         """
         import numpy as np
 
-        out = np.zeros((size, len(self.fields)))
-        for fields, indices in self._work_groups:
-            if not fields:
-                continue
-            value = columns[fields[0]]
-            for f in fields[1:]:
-                value = value + columns[f]
-            out[:, indices] = value[:, None]
-        return out
+        works = self.works(costs)
+        out = np.empty((len(works), size))
+        for i, w in enumerate(works):
+            out[i] = w
+        return out.T
 
     def instantiate(self, costs: MoEStageCosts, device: int = 0) -> list[Op]:
         """Materialize the template as fresh :class:`Op` objects."""

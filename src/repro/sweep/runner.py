@@ -51,7 +51,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.api.backends import Backend, SerialBackend, VectorizedBackend, get_backend
+from repro.api.backends import (
+    Backend,
+    ProcessBackend,
+    SerialBackend,
+    VectorizedBackend,
+    get_backend,
+)
 from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 from repro.obs.bus import label_of as _label_of
@@ -429,42 +435,23 @@ def evaluate_system(scenario: Scenario) -> dict:
         })
 
 
-def evaluate_timeline(scenario: Scenario) -> dict:
-    """Price one explicit ``build_timeline`` schedule (ablation backend).
-
-    Timeline points never read the trace, so this goes through the
-    evaluator's memoized makespan-only path: no Op DAG, no records.
-    """
+# The timeline and Eq. 10 objectives share their validation and their
+# values-row shape with their whole-grid twins in repro.perfmodel.batcheval.
+def _check_timeline(scenario: Scenario) -> None:
     if scenario.n is None:
         raise ValueError("timeline scenarios need an explicit n")
-    ctx = shared_context(scenario.world_size, scenario_hetero(scenario))
-    spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
-    with ctx.sweep_lock:  # exact stats attribution; see evaluate_system
-        before = ctx.evaluator.cache_info()
-        makespan = ctx.evaluator.makespan(
-            spec, scenario.batch, scenario.n,
-            scenario.strategy or "none",
-            decomposed_comm=scenario.decomposed_comm,
-            sequential=scenario.sequential,
-            workload=workload,
-        )
-        return _with_cache_stats(ctx, before, {
-            "makespan": makespan,
-            "iteration_time": makespan,
-            "n": scenario.n,
-            "strategy": scenario.strategy or "none",
-        })
 
 
-def evaluate_eq10(scenario: Scenario) -> dict:
-    """Run the closed-form Eq. 10 strategy selection for one point.
+def _timeline_values(makespan: float, n: int, strategy: str) -> dict:
+    return {
+        "makespan": makespan,
+        "iteration_time": makespan,
+        "n": n,
+        "strategy": strategy,
+    }
 
-    The analytic counterpart of the simulated backends: no timeline is
-    priced, only the paper's bottleneck-stream cost model and the
-    footprint capacity check.  A point where no reuse strategy fits the
-    device comes back ``feasible=False`` instead of raising, so OOM
-    walls show up as data.
-    """
+
+def _check_eq10(scenario: Scenario) -> None:
     if scenario.n is None:
         raise ValueError("eq10 scenarios need an explicit n")
     if scenario.decomposed_comm or scenario.sequential:
@@ -476,6 +463,60 @@ def evaluate_eq10(scenario: Scenario) -> dict:
         raise ValueError(
             "'eq10' selects the strategy itself; drop the strategy axis"
         )
+
+
+def _eq10_values(
+    n: int,
+    strategy: str | None = None,
+    cost: float | None = None,
+    memory_bytes: int | None = None,
+    costs: dict | None = None,
+) -> dict:
+    """One Eq. 10 row; without a strategy, the infeasible (OOM) shape."""
+    return {
+        "strategy": strategy,
+        "cost": cost,
+        "iteration_time": cost,
+        "memory_bytes": memory_bytes,
+        "costs": {} if costs is None else costs,
+        "n": n,
+        "feasible": strategy is not None,
+    }
+
+
+def evaluate_timeline(scenario: Scenario) -> dict:
+    """Price one explicit ``build_timeline`` schedule (ablation backend).
+
+    Timeline points never read the trace, so this goes through the
+    evaluator's memoized makespan-only path: no Op DAG, no records.
+    """
+    _check_timeline(scenario)
+    ctx = shared_context(scenario.world_size, scenario_hetero(scenario))
+    spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
+    strategy = scenario.strategy or "none"
+    with ctx.sweep_lock:  # exact stats attribution; see evaluate_system
+        before = ctx.evaluator.cache_info()
+        makespan = ctx.evaluator.makespan(
+            spec, scenario.batch, scenario.n, strategy,
+            decomposed_comm=scenario.decomposed_comm,
+            sequential=scenario.sequential,
+            workload=workload,
+        )
+        return _with_cache_stats(
+            ctx, before, _timeline_values(makespan, scenario.n, strategy)
+        )
+
+
+def evaluate_eq10(scenario: Scenario) -> dict:
+    """Run the closed-form Eq. 10 strategy selection for one point.
+
+    The analytic counterpart of the simulated backends: no timeline is
+    priced, only the paper's bottleneck-stream cost model and the
+    footprint capacity check.  A point where no reuse strategy fits the
+    device comes back ``feasible=False`` instead of raising, so OOM
+    walls show up as data.
+    """
+    _check_eq10(scenario)
     ctx = shared_context(scenario.world_size, scenario_hetero(scenario))
     spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
     with ctx.sweep_lock:  # exact stats attribution; see evaluate_system
@@ -490,27 +531,14 @@ def evaluate_eq10(scenario: Scenario) -> dict:
         try:
             result = selector.select(scenario.batch, scenario.n)
         except MemoryError:
-            values = {
-                "strategy": None,
-                "cost": None,
-                "iteration_time": None,
-                "memory_bytes": None,
-                "costs": {},
-                "n": scenario.n,
-                "feasible": False,
-            }
+            values = _eq10_values(scenario.n)
         except Exception as exc:
             raise ScenarioError(scenario=scenario, cause=exc) from exc
         else:
-            values = {
-                "strategy": result.strategy.name,
-                "cost": result.cost,
-                "iteration_time": result.cost,
-                "memory_bytes": result.memory_bytes,
-                "costs": dict(result.costs),
-                "n": scenario.n,
-                "feasible": True,
-            }
+            values = _eq10_values(
+                scenario.n, result.strategy.name, result.cost,
+                result.memory_bytes, dict(result.costs),
+            )
         return _with_cache_stats(ctx, before, values)
 
 
@@ -572,7 +600,8 @@ class SweepRunner:
     cache-miss scenarios in one numpy pass, bit-identical to the serial
     loop.  ``None`` (default) engages it automatically when the batch
     is large enough (:data:`VECTORIZE_MIN_POINTS`) and the backend
-    would run the points in-line anyway; ``True`` forces it for any
+    would run the points in-line anyway (``serial``, or ``process`` at
+    one worker — never ``remote``); ``True`` forces it for any
     miss count; ``False`` (or ``REPRO_SWEEP_VECTORIZE=0`` in the
     environment) keeps the per-scenario memoized path, which
     trace-needing objectives such as :func:`evaluate_system` always
@@ -807,16 +836,18 @@ class SweepRunner:
             # timeout, or keep-going semantics; resilient runs take the
             # per-scenario path where the wrapper is in the loop.
             return False
-        if isinstance(self._backend, VectorizedBackend):
-            return True  # the backend was named explicitly; it decides
-        if self.vectorize is False:
-            return False
         from repro.perfmodel.batcheval import batch_evaluator_for
 
         if batch_evaluator_for(self.evaluate) is None:
-            return False  # no batched twin: the backend fan-out stands
+            # No batched twin: the backend runs the points through the
+            # wrapped evaluator (``vectorized`` as an in-line loop).
+            return False
+        if isinstance(self._backend, VectorizedBackend):
+            return True  # the backend was named explicitly; it decides
         if self.vectorize:
             return True
+        if self.vectorize is False:
+            return False
         # Auto mode: engage only where it cannot change scheduling
         # semantics — the backend would run the points in-line anyway —
         # and only when the batch is big enough that per-scenario cache
@@ -825,7 +856,9 @@ class SweepRunner:
             return False
         if len(misses) < VECTORIZE_MIN_POINTS:
             return False
-        return self.workers == 1 or isinstance(self._backend, SerialBackend)
+        return isinstance(self._backend, SerialBackend) or (
+            isinstance(self._backend, ProcessBackend) and self.workers == 1
+        )
 
     def _batch_map(self, misses: list[Scenario]) -> list[dict]:
         """One whole-grid pass over the misses, memo bound in scope.
@@ -833,17 +866,22 @@ class SweepRunner:
         Calls :func:`~repro.perfmodel.batcheval.batch_map` directly
         (not through :meth:`_bound_evaluate`) because the batched-twin
         registry is keyed by evaluator identity — a wrapped partial
-        would silently fall back to the serial loop.
+        would silently fall back to the serial loop.  Once the pass
+        returns, its points count as computed, one attempt each
+        (``batch.pass``); a pass measures no per-scenario wall time.
         """
         from repro.perfmodel.batcheval import batch_map
 
-        if self.evaluator_max_entries is None:
-            return batch_map(self.evaluate, misses)
-        token = _MEMO_BOUND.set(self.evaluator_max_entries)
+        bound = self.evaluator_max_entries
+        token = None if bound is None else _MEMO_BOUND.set(bound)
         try:
-            return batch_map(self.evaluate, misses)
+            computed = batch_map(self.evaluate, misses)
         finally:
-            _MEMO_BOUND.reset(token)
+            if token is not None:
+                _MEMO_BOUND.reset(token)
+        if _obs_active():
+            _obs_emit("batch.pass", scenarios=len(computed))
+        return computed
 
     def _salvage_crash(
         self, exc: BrokenProcessPool, misses: list[Scenario]

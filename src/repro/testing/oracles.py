@@ -239,4 +239,4 @@ class ColdEvaluator(Evaluator):
     def selector(
         self, spec: MoELayerSpec, workload: WorkloadSpec | None = None
     ) -> StrategySelector:
-        return self._build_selector(spec, workload)
+        return self.build_selector(spec, workload)

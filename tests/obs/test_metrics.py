@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry, ObsSession
-from repro.sweep import Scenario, ScenarioGrid, SweepRunner
+from repro.sweep import Scenario, ScenarioGrid, SweepRunner, evaluate_timeline
 
 GRID = ScenarioGrid(
     systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
@@ -23,7 +23,8 @@ GRID = ScenarioGrid(
 
 #: ``remote`` runs against one in-process ``repro serve`` worker, whose
 #: thread pool evaluates the shard concurrently in this process.
-POOL_BACKENDS = ("serial", "process", "remote")
+#: ``vectorized`` runs ``fake_evaluate`` (no batched twin) per point.
+POOL_BACKENDS = ("serial", "process", "remote", "vectorized")
 
 
 # Module-level so process-pool workers unpickle it by name.
@@ -121,6 +122,22 @@ class TestRunCounterDeterminism:
             snap["histograms"]["sweep.scenario.queue_latency_s"]["count"]
             == len(GRID)
         )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"vectorize": True}, {"backend": "vectorized"}],
+        ids=["vectorize", "vectorized-backend"],
+    )
+    def test_whole_grid_points_count_as_computed(self, kwargs):
+        session = ObsSession()
+        results = SweepRunner(evaluate_timeline, obs=session, **kwargs).run(GRID)
+        assert all("batch_group" in r.cache_stats for r in results)
+        snap = session.registry.snapshot()
+        counters = snap["counters"]
+        assert counters["sweep.scenarios.computed"] == len(GRID)
+        assert counters["sweep.attempts"] == len(GRID)
+        # A whole-grid pass measures no per-scenario wall time.
+        assert "sweep.scenario.wall_s" not in snap["histograms"]
 
     def test_disk_hits_count_on_the_second_cached_run(self, tmp_path):
         runner_kwargs = dict(backend="serial", cache_dir=tmp_path / "cache")

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Study
 from repro.perfmodel.batcheval import (
@@ -19,6 +21,7 @@ from repro.perfmodel.batcheval import (
     batch_evaluate_timeline,
     batch_evaluator_for,
     batch_map,
+    batched_device_rows,
     batched_makespans,
     register_batch_evaluator,
 )
@@ -32,7 +35,13 @@ from repro.sweep import (
     evaluate_eq10,
     evaluate_timeline,
 )
-from repro.sweep.runner import CACHE_STATS_KEY, scenario_hetero, shared_context
+from repro.sweep.runner import (
+    CACHE_STATS_KEY,
+    _scenario_spec,
+    scenario_hetero,
+    scenario_workload,
+    shared_context,
+)
 
 
 def bits(values: dict) -> tuple:
@@ -61,6 +70,13 @@ def assert_identical(evaluate, batch_evaluate, scenarios) -> None:
         stats = b.pop(CACHE_STATS_KEY)
         assert "batch_group" in stats  # group-level attribution, not memo deltas
         assert bits(b) == bits(s), f"diverged at {sc.label()}"
+
+
+def row_bits(values: dict) -> tuple:
+    """``bits`` with the Eq. 10 per-strategy ``costs`` dict unpacked."""
+    values = dict(values)
+    costs = values.pop("costs", None)
+    return bits(values), None if costs is None else bits(costs)
 
 
 def grid(**axes) -> list:
@@ -143,6 +159,92 @@ class TestEq10Identity:
             batch_evaluate_eq10([sc])
         with pytest.raises(ValueError, match="selects the strategy itself"):
             evaluate_eq10(sc)
+
+
+#: Straggler kinds and their severity (victimless kinds must stay at 1.0).
+STRAGGLERS = (
+    (None, 1.0), ("uniform", 1.0), ("single-slow-gpu", 0.5),
+    ("slow-node", 0.5), ("degraded-link", 0.5), ("two-slow-gpus", 0.5),
+)
+
+
+@st.composite
+def template_group(draw, objective: str) -> list:
+    """Scenarios sharing one template: one cluster, spec, E, W and n
+    (plus one schedule for ``timeline``), each with its own batch and
+    routing axes.  W divides E about half the time; otherwise E % W != 0
+    and often W > E (where Eq. 10 raises on both paths)."""
+    experts = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12, 16)))
+    worlds = (1, 2, 3, 4, 6, 8, 16, 64)
+    even = [w for w in worlds if experts % w == 0]
+    straggler, severity = draw(st.sampled_from(STRAGGLERS))
+    common = dict(
+        system="timeline",
+        spec=draw(st.sampled_from(("GPT-S", "BERT-L"))),
+        world_size=draw(st.sampled_from(even) | st.sampled_from(worlds)),
+        num_experts=experts,
+        n=draw(st.sampled_from((1, 2, 3, 4, 8))),
+        straggler=straggler,
+        severity=severity,
+    )
+    if objective == "timeline":
+        common["strategy"] = draw(st.sampled_from((None, "S1", "S2", "S3", "S4")))
+        common["decomposed_comm"] = draw(st.booleans())
+    points = st.fixed_dictionaries(dict(
+        batch=st.integers(1, 40000),
+        top_k=st.one_of(st.none(), st.integers(1, min(experts, 4))),
+        dtype=st.sampled_from((None, "fp8", "bf16", "fp32")),
+        imbalance=st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+        capacity_factor=st.one_of(st.none(), st.floats(0.05, 2.0)),
+    ))
+    return [
+        Scenario(**common, **point)
+        for point in draw(st.lists(points, min_size=1, max_size=6))
+    ]
+
+
+def assert_twin_matches(evaluate, batch_evaluate, scenarios) -> None:
+    """Batched values equal the scalar ones bit for bit, or both paths
+    raise the same exception type (the first failing scenario's)."""
+    try:
+        scalar = scalar_values(evaluate, scenarios)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            batch_evaluate(scenarios)
+        return
+    batched = batch_evaluate(scenarios)
+    for sc, b, s in zip(scenarios, batched, scalar):
+        b = dict(b)
+        assert "batch_group" in b.pop(CACHE_STATS_KEY)
+        assert row_bits(b) == row_bits(s), f"diverged at {sc.label()}"
+
+
+class TestGeneratedGroups:
+    """Differential: the twins against their scalar evaluators on
+    generated template groups."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(template_group("timeline"))
+    def test_timeline_twin(self, scenarios):
+        assert_twin_matches(evaluate_timeline, batch_evaluate_timeline, scenarios)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(template_group("eq10"))
+    def test_eq10_twin(self, scenarios):
+        assert_twin_matches(evaluate_eq10, batch_evaluate_eq10, scenarios)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(template_group("timeline"))
+    def test_device_rows_twin(self, scenarios):
+        spec = _scenario_spec(scenarios[0])
+        world = scenarios[0].world_size
+        batches = [sc.batch for sc in scenarios]
+        workloads = [scenario_workload(sc) for sc in scenarios]
+        rows = batched_device_rows(np, spec, world, batches, workloads)
+        assert rows.tolist() == [
+            batch if wl is None else wl.device_rows(spec, batch, world)
+            for batch, wl in zip(batches, workloads)
+        ]
 
 
 class TestBackendsIdentity:
@@ -233,6 +335,19 @@ class TestRouting:
         results = SweepRunner(evaluate_timeline).run(scenarios)
         # The batched pass reports group-level stats, not memo deltas.
         assert all("batch_group" in r.cache_stats for r in results)
+
+    def test_auto_leaves_remote_runs_to_the_server(self, loopback_server):
+        # One worker is the remote default; the points must still reach
+        # the server instead of a local whole-grid pass.
+        scenarios = grid(batches=tuple(range(4096, 4096 + VECTORIZE_MIN_POINTS)))
+        remote = SweepRunner(evaluate_timeline, backend="remote").run(scenarios)
+        assert loopback_server.shards_served >= 1
+        assert not any("batch_group" in r.cache_stats for r in remote)
+        serial = SweepRunner(
+            evaluate_timeline, backend="serial", vectorize=False
+        ).run(scenarios)
+        for r, s in zip(remote, serial):
+            assert bits(r.values) == bits(s.values)
 
     def test_auto_stays_memoized_below_the_threshold(self):
         results = SweepRunner(evaluate_timeline).run(grid())

@@ -7,6 +7,7 @@ pricing layer), and the byte-width consistency audit.
 """
 
 import math
+import struct
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.hardware.device import A100_SXM_40GB
 from repro.hardware.topology import ClusterTopology
 from repro.memory.footprint import FootprintModel
 from repro.perfmodel.cost import HardwareRates, PerfModel
+from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.workload import (
     DTYPE_BYTES,
     TIMING_DTYPE,
@@ -24,6 +26,7 @@ from repro.perfmodel.workload import (
     expert_capacity,
 )
 from repro.pipeline.schedule import (
+    GEMM_SATURATION_ROWS,
     MoEStageCosts,
     TIMING_BYTES_PER_ELEM,
     build_timeline,
@@ -318,6 +321,40 @@ class TestByteWidthConsistency:
         assert costs.p2p_s_time == comm.decomposed_alltoall_time(float(b * m * 4))
         assert costs.offload_tdi_time == DEVICE.memcpy_time(b * m * 4)
         assert costs.offload_tm_time == DEVICE.memcpy_time(b * h * 4)
+
+        # from_rows inlines the device and collective helpers: all seven
+        # fields stay bit-identical to them, on one GPU, on 64, and
+        # against a placement's per-rank traffic view.
+        placed = WorkloadSpec(
+            imbalance=4.0, placement=PlacementSpec(strategy="round_robin")
+        )
+        cases = [(1, None), (64, None)]
+        cases.append((64, placed.load(SPEC, 4096, 64).traffic()))
+        for world, traffic in cases:
+            comm = comm_model(world)
+            for rows, n, bpe, derate in ((4096, 4, 4, 1.0), (9001, 3, 1, 0.7)):
+                got = MoEStageCosts.from_rows(
+                    SPEC, rows, n, DEVICE, comm, bpe, derate, traffic
+                )
+                b = -(-rows // n)
+                rate = derate * (b / (b + GEMM_SATURATION_ROWS))
+                flops = 2.0 * b * m * h
+                nbytes = float(b * m * bpe)
+                expected = MoEStageCosts(
+                    s_time=comm.alltoall_time(nbytes, traffic=traffic),
+                    c_fw_time=DEVICE.gemm_time(2 * flops, num_kernels=2) / rate,
+                    c_bw_time=DEVICE.gemm_time(4 * flops, num_kernels=4) / rate,
+                    recompute_time=DEVICE.gemm_time(flops, num_kernels=1) / rate,
+                    offload_tdi_time=DEVICE.memcpy_time(b * m * bpe),
+                    offload_tm_time=DEVICE.memcpy_time(b * h * bpe),
+                    p2p_s_time=comm.decomposed_alltoall_time(
+                        nbytes, traffic=traffic
+                    ),
+                )
+                for field in vars(expected):
+                    assert struct.pack("<d", getattr(got, field)) == struct.pack(
+                        "<d", getattr(expected, field)
+                    ), (world, traffic is not None, rows, field)
 
     def test_contradicting_explicit_bytes_rejected(self):
         comm = comm_model()
