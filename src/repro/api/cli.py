@@ -12,9 +12,10 @@ Four subcommands; the first three all run through the
   (:meth:`Study.from_spec`); ``--json -`` streams the ResultSet to
   stdout.
 * ``repro serve`` — long-lived study worker for the ``remote``
-  backend: accepts scenario shards over TCP, prices them on a local
-  pool, and (with ``--cache-dir``) answers repeats from a shared
-  federated cache store (:mod:`repro.distrib`).
+  backend: accepts scenario shards over TCP, prices them on one
+  evaluation thread (run more processes to scale out), and (with
+  ``--cache-dir``) answers repeats from a shared federated cache store
+  (:mod:`repro.distrib`).
 
 Every command exits non-zero on bad input with the eager validation
 errors of the underlying API (unknown axes, backends, objectives).
@@ -213,8 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default 0 = OS-assigned; the "
                             "resolved port is printed on stdout)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="local evaluation threads (default 2)")
     serve.add_argument("--cache-dir", default=None,
                        help="serve a federated cache store from this dir "
                             "(content-addressed, shared across clients)")
@@ -395,7 +394,6 @@ def _cmd_serve(args) -> int:
     return serve(
         args.host,
         args.port,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         max_entries=args.max_entries,
         max_bytes=args.max_bytes,

@@ -6,7 +6,8 @@ The step from library to service, on nothing but the standard library:
   versioned handshake every connection starts with.
 * :mod:`repro.distrib.server` — :class:`StudyServer` and the
   ``python -m repro serve`` entry point: a long-lived worker that
-  executes submitted shards on a local thread pool and streams results.
+  evaluates submitted shards on one thread and streams results; scale
+  out by running more of them.
 * :mod:`repro.distrib.backend` — :class:`RemoteBackend`, registered as
   ``"remote"`` in :mod:`repro.api.backends`: shards a grid across the
   fleet named by :data:`~repro.distrib.backend.ENDPOINTS_ENV`,
@@ -16,10 +17,12 @@ The step from library to service, on nothing but the standard library:
 
 Quickstart (two shells)::
 
-    $ python -m repro serve --port 7341 --workers 4 --cache-dir /var/repro/store
+    $ python -m repro serve --port 7341 --cache-dir /var/repro/store
     listening on 127.0.0.1:7341
+    $ python -m repro serve --port 7342 --cache-dir /var/repro/store
+    listening on 127.0.0.1:7342
 
-    $ REPRO_REMOTE_WORKERS=127.0.0.1:7341 \\
+    $ REPRO_REMOTE_WORKERS=127.0.0.1:7341,127.0.0.1:7342 \\
       python -m repro sweep --smoke --backend remote
 
 This package is imported lazily — selecting ``backend="remote"`` is

@@ -8,18 +8,16 @@ facade, or the caller changing at all.
 
 How it honors the backend contract (``[fn(item) for item in items]``,
 order preserved) over a JSON wire: the ``fn`` the runner hands every
-backend is a :func:`functools.partial` stack over module-level wrapper
-functions (memo bound / retry policy / observation — see
-:meth:`SweepRunner._bound_evaluate
-<repro.sweep.runner.SweepRunner._bound_evaluate>`).  This backend
-*unwraps* that stack back into the execution spec it encodes, ships the
-spec plus the scenario dicts in a ``submit`` frame, and the server
-rebuilds the identical stack around the same objective — resolved by
-registry name or imported by qualified name, the process-backend pickle
-contract.  Results stream back one frame per scenario and are
-reassembled into the values dicts (reserved keys reattached) the
-runner's fold loop already understands, so caching, manifests, resume,
-keep-going, and metrics work unchanged.
+backend is the bare objective or a :class:`~repro.sweep.runner
+.Execution` (memo bound / retry policy / observation).  This backend
+ships the execution's :meth:`~repro.sweep.runner.Execution
+.submit_fields` plus the scenario dicts in a ``submit`` frame, and the
+server rebuilds the identical execution around the same objective —
+resolved by registry name or imported by qualified name, the
+process-backend pickle contract.  Results stream back one frame per
+scenario and are reassembled into the values dicts (reserved keys
+reattached) the runner's fold loop already understands, so caching,
+manifests, resume, keep-going, and metrics work unchanged.
 
 Failure model: a connection that dies or goes silent (no result or
 heartbeat within ``heartbeat_timeout``) marks that *host* dead; its
@@ -43,7 +41,6 @@ cache files, keeping those byte-identical to a serial run).
 
 from __future__ import annotations
 
-import functools
 import os
 import socket
 import threading
@@ -67,15 +64,9 @@ from repro.sweep.resilience import (
     ERROR_KEY,
     ScenarioError,
     WorkerCrashError,
-    error_payload,
+    kept_crash,
 )
-from repro.sweep.runner import (
-    CACHE_STATS_KEY,
-    OBS_KEY,
-    _bound_call,
-    _observed_call,
-    _resilient_call,
-)
+from repro.sweep.runner import CACHE_STATS_KEY, OBS_KEY, Execution
 
 #: Environment variable naming the worker fleet:
 #: ``host:port,host:port,...`` — read at :meth:`RemoteBackend.map` time,
@@ -115,43 +106,6 @@ class _ShardFatal(Exception):
     def __init__(self, cause: Exception) -> None:
         super().__init__(str(cause))
         self.cause = cause
-
-
-def _unwrap_evaluator(fn: Callable) -> tuple[Callable, dict]:
-    """Peel the runner's wrapper stack off ``fn`` into an execution spec.
-
-    Returns ``(objective, spec)`` where spec carries ``retry`` /
-    ``on_error`` / ``max_entries`` / ``observed`` / ``run_t0`` — the
-    exact knobs :func:`repro.distrib.server.build_evaluator` uses to
-    rebuild the stack server-side.  An unrecognized partial layer (a
-    third-party wrapper this backend cannot serialize) fails loudly.
-    """
-    spec = {
-        "retry": None,
-        "on_error": "raise",
-        "max_entries": None,
-        "observed": False,
-        "run_t0": 0.0,
-    }
-    while isinstance(fn, functools.partial):
-        target = fn.func
-        if target is _observed_call:
-            spec["observed"] = True
-            spec["run_t0"] = fn.args[1]
-        elif target is _resilient_call:
-            spec["retry"] = fn.args[1].to_dict()
-            spec["on_error"] = fn.args[2]
-        elif target is _bound_call:
-            spec["max_entries"] = fn.args[1]
-        else:
-            raise TypeError(
-                f"the remote backend cannot serialize the wrapper "
-                f"{getattr(target, '__qualname__', target)!r}; pass the "
-                f"objective (and retry/observe options) through the "
-                f"Study/SweepRunner knobs instead of pre-wrapping it"
-            )
-        fn = fn.args[0]
-    return fn, spec
 
 
 def _objective_spec(objective: Callable) -> dict:
@@ -236,11 +190,11 @@ class RemoteBackend(Backend):
         items = list(items)
         if not items:
             return []
-        objective, spec = _unwrap_evaluator(fn)
+        execution = fn if isinstance(fn, Execution) else Execution(fn)
         submit_base = {
             "type": "submit",
-            "objective": _objective_spec(objective),
-            **spec,
+            "objective": _objective_spec(execution.objective),
+            **execution.submit_fields(),
         }
         endpoints = self.endpoints()
         observing = _obs_active()
@@ -326,7 +280,7 @@ class RemoteBackend(Backend):
         if fatal is not None:
             raise fatal.cause
         if pending:
-            self._fail_pending(pending, items, results, spec)
+            self._fail_pending(pending, items, results, execution.on_error)
         # A scenario rescued from a dead host carries its lost dispatches
         # in the attempt count (the proof recovery re-ran it, mirroring
         # how resumed runs accumulate attempts across manifests).
@@ -452,29 +406,27 @@ class RemoteBackend(Backend):
         )
 
     def _fail_pending(
-        self, pending: list, items: list, results: dict, spec: dict
+        self, pending: list, items: list, results: dict, on_error: str
     ) -> None:
         """Every host is gone with work unfinished — fail like the
         process backend's exhausted-pool path does."""
         pending_scenarios = tuple(items[i] for i in pending)
-        if spec["on_error"] != "keep":
+        message = (
+            f"all remote workers failed; {len(pending)} scenario(s) "
+            f"unfinished"
+        )
+        if on_error != "keep":
             raise WorkerCrashError(
-                f"all remote workers failed; {len(pending)} scenario(s) "
-                f"unfinished",
+                message,
                 scenario=pending_scenarios[0],
                 pending=pending_scenarios,
             )
         for i in pending:
-            crash = WorkerCrashError(
-                f"all remote workers failed; {len(pending)} scenario(s) "
-                f"unfinished",
-                scenario=items[i],
-                pending=pending_scenarios,
+            results[i] = kept_crash(
+                WorkerCrashError(
+                    message, scenario=items[i], pending=pending_scenarios
+                )
             )
-            results[i] = {
-                ERROR_KEY: error_payload(crash),
-                ATTEMPTS_KEY: 1,
-            }
 
 
 def _apply_dispatch_failures(values: dict, extra: int) -> dict:

@@ -13,11 +13,13 @@ frame type     meaning
 ``welcome``    server -> client: handshake accepted (echoes versions)
 ``reject``     server -> client: version skew or malformed handshake; the
                connection is closed after this frame
-``submit``     client -> server: one shard — objective spec, scenario dicts,
-               retry policy, on_error, memo bound
+``submit``     client -> server: one shard — objective spec, the execution
+               fields (``retry`` policy, ``on_error``, ``max_entries`` memo
+               bound, ``observed``, ``run_t0``), scenario dicts
 ``result``     server -> client: one evaluated scenario (``i`` = shard index,
-               ``values`` with the runner's reserved keys intact, ``cached``
-               when the federated store answered it)
+               physical ``values``; the runner's reserved keys travel as
+               separate ``stats`` / ``attempts`` / ``error`` / ``obs``
+               fields; ``cached`` when the federated store answered it)
 ``heartbeat``  server -> client: liveness while a shard computes; a client
                that stops seeing these declares the host hung
 ``done``       server -> client: shard complete (``count`` results streamed,

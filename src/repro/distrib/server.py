@@ -1,23 +1,24 @@
 """The long-lived study server behind ``python -m repro serve``.
 
 A :class:`StudyServer` accepts connections speaking the
-:mod:`repro.distrib.protocol` frame vocabulary, executes submitted
-shards on a local thread pool, and streams one ``result`` frame per
+:mod:`repro.distrib.protocol` frame vocabulary, evaluates submitted
+shards on one evaluation thread, and streams one ``result`` frame per
 scenario back as it lands — interleaved with ``heartbeat`` frames so a
 client can tell "still computing" from "host hung".  Several clients
-may be connected at once; they share the server's worker pool (and its
-process-wide evaluator memos), which is exactly what a long-lived
-service wants under heavy traffic.
+may be connected at once; they queue on that thread and share the
+server's process-wide evaluator memos.  Pricing is pure Python and
+holds the GIL, so more threads only add contention: scale out by
+running more ``repro serve`` processes and listing them all in
+:data:`~repro.distrib.backend.ENDPOINTS_ENV`.
 
 Execution fidelity is the whole point: a submitted shard is evaluated
-through the *same* wrapper stack :class:`~repro.sweep.runner
-.SweepRunner` builds locally — the memo bound in scope
-(:func:`~repro.sweep.runner._bound_call`), the retry policy and
-keep-going semantics (:func:`~repro.sweep.runner._resilient_call`), and
-the observation sidecar (:func:`~repro.sweep.runner._observed_call`)
-when the client is observing — so a remote run computes byte-identical
-values to the serial reference and the client's fold loop, caching,
-manifest, and metrics all work unchanged on the streamed frames.
+through the *same* :class:`~repro.sweep.runner.Execution` the client's
+:class:`~repro.sweep.runner.SweepRunner` would run locally — the memo
+bound in scope, the retry policy and keep-going semantics, and the
+observation sidecar when the client is observing — rebuilt from the
+submit frame, so a remote run computes byte-identical values to the
+serial reference and the client's fold loop, caching, manifest, and
+metrics all work unchanged on the streamed frames.
 
 When constructed with a :class:`~repro.distrib.store.CacheStore`, the
 server consults it before computing (answered scenarios come back
@@ -28,13 +29,12 @@ work across submissions and server restarts.
 
 from __future__ import annotations
 
-import functools
 import importlib
 import os
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 from repro.distrib.protocol import (
     ProtocolError,
@@ -43,21 +43,9 @@ from repro.distrib.protocol import (
     server_handshake,
 )
 from repro.distrib.store import STORE_VERSION, CacheStore
-from repro.sweep.grid import Scenario, scenario_payload
-from repro.sweep.resilience import (
-    ATTEMPTS_KEY,
-    ERROR_KEY,
-    RetryPolicy,
-    SweepError,
-    error_payload,
-)
-from repro.sweep.runner import (
-    CACHE_STATS_KEY,
-    OBS_KEY,
-    _bound_call,
-    _observed_call,
-    _resilient_call,
-)
+from repro.sweep.grid import Scenario, objective_salt, scenario_payload
+from repro.sweep.resilience import SweepError, error_payload
+from repro.sweep.runner import Execution, pop_reserved
 from repro.testing.faults import WORKER_TAG_ENV
 
 #: Default seconds between ``heartbeat`` frames while a shard computes.
@@ -106,38 +94,12 @@ def resolve_objective(spec: dict):
     return obj
 
 
-def build_evaluator(objective, submit: dict):
-    """Rebuild the client runner's wrapper stack around ``objective``.
-
-    Mirrors :meth:`SweepRunner._bound_evaluate
-    <repro.sweep.runner.SweepRunner._bound_evaluate>` layer for layer
-    from the submit frame's execution spec, so every retry, backoff
-    sleep, fault-plan consultation, and kept-failure marker behaves
-    exactly as it would have locally.
-    """
-    fn = objective
-    max_entries = submit.get("max_entries")
-    if max_entries is not None:
-        fn = functools.partial(_bound_call, fn, max_entries)
-    retry = submit.get("retry")
-    on_error = submit.get("on_error", "raise")
-    if retry is not None or on_error == "keep":
-        policy = RetryPolicy(**retry) if retry else RetryPolicy()
-        fn = functools.partial(_resilient_call, fn, policy, on_error)
-    if submit.get("observed"):
-        fn = functools.partial(
-            _observed_call, fn, float(submit.get("run_t0") or 0.0)
-        )
-    return fn
-
-
 class StudyServer:
-    """Socket front-end + shared worker pool for remote shard execution.
+    """Socket front-end + one evaluation thread for remote shards.
 
-    ``workers`` bounds concurrent scenario evaluations across *all*
-    connections.  ``store`` (optional) is the federated
-    :class:`~repro.distrib.store.CacheStore` consulted before computing.
-    ``tag`` names this worker for fault-plan scoping: it is exported as
+    ``store`` (optional) is the federated :class:`~repro.distrib.store
+    .CacheStore` consulted before computing.  ``tag`` names this worker
+    for fault-plan scoping: it is exported as
     :data:`~repro.testing.faults.WORKER_TAG_ENV` so a
     :class:`~repro.testing.faults.Fault` with a ``worker`` field fires
     only on the server it targets.
@@ -148,18 +110,14 @@ class StudyServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 2,
         store: CacheStore | None = None,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         tag: str | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive seconds")
         self.host = host
         self.port = port
-        self.workers = workers
         self.store = store
         self.heartbeat_interval = heartbeat_interval
         self.tag = tag
@@ -178,7 +136,7 @@ class StudyServer:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "StudyServer":
-        """Bind, start the worker pool, and accept in a daemon thread."""
+        """Bind, start the evaluation thread, and accept in a daemon thread."""
         if self._sock is not None:
             raise RuntimeError("server already started")
         if self.tag is not None:
@@ -190,7 +148,7 @@ class StudyServer:
         self.port = sock.getsockname()[1]
         self._sock = sock
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
         self._stopping.clear()
         self._accept_thread = threading.Thread(
@@ -200,7 +158,7 @@ class StudyServer:
         return self
 
     def close(self) -> None:
-        """Stop accepting and shut the worker pool down."""
+        """Stop accepting and shut the evaluation thread down."""
         self._stopping.set()
         sock, self._sock = self._sock, None
         if sock is not None:
@@ -283,6 +241,7 @@ class StudyServer:
         self.shards_served += 1
         try:
             objective = resolve_objective(submit.get("objective"))
+            evaluate = Execution.from_submit(objective, submit)
             scenarios = [
                 Scenario(**fields) for fields in submit.get("scenarios", ())
             ]
@@ -295,8 +254,7 @@ class StudyServer:
                 },
             )
             return
-        salt = f"{objective.__module__}.{objective.__qualname__}"
-        evaluate = build_evaluator(objective, submit)
+        salt = objective_salt(objective)
 
         served = 0
         misses: list[tuple[int, Scenario]] = []
@@ -325,45 +283,31 @@ class StudyServer:
         pool = self._pool
         if pool is None:
             raise ProtocolError("server is shutting down")
-        futures = {
-            pool.submit(evaluate, scenario): (i, scenario)
-            for i, scenario in misses
-        }
-        pending = set(futures)
+        # One evaluation thread finishes a shard's futures in order.
+        futures = [(pool.submit(evaluate, sc), i, sc) for i, sc in misses]
         try:
-            while pending:
-                done, pending = wait(
-                    pending,
-                    timeout=self.heartbeat_interval,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
+            for future, i, scenario in futures:
+                while not wait([future], timeout=self.heartbeat_interval).done:
                     send_frame(sock, {"type": "heartbeat", "ts": time.time()})
-                    continue
-                for future in done:
-                    i, scenario = futures[future]
-                    try:
-                        values = future.result()
-                    except Exception as exc:
-                        # The shard fails as a whole (on_error="raise"
-                        # semantics — kept failures arrive as ERROR_KEY
-                        # rows, not exceptions).  Serialize and stop.
-                        payload = (
-                            error_payload(exc)
-                            if isinstance(exc, SweepError)
-                            else {
-                                "type": type(exc).__name__,
-                                "message": str(exc),
-                            }
-                        )
-                        payload.setdefault("scenario", scenario_payload(scenario))
-                        send_frame(sock, {"type": "error", "error": payload})
-                        return
-                    if not self._send_result(sock, i, scenario, values, salt):
-                        return
-                    served += 1
+                try:
+                    values = future.result()
+                except Exception as exc:
+                    # The shard fails as a whole (on_error="raise"
+                    # semantics — kept failures arrive as ERROR_KEY rows,
+                    # not exceptions).  Serialize and stop.
+                    payload = (
+                        error_payload(exc)
+                        if isinstance(exc, SweepError)
+                        else {"type": type(exc).__name__, "message": str(exc)}
+                    )
+                    payload.setdefault("scenario", scenario_payload(scenario))
+                    send_frame(sock, {"type": "error", "error": payload})
+                    return
+                if not self._send_result(sock, i, scenario, values, salt):
+                    return
+                served += 1
         finally:
-            for future in pending:
+            for future, _, _ in futures:
                 future.cancel()
         send_frame(
             sock,
@@ -380,10 +324,7 @@ class StudyServer:
         """Pop the runner's reserved keys into explicit frame fields,
         feed the store, and stream one ``result`` frame."""
         values = dict(values)
-        obs_blob = values.pop(OBS_KEY, None)
-        stats = values.pop(CACHE_STATS_KEY, None)
-        attempts = values.pop(ATTEMPTS_KEY, 1)
-        error = values.pop(ERROR_KEY, None)
+        stats, attempts, error, obs_blob = pop_reserved(values)
         if error is None and self.store is not None:
             self.store.put(
                 scenario, values, stats=stats, attempts=attempts, salt=salt
@@ -428,7 +369,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    workers: int = 2,
     cache_dir=None,
     max_entries: int | None = None,
     max_bytes: int | None = None,
@@ -453,7 +393,6 @@ def serve(
     server = StudyServer(
         host,
         port,
-        workers=workers,
         store=store,
         heartbeat_interval=heartbeat_interval,
         tag=tag,

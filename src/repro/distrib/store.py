@@ -27,18 +27,21 @@ separate type:
   :meth:`ResultSet.cache_stats <repro.api.result.ResultSet
   .cache_stats>`, :mod:`repro.obs` metrics, and ``run_report.json``.
 
-Entries are written write-then-rename (torn-read safe under concurrent
-serving threads and rsync), and the whole store is just files — two
-hosts can merge stores with ``rsync`` and the result is a valid store.
+Entries share the runner cache's format (:func:`~repro.sweep.grid
+.encode_entry` / :func:`~repro.sweep.grid.read_entry`) plus the stamp,
+are written write-then-rename (torn-read safe under concurrent readers
+and rsync), and the whole store is just files — two hosts can merge
+stores with ``rsync`` and the result is a valid store.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import threading
 from pathlib import Path
+
+from repro.obs.files import write_atomic
+from repro.sweep.grid import encode_entry, read_entry
 
 #: Entry-format version, stamped into every file and checked on read
 #: (and at connection handshake time).  Bump on any breaking change to
@@ -103,34 +106,15 @@ class CacheStore:
         (the LRU clock).  Undecodable, shape-foreign, version-skewed, or
         scenario-mismatched entries are dropped from the store and read
         as misses — a federated store must never serve a stale shape.
+        An entry that cannot be read right now stays: a plain miss.
         """
         path = self.path_for(scenario, salt)
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            if path.is_file():
-                self._discard(path, skew=True)
-            self._count("misses")
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != STORE_VERSION
-            or not isinstance(payload.get("values"), dict)
-        ):
+            hit = read_entry(path, scenario, STORE_VERSION)
+        except ValueError:
             self._discard(path, skew=True)
-            self._count("misses")
-            return None
-        # The stored scenario must round-trip the *current* Scenario
-        # dataclass back to this exact point (same check the runner's
-        # disk cache applies): a renamed axis or changed default from
-        # another library version reads as a miss, not a stale hit.
-        try:
-            from repro.sweep.grid import Scenario
-
-            if Scenario(**payload.get("scenario", {})) != scenario:
-                raise ValueError("entry resolves to a different scenario")
-        except (TypeError, ValueError):
-            self._discard(path, skew=True)
+            hit = None
+        if hit is None:
             self._count("misses")
             return None
         try:
@@ -138,14 +122,8 @@ class CacheStore:
         except OSError:
             pass  # concurrently evicted: the payload in hand is still good
         self._count("hits")
-        attempts = payload.get("attempts", 1)
-        if not isinstance(attempts, int) or attempts < 1:
-            attempts = 1
-        return {
-            "values": payload["values"],
-            "evaluator_cache": payload.get("evaluator_cache"),
-            "attempts": attempts,
-        }
+        values, stats, attempts = hit
+        return {"values": values, "evaluator_cache": stats, "attempts": attempts}
 
     # -- write -----------------------------------------------------------------
     def put(
@@ -159,27 +137,11 @@ class CacheStore:
     ) -> Path:
         """Store one computed scenario (write-then-rename), then evict
         down to the configured bounds (never evicting the fresh entry)."""
-        from repro.sweep.grid import scenario_payload
-
         path = self.path_for(scenario, salt)
-        payload = {
-            "version": STORE_VERSION,
-            "scenario": scenario_payload(scenario),
-            "values": values,
-        }
-        if stats is not None:
-            payload["evaluator_cache"] = stats
-        if attempts > 1:
-            payload["attempts"] = attempts
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(
+            path,
+            encode_entry(scenario, values, stats, attempts, version=STORE_VERSION),
+        )
         self._count("puts")
         self._evict(keep=path)
         return path

@@ -12,7 +12,7 @@ Everything the observability layer sees flows through here as
   transport: a pool worker has no live subscribers, so the runner's
   evaluation wrapper pushes a collector, lets the events accumulate,
   and ships them back to the parent inside the values dict (the
-  "sidecar"; see ``repro.sweep.runner._observed_call``).
+  "sidecar"; see ``repro.sweep.runner.Execution``).
 
 Pay-for-what-you-use is enforced structurally: every instrumented call
 site guards its field construction with :func:`active`, and with no

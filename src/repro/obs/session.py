@@ -62,11 +62,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import threading
 import time
 
 from repro.obs import bus
+from repro.obs.files import write_atomic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -79,20 +79,8 @@ RUN_REPORT_VERSION = 1
 
 def write_json_atomic(path, payload: dict) -> str:
     """Write ``payload`` as JSON via write-then-rename (torn-read safe)."""
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    return write_atomic(path, text + "\n")
 
 
 class ProgressLine:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
+
+from repro.obs.files import write_atomic
 
 
 class Tracer:
@@ -115,16 +116,4 @@ class Tracer:
 
     def save(self, path) -> str:
         """Atomic write-then-rename, like the cache files and manifest."""
-        path = os.fspath(path)
-        parent = os.path.dirname(path) or "."
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_chrome_trace())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return write_atomic(path, self.to_chrome_trace())

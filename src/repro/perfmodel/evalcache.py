@@ -80,7 +80,9 @@ class _LruMemo:
             try:
                 self._data.move_to_end(key)
             except KeyError:
-                pass  # concurrently evicted (server thread pool); value stands
+                # Evicted by another thread sharing this evaluator (user
+                # threads may share a context); the value in hand stands.
+                pass
         return value
 
     def __setitem__(self, key, value) -> None:

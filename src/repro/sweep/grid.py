@@ -15,7 +15,9 @@ pinned-n PipeMoE points) stay declarative.
 
 Scenarios are frozen, hashable and JSON-stable: :meth:`Scenario.key`
 digests the field dict (via :func:`scenario_payload`), which is what
-the runner's on-disk cache and the worker-process fan-out key on.  New
+the runner's on-disk cache and the worker-process fan-out key on; that
+cache and the federated store share one entry format
+(:func:`encode_entry` / :func:`read_entry`).  New
 fields extend the digest *when set*, so grids crossing a new axis
 re-evaluate as cache misses — never as stale hits — while fields at
 their "axis absent" default are omitted from the payload and old cache
@@ -29,6 +31,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.config import PRESETS
@@ -253,6 +256,71 @@ def scenario_payload(scenario: Scenario) -> dict:
     if payload.get("placement") is None:
         del payload["placement"]
     return payload
+
+
+def objective_salt(objective) -> str:
+    """The :meth:`Scenario.key` salt for an objective's results: its
+    qualified name, so two objectives never share a cache entry."""
+    return f"{objective.__module__}.{objective.__qualname__}"
+
+
+def encode_entry(
+    scenario: Scenario,
+    values: dict,
+    stats: dict | None = None,
+    attempts: int = 1,
+    version: int | None = None,
+) -> str:
+    """The text of one cache entry: the runner's disk cache writes it,
+    and the federated store writes it with its ``version`` stamp.
+
+    ``stats`` and ``attempts`` are written only when present and above
+    one, so first-try entries keep the bytes they have always had.
+    """
+    # scenario_payload(), not __dict__: that would leak the memoized
+    # hash slot and name axis-absent defaults old entries never had.
+    payload = {"scenario": scenario_payload(scenario), "values": values}
+    if version is not None:
+        payload["version"] = version
+    if stats is not None:
+        payload["evaluator_cache"] = stats
+    if attempts > 1:
+        payload["attempts"] = attempts
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def read_entry(path, scenario: Scenario, version: int | None = None):
+    """Read and verify one :func:`encode_entry` file.
+
+    Returns ``(values, stats, attempts)`` on a hit, or ``None`` when the
+    file is absent or cannot be read right now — a plain miss that
+    leaves it alone.  Raises :class:`ValueError` for a bad entry:
+    undecodable bytes, a foreign shape, a ``version`` stamp other than
+    the given one, or a stored scenario that no longer round-trips the
+    current :class:`Scenario` to this exact point (an entry written by
+    another library version must never be served as a stale hit).
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError:
+        return None
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("values"), dict
+    ):
+        raise ValueError("not a cache entry")
+    if version is not None and payload.get("version") != version:
+        raise ValueError(f"entry is not version {version}")
+    try:
+        stored = Scenario(**payload.get("scenario", {}))
+    except TypeError as exc:
+        raise ValueError(f"entry scenario does not round-trip: {exc}") from exc
+    if stored != scenario:
+        raise ValueError("entry resolves to a different scenario")
+    attempts = payload.get("attempts", 1)
+    if not isinstance(attempts, int) or attempts < 1:
+        attempts = 1
+    return payload["values"], payload.get("evaluator_cache"), attempts
 
 
 #: Grid axis name -> the :class:`Scenario` field it populates, in the

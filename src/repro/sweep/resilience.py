@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -46,6 +44,7 @@ from typing import Callable
 from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 from repro.obs.bus import label_of as _label_of
+from repro.obs.files import write_atomic
 
 #: Reserved values-dict key carrying the attempt count out of the retry
 #: loop (popped by the runner into :attr:`SweepResult.attempts`).
@@ -178,6 +177,24 @@ def error_payload(exc: SweepError) -> dict:
     }
 
 
+def kept_crash(crash: WorkerCrashError) -> dict:
+    """The kept row (``on_error="keep"``) of a scenario lost with its
+    pool worker or remote host.
+
+    Its evaluation never reported back, so no span was recorded for it;
+    the failure surfaces as a ``scenario.failed`` instant instead.
+    """
+    if _obs_active():
+        _obs_emit(
+            "scenario.failed",
+            label=_label_of(crash.scenario),
+            error="WorkerCrashError",
+            attempts=1,
+            ts=time.time(),
+        )
+    return {ERROR_KEY: error_payload(crash), ATTEMPTS_KEY: 1}
+
+
 # -- retry policy -------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -285,6 +302,7 @@ def run_with_policy(
     scenario,
     policy: RetryPolicy,
     on_error: str = "raise",
+    on_timeout: Callable | None = None,
 ) -> dict:
     """Evaluate one scenario under a retry policy.
 
@@ -293,6 +311,8 @@ def run_with_policy(
     re-raises the final taxonomy error; ``on_error="keep"`` returns a
     marker dict (:data:`ERROR_KEY` -> :func:`error_payload`) so the
     whole sweep keeps going and the failure becomes data.
+    ``on_timeout(scenario)`` runs after each timed-out attempt, before
+    the next one starts.
 
     The active fault-injection plan (:mod:`repro.testing.faults`) is
     consulted inside the timed section, so injected hangs trip the
@@ -338,6 +358,8 @@ def run_with_policy(
             raise
         except Exception as exc:
             last = _classify(exc, scenario, attempt)
+            if on_timeout is not None and isinstance(last, SweepTimeoutError):
+                on_timeout(scenario)
             if observing:
                 _obs_emit(
                     "scenario.attempt",
@@ -452,13 +474,4 @@ class RunManifest:
             "grid": self.grid_hash,
             "slots": self.slots,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(self.path, json.dumps(payload, indent=1, sort_keys=True))

@@ -25,8 +25,8 @@ pickle contract).
 
 Both built-in evaluators resolve their :class:`SystemContext` through a
 process-wide pool (:func:`shared_context`), so every scenario evaluated
-in one process — serially, inside one pool worker, or on any thread of
-a ``python -m repro serve`` worker's shard pool — shares the context's
+in one process — serially, inside one pool worker, or on a
+``python -m repro serve`` worker — shares the context's
 memoized :class:`~repro.perfmodel.evalcache.Evaluator`: stage costs,
 compiled-timeline makespans and footprints computed for one scenario
 are reused by every later scenario at the same (world size, hetero
@@ -39,11 +39,9 @@ the JSON cache files.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
-import functools
-import json
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -62,6 +60,7 @@ from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 from repro.obs.bus import label_of as _label_of
 from repro.obs.bus import pop_collector, push_collector
+from repro.obs.files import write_atomic
 from repro.obs.session import ObsSession
 from repro.sweep.resilience import (
     ATTEMPTS_KEY,
@@ -71,8 +70,8 @@ from repro.sweep.resilience import (
     RunManifest,
     ScenarioError,
     WorkerCrashError,
-    error_payload,
     grid_digest,
+    kept_crash,
     run_with_policy,
 )
 from repro.config import DGX_A100_CLUSTER, MoELayerSpec, get_preset
@@ -81,7 +80,13 @@ from repro.hardware.hetero import HeteroClusterSpec, StragglerModel
 from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.placeopt import PlacementProblem, optimize_placement
 from repro.perfmodel.workload import WorkloadSpec
-from repro.sweep.grid import Scenario, ScenarioGrid, scenario_payload
+from repro.sweep.grid import (
+    Scenario,
+    ScenarioGrid,
+    encode_entry,
+    objective_salt,
+    read_entry,
+)
 from repro.systems import (
     FastMoEModel,
     FasterMoEModel,
@@ -100,12 +105,27 @@ Evaluator = Callable[[Scenario], dict]
 CACHE_STATS_KEY = "_evaluator_cache"
 
 #: Key under which an observed evaluation attaches its event sidecar
-#: (``{"pid": ..., "events": [(name, fields), ...]}``).  The fold loop
-#: pops it out of ``values`` before anything else; sidecars recorded in
-#: another process (pool workers have no live subscribers) are replayed
-#: onto the parent's bus, same-process ones were already delivered live.
-#: Never cached, never surfaced in results.
+#: (``{"pid": ..., "events": [(name, fields), ...]}``).  Sidecars
+#: recorded in another process (pool workers have no live subscribers)
+#: are replayed onto the parent's bus, same-process ones were already
+#: delivered live.  Never cached, never surfaced in results.
 OBS_KEY = "_sweep_obs"
+
+
+def pop_reserved(values: dict) -> tuple:
+    """Pop the reserved keys out of one evaluated values dict, in place.
+
+    Returns ``(cache stats, attempts, error, obs sidecar)`` — what the
+    runner's fold loop and a ``repro serve`` result frame carry beside
+    the physical values.
+    """
+    return (
+        values.pop(CACHE_STATS_KEY, None),
+        values.pop(ATTEMPTS_KEY, 1),
+        values.pop(ERROR_KEY, None),
+        values.pop(OBS_KEY, None),
+    )
+
 
 #: Process-wide context pool, keyed by (world size, hetero spec).
 #: Worker processes each grow their own copy (the pool is never
@@ -158,71 +178,110 @@ def _default_max_entries() -> int | None:
     return int(raw) if raw else None
 
 
-def _bound_call(evaluate: "Evaluator", bound: int, scenario: "Scenario"):
-    """Run one evaluation with the runner's memo bound in scope.
-
-    Module-level (and applied via :func:`functools.partial`) so
-    process-backend workers can unpickle it; the context variable is
-    set inside the worker, where the shared contexts actually live.
-    """
-    token = _MEMO_BOUND.set(bound)
+@contextlib.contextmanager
+def _memo_bound(bound: int | None):
+    """Scope a per-run memo bound to the evaluations inside the block."""
+    token = None if bound is None else _MEMO_BOUND.set(bound)
     try:
-        return evaluate(scenario)
+        yield
     finally:
-        _MEMO_BOUND.reset(token)
+        if token is not None:
+            _MEMO_BOUND.reset(token)
 
 
-def _resilient_call(
-    evaluate: Callable, policy: RetryPolicy, on_error: str, scenario: "Scenario"
-):
-    """One scenario under the retry policy; module-level so the process
-    backend can pickle it (wrapped via :func:`functools.partial`)."""
-    return run_with_policy(evaluate, scenario, policy, on_error=on_error)
+@dataclass(frozen=True)
+class Execution:
+    """How a run evaluates each scenario, as one picklable object.
 
-
-def _observed_call(evaluate: Callable, run_t0: float, scenario: "Scenario"):
-    """One observed evaluation: a ``scenario.span`` plus the event
-    sidecar attached under :data:`OBS_KEY`.
-
-    Module-level (applied via :func:`functools.partial`) so process
-    backends can pickle it.  It does *not* gate on the bus being active:
-    the wrapper is only installed when the runner holds an
-    :class:`~repro.obs.session.ObsSession`, and inside a fresh pool
-    worker nothing is subscribed yet — pushing the collector is exactly
-    what makes the inner layers' emissions observable there.  The
-    un-wrapped evaluator (obs off) stays byte-identical to before.
+    Layers, innermost first: the objective with the run's memo bound in
+    scope (a context variable, so concurrent runners with different
+    bounds never see each other's), the retry policy with its
+    ``on_error`` semantics, and — when the run is observed — a
+    ``scenario.span`` covering retries and backoff plus the event
+    sidecar under :data:`OBS_KEY`.  The process backend pickles it to
+    its workers; the remote backend ships :meth:`submit_fields` in its
+    ``submit`` frame and the server rebuilds it with :meth:`from_submit`.
+    Keep-going without a policy runs under the default one.
     """
-    events: list = []
-    token = push_collector(events)
-    start_ts = time.time()
-    p0 = time.perf_counter()
-    try:
-        values = evaluate(scenario)
-    except BaseException as exc:
-        _obs_emit(
-            "scenario.span",
-            label=_label_of(scenario),
-            ok=False,
-            attempts=1,
-            error=type(exc).__name__,
-            ts=start_ts,
-            dur=time.perf_counter() - p0,
-            queue_s=start_ts - run_t0,
+
+    objective: Callable
+    max_entries: int | None = None
+    retry: RetryPolicy | None = None
+    on_error: str = "raise"
+    observed: bool = False
+    run_t0: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.retry is None and self.on_error == "keep":
+            object.__setattr__(self, "retry", RetryPolicy())
+
+    @classmethod
+    def from_submit(cls, objective: Callable, frame: dict) -> "Execution":
+        """The execution a ``submit`` frame describes, around ``objective``."""
+        retry = frame.get("retry")
+        return cls(
+            objective,
+            max_entries=frame.get("max_entries"),
+            retry=RetryPolicy(**retry) if retry else None,
+            on_error=frame.get("on_error", "raise"),
+            observed=bool(frame.get("observed")),
+            run_t0=float(frame.get("run_t0") or 0.0),
         )
-        pop_collector(token)
-        raise
-    _obs_emit(
-        "scenario.span",
-        label=_label_of(scenario),
-        ok=ERROR_KEY not in values,
-        attempts=values.get(ATTEMPTS_KEY, 1),
-        ts=start_ts,
-        dur=time.perf_counter() - p0,
-        queue_s=start_ts - run_t0,
-    )
-    pop_collector(token)
-    values[OBS_KEY] = {"pid": os.getpid(), "events": events}
-    return values
+
+    def submit_fields(self) -> dict:
+        """The execution fields of a ``submit`` frame, in wire order."""
+        return {
+            "retry": None if self.retry is None else self.retry.to_dict(),
+            "on_error": self.on_error,
+            "max_entries": self.max_entries,
+            "observed": self.observed,
+            "run_t0": self.run_t0,
+        }
+
+    def __call__(self, scenario: Scenario) -> dict:
+        if not self.observed:
+            return self._attempts(scenario)
+        # No gate on the bus being active: inside a fresh pool worker
+        # nothing is subscribed yet, and pushing the collector is exactly
+        # what makes the inner layers' emissions observable there.
+        events: list = []
+        token = push_collector(events)
+        start_ts = time.time()
+        p0 = time.perf_counter()
+        span: dict = {"label": _label_of(scenario)}
+        try:
+            values = self._attempts(scenario)
+        except BaseException as exc:
+            span.update(ok=False, attempts=1, error=type(exc).__name__)
+            raise
+        else:
+            span.update(
+                ok=ERROR_KEY not in values,
+                attempts=values.get(ATTEMPTS_KEY, 1),
+            )
+            values[OBS_KEY] = {"pid": os.getpid(), "events": events}
+            return values
+        finally:
+            _obs_emit(
+                "scenario.span",
+                **span,
+                ts=start_ts,
+                dur=time.perf_counter() - p0,
+                queue_s=start_ts - self.run_t0,
+            )
+            pop_collector(token)
+
+    def _attempts(self, scenario: Scenario) -> dict:
+        if self.retry is None:
+            return self._bounded(scenario)
+        return run_with_policy(
+            self._bounded, scenario, self.retry, on_error=self.on_error,
+            on_timeout=_drop_context,
+        )
+
+    def _bounded(self, scenario: Scenario) -> dict:
+        with _memo_bound(self.max_entries):
+            return self.objective(scenario)
 
 
 def shared_context(
@@ -250,6 +309,19 @@ def shared_context(
                 _CONTEXTS.pop(next(iter(_CONTEXTS)))
             _CONTEXTS[key] = ctx
     return ctx
+
+
+def _drop_context(scenario: Scenario) -> None:
+    """Forget the scenario's shared context after a timed-out attempt.
+
+    The abandoned attempt's watchdog thread keeps evaluating while it
+    holds the context's ``sweep_lock``; once the context leaves the
+    pool, the retry and every later scenario on this cluster start on a
+    fresh one instead of queueing behind the orphan.
+    """
+    key = (scenario.world_size, scenario_hetero(scenario))
+    with _POOL_LOCK:
+        _CONTEXTS.pop(key, None)
 
 
 def scenario_hetero(scenario: Scenario) -> HeteroClusterSpec | None:
@@ -414,9 +486,10 @@ def evaluate_system(scenario: Scenario) -> dict:
     # Lowering (the placement optimizer included) touches no evaluator
     # memo, so it runs before the lock instead of stalling it.
     spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
-    # The context lock makes (snapshot, evaluate, snapshot) atomic so
-    # scenarios a ``repro serve`` worker prices concurrently on its shard
-    # thread pool cannot misattribute each other's cache hits;
+    # The context lock makes (snapshot, evaluate, snapshot) atomic, so
+    # scenarios priced concurrently on one context — by runners on user
+    # threads, or beside a timed-out attempt still running on its
+    # watchdog thread — cannot misattribute each other's cache hits;
     # same-context evaluations would contend on the GIL anyway, and
     # different contexts still proceed concurrently.
     with ctx.sweep_lock:
@@ -589,7 +662,7 @@ class SweepRunner:
     ``evaluator_max_entries`` bounds every shared context's memo (LRU)
     for grids too large to cache whole.  The bound travels with each
     evaluation (a :class:`~contextvars.ContextVar` set around the call,
-    pickled into process-backend workers via the wrapped evaluator), so
+    pickled into process-backend workers via the :class:`Execution`), so
     concurrent runners with different bounds coexist; the
     :data:`MAX_MEMO_ENTRIES_ENV` environment variable remains the
     process-wide fallback.  Contexts created before the run keep their
@@ -615,11 +688,14 @@ class SweepRunner:
     :class:`~repro.sweep.resilience.RetryPolicy` (or an int, shorthand
     for ``RetryPolicy(max_attempts=retry)``) giving each scenario
     bounded re-attempts with deterministic backoff and an optional
-    per-attempt timeout.  ``on_error`` picks the partial-failure
-    semantics: ``"raise"`` (the default — the first failing scenario
-    propagates, exactly today's behavior) or ``"keep"``, which turns
-    failures into ``SweepResult(ok=False, error=...)`` rows so one bad
-    point cannot sink a thousand-point sweep.  ``resume=True`` replays
+    per-attempt timeout (a timed-out attempt keeps running on its
+    abandoned thread, so its cluster's shared context leaves the pool
+    and the retry starts on a fresh one).  ``on_error`` picks the
+    partial-failure semantics: ``"raise"`` (the default — the first
+    failing scenario propagates, exactly today's behavior) or
+    ``"keep"``, which turns failures into ``SweepResult(ok=False,
+    error=...)`` rows so one bad point cannot sink a thousand-point
+    sweep.  ``resume=True`` replays
     a previous run from the ``manifest.json`` written next to the cache
     files, re-executing only failed-or-missing points and accumulating
     attempt counts across runs.  With all three at their defaults the
@@ -681,7 +757,7 @@ class SweepRunner:
         self.obs = obs
         #: Cache entries quarantined (renamed ``*.json.corrupt``) so far.
         self.quarantined = 0
-        self._salt = f"{evaluate.__module__}.{evaluate.__qualname__}"
+        self._salt = objective_salt(evaluate)
 
     @property
     def _resilient(self) -> bool:
@@ -713,35 +789,13 @@ class SweepRunner:
         self, scenario: Scenario
     ) -> tuple[dict, dict | None, int] | None:
         path = self.cache_path(scenario)
-        if path is None or not path.is_file():
+        if path is None:
             return None
         try:
-            payload = json.loads(path.read_text())
-        except OSError:
-            return None  # transiently unreadable: miss, but do not touch it
-        except json.JSONDecodeError:
-            self._quarantine(path)  # undecodable bytes: torn or corrupted
+            return read_entry(path, scenario)
+        except ValueError:
+            self._quarantine(path)  # torn, corrupt, foreign or skewed
             return None
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("values"), dict
-        ):
-            self._quarantine(path)  # foreign/corrupt entry shape
-            return None
-        # Version-skew check: the stored scenario payload must round-trip
-        # the *current* Scenario dataclass back to this exact point.  An
-        # entry written by an older/newer library (extra field, renamed
-        # axis, changed default) fails here and is quarantined rather
-        # than served as a stale hit under a colliding key.
-        try:
-            if Scenario(**payload.get("scenario", {})) != scenario:
-                raise ValueError("cache entry resolves to a different scenario")
-        except (TypeError, ValueError):
-            self._quarantine(path)
-            return None
-        attempts = payload.get("attempts", 1)
-        if not isinstance(attempts, int) or attempts < 1:
-            attempts = 1
-        return payload["values"], payload.get("evaluator_cache"), attempts
 
     def _cache_store(
         self,
@@ -751,28 +805,8 @@ class SweepRunner:
         attempts: int = 1,
     ) -> None:
         path = self.cache_path(scenario)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # scenario_payload(), not __dict__: the latter would leak the
-        # memoized __hash__ slot Scenario caches on first use into the
-        # JSON file (and axis-absent defaults must stay omitted so old
-        # entries stay byte-identical).
-        payload = {"scenario": scenario_payload(scenario), "values": values}
-        if stats is not None:
-            payload["evaluator_cache"] = stats
-        if attempts > 1:  # only written when retries happened: healthy
-            payload["attempts"] = attempts  # runs keep byte-stable files
-        # Write-then-rename so concurrent sweeps never read a torn file.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        if path is not None:
+            write_atomic(path, encode_entry(scenario, values, stats, attempts))
 
     # -- running ---------------------------------------------------------------
     def run(self, scenarios: ScenarioGrid | Iterable[Scenario]) -> list[SweepResult]:
@@ -803,31 +837,23 @@ class SweepRunner:
             obs.run_end(summary, cache_dir=self.cache_dir)
 
     def _bound_evaluate(self) -> Callable:
-        """The evaluator, carrying this runner's memo bound if it has one.
-
-        The previous implementation exported ``evaluator_max_entries``
-        through the process environment for the duration of the run and
-        restored it afterwards — two runners with different bounds (or
-        one bounded, one not) running concurrently would clobber each
-        other's value.  The bound now rides a context variable set
-        around each call, scoped to the evaluating thread or worker.
-
-        When the runner is resilient the retry loop wraps *outside* the
-        memo-bound wrapper — each attempt gets the bound in scope — and
-        the whole stack stays a :func:`functools.partial` over
-        module-level functions, so process-backend workers unpickle it.
-        """
-        fn: Callable = self.evaluate
-        if self.evaluator_max_entries is not None:
-            fn = functools.partial(_bound_call, fn, self.evaluator_max_entries)
-        if self._resilient:
-            policy = self.retry if self.retry is not None else RetryPolicy()
-            fn = functools.partial(_resilient_call, fn, policy, self.on_error)
-        if self.obs is not None:
-            # Outermost, so the span covers retries and backoff sleeps
-            # and the collector is in place before any inner layer emits.
-            fn = functools.partial(_observed_call, fn, self.obs.run_t0)
-        return fn
+        """What the backend maps over the misses: the bare objective, or
+        an :class:`Execution` carrying this run's memo bound, retry
+        policy, ``on_error`` semantics and observation."""
+        if (
+            self.evaluator_max_entries is None
+            and not self._resilient
+            and self.obs is None
+        ):
+            return self.evaluate
+        return Execution(
+            self.evaluate,
+            max_entries=self.evaluator_max_entries,
+            retry=self.retry,
+            on_error=self.on_error,
+            observed=self.obs is not None,
+            run_t0=self.obs.run_t0 if self.obs is not None else 0.0,
+        )
 
     def _use_batch_path(self, misses: list[Scenario]) -> bool:
         """Whether this run's misses go through the whole-grid pass."""
@@ -865,20 +891,15 @@ class SweepRunner:
 
         Calls :func:`~repro.perfmodel.batcheval.batch_map` directly
         (not through :meth:`_bound_evaluate`) because the batched-twin
-        registry is keyed by evaluator identity — a wrapped partial
+        registry is keyed by evaluator identity — an :class:`Execution`
         would silently fall back to the serial loop.  Once the pass
         returns, its points count as computed, one attempt each
         (``batch.pass``); a pass measures no per-scenario wall time.
         """
         from repro.perfmodel.batcheval import batch_map
 
-        bound = self.evaluator_max_entries
-        token = None if bound is None else _MEMO_BOUND.set(bound)
-        try:
+        with _memo_bound(self.evaluator_max_entries):
             computed = batch_map(self.evaluate, misses)
-        finally:
-            if token is not None:
-                _MEMO_BOUND.reset(token)
         if _obs_active():
             _obs_emit("batch.pass", scenarios=len(computed))
         return computed
@@ -908,26 +929,14 @@ class SweepRunner:
                 cause=exc,
             ) from exc
         computed: list[dict] = []
-        for i in range(len(misses)):
+        for i, sc in enumerate(misses):
             if i in partial:
                 computed.append(partial[i])
                 continue
             crash = WorkerCrashError(
-                scenario=misses[i], pending=pending_scenarios, cause=exc
+                scenario=sc, pending=pending_scenarios, cause=exc
             )
-            if _obs_active():
-                # The worker died before its span could be recorded;
-                # surface the kept row as a failure instant instead.
-                _obs_emit(
-                    "scenario.failed",
-                    label=_label_of(misses[i]),
-                    error="WorkerCrashError",
-                    attempts=1,
-                    ts=time.time(),
-                )
-            computed.append(
-                {ERROR_KEY: error_payload(crash), ATTEMPTS_KEY: 1}
-            )
+            computed.append(kept_crash(crash))
         return computed
 
     def _run(self, scenarios: ScenarioGrid | Iterable[Scenario]) -> list[SweepResult]:
@@ -1024,13 +1033,9 @@ class SweepRunner:
                 "federated": 0,
             }
             for sc, slot, vals in zip(misses, miss_slots, computed):
-                if observing:
-                    blob = vals.pop(OBS_KEY, None)
-                    if self.obs is not None and blob is not None:
-                        self.obs.fold(blob)
-                sc_stats = vals.pop(CACHE_STATS_KEY, None)
-                sc_attempts = vals.pop(ATTEMPTS_KEY, 1)
-                error = vals.pop(ERROR_KEY, None)
+                sc_stats, sc_attempts, error, blob = pop_reserved(vals)
+                if self.obs is not None and blob is not None:
+                    self.obs.fold(blob)
                 if observing:
                     if sc_stats is not None and "federated" in sc_stats:
                         # Answered by a remote worker's federated store:

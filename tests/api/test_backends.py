@@ -20,6 +20,7 @@ from repro.api.backends import (
     temporary_backend,
     unregister_backend,
 )
+from repro.obs import ObsSession
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner, shared_context
 from repro.sweep.runner import scenario_hetero
 
@@ -248,6 +249,33 @@ class TestBackendEquivalence:
                       batch=1024, n=2)]
         )
         assert result["makespan"] > 0
+
+    @pytest.mark.parametrize("knobs, bare", [
+        ({}, True),
+        ({"evaluator_max_entries": 4}, False),
+        ({"retry": 2}, False),
+        ({"on_error": "keep"}, False),
+        ({"obs": ObsSession()}, False),
+    ])
+    def test_backends_receive_the_bare_objective_by_default(self, knobs, bare):
+        """Only a memo bound, a retry policy, keep-going or observation
+        wrap the objective; a plain run hands backends the function."""
+        received = []
+
+        class Spy(SerialBackend):
+            def map(self, fn, items, *, workers=1):
+                received.append(fn)
+                return super().map(fn, items, workers=workers)
+
+        SweepRunner(square_scenario, backend=Spy(), **knobs).run(
+            [Scenario(system="timeline", batch=1024, n=2)]
+        )
+        (fn,) = received
+        assert (fn is square_scenario) is bare
+
+
+def square_scenario(scenario: Scenario) -> dict:
+    return {"square": scenario.batch ** 2}
 
 
 # -- worker-death absorption and exception routing ----------------------------

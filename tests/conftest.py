@@ -63,7 +63,7 @@ def loopback_server(monkeypatch):
     from repro.distrib.backend import ENDPOINTS_ENV
     from repro.distrib.server import StudyServer
 
-    with StudyServer(workers=4) as server:
+    with StudyServer() as server:
         monkeypatch.setenv(ENDPOINTS_ENV, f"{server.host}:{server.port}")
         yield server
 

@@ -29,8 +29,14 @@ from repro.distrib.backend import (
 from repro.distrib.protocol import HandshakeRejected
 from repro.distrib.server import StudyServer
 from repro.distrib.store import CacheStore
-from repro.sweep.grid import ScenarioGrid
-from repro.sweep.resilience import ScenarioError, WorkerCrashError
+from repro.obs import ObsSession, bus
+from repro.sweep.grid import Scenario, ScenarioGrid
+from repro.sweep.resilience import (
+    RetryPolicy,
+    ScenarioError,
+    WorkerCrashError,
+)
+from repro.sweep.runner import SweepRunner
 from repro.testing.faults import Fault, FaultPlan
 from tests.api.test_backends import EQUIVALENCE_GRID, pure_makespan
 
@@ -44,10 +50,81 @@ SMALL_GRID = ScenarioGrid(
 )
 
 
+# Module-level (the server imports it by qualified name) and free of
+# shared contexts, so a memo bound set here leaks into no other test.
+def batch_echo(scenario: Scenario) -> dict:
+    return {"batch": scenario.batch}
+
+
+POLICY = RetryPolicy(max_attempts=2, backoff=0.25, seed=3)
+POLICY_WIRE = {
+    "max_attempts": 2, "backoff": 0.25, "backoff_factor": 2.0,
+    "jitter": 0.0, "seed": 3, "timeout": None,
+}
+#: The policy a keep-going run without ``retry`` runs under.
+DEFAULT_WIRE = {
+    "max_attempts": 1, "backoff": 0.0, "backoff_factor": 2.0,
+    "jitter": 0.0, "seed": 0, "timeout": None,
+}
+
+#: (memo bound, retry, on_error, observed) -> the submit frame's
+#: execution fields (``run_t0`` is checked against the session).
+SUBMIT_TABLE = [
+    (None, None, "raise", False,
+     {"retry": None, "on_error": "raise", "max_entries": None,
+      "observed": False}),
+    (None, None, "raise", True,
+     {"retry": None, "on_error": "raise", "max_entries": None,
+      "observed": True}),
+    (None, None, "keep", False,
+     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": None,
+      "observed": False}),
+    (None, None, "keep", True,
+     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": None,
+      "observed": True}),
+    (None, POLICY, "raise", False,
+     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": None,
+      "observed": False}),
+    (None, POLICY, "raise", True,
+     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": None,
+      "observed": True}),
+    (None, POLICY, "keep", False,
+     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": None,
+      "observed": False}),
+    (None, POLICY, "keep", True,
+     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": None,
+      "observed": True}),
+    (7, None, "raise", False,
+     {"retry": None, "on_error": "raise", "max_entries": 7,
+      "observed": False}),
+    (7, None, "raise", True,
+     {"retry": None, "on_error": "raise", "max_entries": 7,
+      "observed": True}),
+    (7, None, "keep", False,
+     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": 7,
+      "observed": False}),
+    (7, None, "keep", True,
+     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": 7,
+      "observed": True}),
+    (7, POLICY, "raise", False,
+     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": 7,
+      "observed": False}),
+    (7, POLICY, "raise", True,
+     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": 7,
+      "observed": True}),
+    (7, POLICY, "keep", False,
+     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": 7,
+      "observed": False}),
+    (7, POLICY, "keep", True,
+     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": 7,
+      "observed": True}),
+]
+
+
 @pytest.fixture
 def fleet():
     """Two in-process loopback servers, no store."""
-    with StudyServer(workers=2) as a, StudyServer(workers=2) as b:
+    with StudyServer() as a, StudyServer() as b:
         yield RemoteBackend([f"{a.host}:{a.port}", f"{b.host}:{b.port}"])
 
 
@@ -93,6 +170,45 @@ class TestConfiguration:
             Study(SMALL_GRID).objective(closure).backend(fleet).run()
 
 
+class TestSubmitFrame:
+    @pytest.mark.parametrize(
+        "bound, retry, on_error, observed, expected", SUBMIT_TABLE
+    )
+    def test_execution_fields_on_the_wire(
+        self, loopback_server, monkeypatch, bound, retry, on_error,
+        observed, expected,
+    ):
+        from repro.distrib import backend as backend_mod
+
+        real_send = backend_mod.send_frame
+        submits = []
+
+        def spy(sock, payload):
+            if payload["type"] == "submit":
+                submits.append(payload)
+            real_send(sock, payload)
+
+        monkeypatch.setattr(backend_mod, "send_frame", spy)
+        obs = ObsSession() if observed else None
+        (row,) = SweepRunner(
+            batch_echo, backend="remote", evaluator_max_entries=bound,
+            retry=retry, on_error=on_error, obs=obs,
+        ).run(SMALL_GRID.scenarios()[:1])
+        assert row.ok and row.values == {"batch": 1024}
+        (frame,) = submits
+        assert list(frame) == [
+            "type", "objective", "retry", "on_error", "max_entries",
+            "observed", "run_t0", "scenarios",
+        ]
+        assert frame["objective"] == {
+            "module": "tests.distrib.test_remote", "qualname": "batch_echo",
+        }
+        assert {key: frame[key] for key in expected} == expected
+        if frame["retry"] is not None:
+            assert list(frame["retry"]) == list(POLICY_WIRE)
+        assert frame["run_t0"] == (obs.run_t0 if observed else 0.0)
+
+
 class TestEquivalence:
     """Byte-identity against the serial reference, the tentpole claim."""
 
@@ -125,7 +241,7 @@ class TestEquivalence:
 class TestFederatedStore:
     def test_warm_run_answers_from_the_fleet_store(self, tmp_path):
         store = CacheStore(tmp_path / "store")
-        with StudyServer(workers=2, store=store) as server:
+        with StudyServer(store=store) as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             study = Study(SMALL_GRID, objective="timeline").backend(backend)
             cold = study.run()
@@ -144,7 +260,7 @@ class TestFederatedStore:
 
     def test_federated_hits_reach_metrics_and_run_report(self, tmp_path):
         store = CacheStore(tmp_path / "store")
-        with StudyServer(workers=2, store=store) as server:
+        with StudyServer(store=store) as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             study = (
                 Study(SMALL_GRID, objective="timeline")
@@ -167,7 +283,7 @@ class TestFederatedStore:
         study = Study(SMALL_GRID).objective(pure_makespan)
         study.cache(tmp_path / "serial").run()
         store = CacheStore(tmp_path / "store")
-        with StudyServer(workers=2, store=store) as server:
+        with StudyServer(store=store) as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             remote = study.backend(backend)
             remote.cache(tmp_path / "cold").run()
@@ -192,7 +308,7 @@ class TestResilienceOverTheWire:
             [Fault(kind="fail", match={"batch": 2048}, attempts_below=2)],
             tmp_path / "faults",
         )
-        with StudyServer(workers=2) as server:
+        with StudyServer() as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             with plan.active():
                 results = (
@@ -212,7 +328,7 @@ class TestResilienceOverTheWire:
             [Fault(kind="fail", match={"batch": 2048, "n": 1})],
             tmp_path / "faults",
         )
-        with StudyServer(workers=2) as server:
+        with StudyServer() as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             with plan.active():
                 results = (
@@ -232,7 +348,7 @@ class TestResilienceOverTheWire:
             [Fault(kind="fail", match={"batch": 2048, "n": 1})],
             tmp_path / "faults",
         )
-        with StudyServer(workers=2) as server:
+        with StudyServer() as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             with plan.active():
                 with pytest.raises(ScenarioError, match="remote evaluation"):
@@ -262,11 +378,44 @@ class TestResilienceOverTheWire:
             r.error["type"] == "WorkerCrashError" for r in results.failures()
         )
 
+    def test_kept_rows_of_a_lost_fleet_are_observed(self):
+        """Each row kept after every host is gone emits scenario.failed,
+        as a lost process pool's rows do; the result bytes stay put."""
+        failed = []
+
+        def hook(event, fields):
+            if event == "scenario.failed":
+                failed.append(fields)
+
+        def run(observe):
+            backend = RemoteBackend(["127.0.0.1:9"], connect_timeout=0.5)
+            study = (
+                Study(SMALL_GRID, objective="timeline")
+                .backend(backend)
+                .keep_going()
+            )
+            return (study.observe(True) if observe else study).run()
+
+        plain = run(observe=False)
+        bus.subscribe(hook)
+        try:
+            observed = run(observe=True)
+        finally:
+            bus.unsubscribe(hook)
+        assert observed.to_json() == plain.to_json()
+        assert len(failed) == len(SMALL_GRID) == len(observed.failures())
+        assert [f["label"] for f in failed] == [
+            sc.label() for sc in SMALL_GRID
+        ]
+        assert {(f["error"], f["attempts"]) for f in failed} == {
+            ("WorkerCrashError", 1)
+        }
+
     def test_version_skew_fails_loudly_without_resharding(self, monkeypatch):
         from repro.distrib import backend as mod
 
         monkeypatch.setattr(mod, "STORE_VERSION", 999)
-        with StudyServer(workers=2) as server:
+        with StudyServer() as server:
             backend = RemoteBackend([f"{server.host}:{server.port}"])
             with pytest.raises(HandshakeRejected, match="version skew"):
                 Study(SMALL_GRID, objective="timeline").backend(backend).run()
@@ -276,7 +425,7 @@ def _spawn_server(tag: str, env: dict) -> tuple[subprocess.Popen, str]:
     """Start ``python -m repro serve`` and parse its endpoint line."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--tag", tag],
+         "--tag", tag],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,

@@ -6,7 +6,7 @@ from repro.distrib.server import StudyServer
 
 
 def test_close_wakes_the_blocked_accept_thread():
-    server = StudyServer(workers=1).start()
+    server = StudyServer().start()
     accept_thread = server._accept_thread
     time.sleep(0.05)  # let the accept thread block inside accept()
     t0 = time.perf_counter()

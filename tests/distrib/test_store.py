@@ -2,20 +2,98 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.distrib.backend import RemoteBackend
+from repro.distrib.server import StudyServer
 from repro.distrib.store import STORE_VERSION, CacheStore, merge_stats
 from repro.sweep.grid import Scenario
-from repro.testing.faults import FaultPlan
+from repro.sweep.runner import CACHE_STATS_KEY, SweepRunner
+from repro.testing.faults import Fault, FaultPlan
 
 
 def scenario(batch=1024, n=1):
     return Scenario(
         system="timeline", spec="GPT-S", world_size=8, batch=batch, n=n
     )
+
+
+# Module-level and deterministic: the bytes of its entries are pinned.
+def stats_evaluate(scenario: Scenario) -> dict:
+    return {
+        "makespan": scenario.batch * 1e-6,
+        "n": scenario.n,
+        CACHE_STATS_KEY: {"hits": 2, "misses": 1},
+    }
+
+
+PINNED_NAMES = ["08941ae29f622c660665.json", "4469cdcaef65eb7c5307.json"]
+PINNED_HEALTHY = """\
+{
+ "evaluator_cache": {
+  "hits": 2,
+  "misses": 1
+ },
+ "scenario": {
+  "batch": 1024,
+  "capacity_factor": null,
+  "decomposed_comm": false,
+  "dtype": null,
+  "imbalance": 1.0,
+  "n": 1,
+  "num_experts": null,
+  "sequential": false,
+  "severity": 1.0,
+  "spec": "GPT-S",
+  "straggler": null,
+  "straggler_seed": 0,
+  "strategy": null,
+  "system": "timeline",
+  "top_k": null,
+  "world_size": 8
+ },
+ "values": {
+  "makespan": 0.001024,
+  "n": 1
+ },
+ "version": 1
+}"""
+PINNED_RETRIED = """\
+{
+ "attempts": 2,
+ "evaluator_cache": {
+  "hits": 2,
+  "misses": 1
+ },
+ "scenario": {
+  "batch": 2048,
+  "capacity_factor": null,
+  "decomposed_comm": false,
+  "dtype": null,
+  "imbalance": 1.0,
+  "n": 1,
+  "num_experts": null,
+  "sequential": false,
+  "severity": 1.0,
+  "spec": "GPT-S",
+  "straggler": null,
+  "straggler_seed": 0,
+  "strategy": null,
+  "system": "timeline",
+  "top_k": null,
+  "world_size": 8
+ },
+ "values": {
+  "makespan": 0.002048,
+  "n": 1
+ },
+ "version": 1
+}"""
 
 
 class TestRoundTrip:
@@ -62,6 +140,29 @@ class TestRoundTrip:
         assert store.get(sc, salt="obj_a")["values"] == {"makespan": 1.0}
 
 
+    def test_served_entry_bytes_are_pinned(self, tmp_path):
+        """The exact names and bytes a server stores for a healthy and a
+        retried point: objective salt, key, version stamp and encoding."""
+        store = CacheStore(tmp_path / "store")
+        plan = FaultPlan(
+            [Fault(kind="fail", match={"batch": 2048}, attempts_below=2)],
+            tmp_path / "faults",
+        )
+        grid = [scenario(batch=1024), scenario(batch=2048)]
+        with StudyServer(store=store) as server, plan.active():
+            backend = RemoteBackend([f"{server.host}:{server.port}"])
+            SweepRunner(stats_evaluate, backend=backend, retry=2).run(grid)
+        healthy, retried = (
+            store.path_for(sc, "tests.distrib.test_store.stats_evaluate")
+            for sc in grid
+        )
+        assert sorted(p.name for p in store.root.glob("*.json")) == (
+            PINNED_NAMES
+        )
+        assert healthy.read_text() == PINNED_HEALTHY
+        assert retried.read_text() == PINNED_RETRIED
+
+
 class TestValidation:
     def test_version_skew_reads_as_miss_and_is_discarded(self, tmp_path):
         store = CacheStore(tmp_path)
@@ -94,6 +195,29 @@ class TestValidation:
         assert store.get(sc) is None
         assert not path.exists()
         assert store.stats()["skews"] == 1
+
+    def test_transient_read_error_is_a_plain_miss(self, tmp_path, monkeypatch):
+        """A good entry that cannot be read right now (a busy server out
+        of file descriptors) is a miss, never a skew: it stays on disk
+        and the next read hits."""
+        store = CacheStore(tmp_path)
+        sc = scenario()
+        path = store.put(sc, {"makespan": 1.0})
+        real_read = Path.read_text
+        failures = []
+
+        def busy_once(self, *args, **kwargs):
+            if self == path and not failures:
+                failures.append(self)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_read(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", busy_once)
+        assert store.get(sc) is None
+        assert failures == [path]
+        assert path.exists()
+        assert store.stats()["skews"] == 0
+        assert store.get(sc)["values"] == {"makespan": 1.0}
 
     def test_non_object_values_read_as_miss(self, tmp_path):
         store = CacheStore(tmp_path)

@@ -12,7 +12,7 @@ import logging
 import pytest
 
 from repro.api import ResultSet, Study
-from repro.obs import ObsSession, ProgressLine, bus
+from repro.obs import RUN_REPORT_NAME, ObsSession, ProgressLine, bus
 from repro.obs.log import _bridge
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner, evaluate_timeline
 from repro.sweep import runner as runner_mod
@@ -91,6 +91,16 @@ class TestByteIdentity:
 
         SweepRunner(probe, backend="serial").run(GRID)
         assert seen and not any(seen)
+
+
+    def test_run_report_is_indented_sorted_json_with_a_newline(
+        self, tmp_path
+    ):
+        obs = ObsSession(report_path=tmp_path / "report.json")
+        run_grid(tmp_path / "cache", obs)
+        expected = json.dumps(obs.report(), indent=1, sort_keys=True) + "\n"
+        assert (tmp_path / "report.json").read_text() == expected
+        assert (tmp_path / "cache" / RUN_REPORT_NAME).read_text() == expected
 
 
 class TestCacheStatsAccounting:

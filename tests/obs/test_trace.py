@@ -80,6 +80,14 @@ class TestTracer:
         tracer.save(out)
         assert json.loads(out.read_text())["traceEvents"]
 
+    def test_save_writes_exactly_the_chrome_trace(self, tmp_path):
+        tracer = Tracer()
+        tracer.span("work", ts=1.0, dur=0.1)
+        tracer.instant("blip", ts=1.05)
+        out = tmp_path / "trace.json"
+        assert tracer.save(out) == str(out)
+        assert out.read_text() == tracer.to_chrome_trace()
+
     def test_negative_durations_are_clamped(self):
         tracer = Tracer()
         tracer.span("clock went backwards", ts=5.0, dur=-1.0)

@@ -14,6 +14,7 @@ import json
 
 from repro.api import Study
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner
+from repro.sweep.runner import CACHE_STATS_KEY
 from repro.testing.faults import FaultPlan
 
 GRID = ScenarioGrid(
@@ -141,3 +142,100 @@ def test_retried_entries_persist_their_attempt_count(tmp_path):
         runner.cache_path(by_batch[1024].scenario).read_text()
     )
     assert "attempts" not in clean
+
+
+# Module-level and deterministic: the bytes of its entries are pinned.
+def stats_evaluate(scenario: Scenario) -> dict:
+    return {
+        "iteration_time": scenario.batch * 1e-6,
+        "n": scenario.n,
+        CACHE_STATS_KEY: {"hits": 3, "misses": 1},
+    }
+
+
+PINNED_NAMES = ["ccc9ea1e7827ac02aa88.json", "0802c40934fa0f472c5c.json"]
+PINNED_HEALTHY = """\
+{
+ "evaluator_cache": {
+  "hits": 3,
+  "misses": 1
+ },
+ "scenario": {
+  "batch": 1024,
+  "capacity_factor": null,
+  "decomposed_comm": false,
+  "dtype": null,
+  "imbalance": 1.0,
+  "n": 2,
+  "num_experts": null,
+  "sequential": false,
+  "severity": 1.0,
+  "spec": "GPT-S",
+  "straggler": null,
+  "straggler_seed": 0,
+  "strategy": null,
+  "system": "timeline",
+  "top_k": null,
+  "world_size": 8
+ },
+ "values": {
+  "iteration_time": 0.001024,
+  "n": 2
+ }
+}"""
+PINNED_RETRIED = """\
+{
+ "attempts": 2,
+ "evaluator_cache": {
+  "hits": 3,
+  "misses": 1
+ },
+ "scenario": {
+  "batch": 2048,
+  "capacity_factor": null,
+  "decomposed_comm": false,
+  "dtype": null,
+  "imbalance": 1.0,
+  "n": 2,
+  "num_experts": null,
+  "sequential": false,
+  "severity": 1.0,
+  "spec": "GPT-S",
+  "straggler": null,
+  "straggler_seed": 0,
+  "strategy": null,
+  "system": "timeline",
+  "top_k": null,
+  "world_size": 8
+ },
+ "values": {
+  "iteration_time": 0.002048,
+  "n": 2
+ }
+}"""
+
+
+def test_cache_entry_bytes_are_pinned(tmp_path):
+    """The exact file names and bytes a healthy and a retried point
+    write: the objective salt, the key and the entry encoding."""
+    from repro.testing.faults import Fault
+
+    plan = FaultPlan(
+        [Fault(kind="fail", match={"batch": 2048}, attempts_below=2)],
+        tmp_path / "faults",
+    )
+    resilient = SweepRunner(
+        stats_evaluate, cache_dir=tmp_path / "retry", backend="serial",
+        retry=2,
+    )
+    with plan.active():
+        resilient.run(GRID)
+    plain = SweepRunner(
+        stats_evaluate, cache_dir=tmp_path / "plain", backend="serial"
+    )
+    plain.run(GRID)
+    healthy, retried = (resilient.cache_path(sc) for sc in GRID)
+    assert [healthy.name, retried.name] == PINNED_NAMES
+    assert healthy.read_text() == PINNED_HEALTHY
+    assert retried.read_text() == PINNED_RETRIED
+    assert plain.cache_path(GRID.scenarios()[0]).read_text() == PINNED_HEALTHY

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -57,6 +58,39 @@ def fake_evaluate(scenario: Scenario) -> dict:
         with open(counter, "a") as fh:
             fh.write(scenario.key() + "\n")
     return values
+
+
+#: The manifest a keep-going run over GRID leaves (batch 4096 failing).
+PINNED_MANIFEST = """\
+{
+ "grid": "e8577238fe2f214a9ec5",
+ "slots": {
+  "1f5d2e34ebae3be0540e": {
+   "attempts": 1,
+   "status": "ok"
+  },
+  "3a891eb5d3490da132d4": {
+   "attempts": 1,
+   "status": "ok"
+  },
+  "3d81dde36ed75a53f427": {
+   "attempts": 1,
+   "status": "ok"
+  },
+  "6d128da0354c2402bddc": {
+   "attempts": 2,
+   "error": {
+    "attempts": 2,
+    "cause": "FaultInjected",
+    "message": "timeline/GPT-S/N=8/B=4096/n=2 failed after 2 attempt(s): \
+FaultInjected('injected fault')",
+    "type": "ScenarioError"
+   },
+   "status": "failed"
+  }
+ },
+ "version": 1
+}"""
 
 
 def plan_of(tmp_path, *faults) -> FaultPlan:
@@ -263,6 +297,37 @@ class TestTimeouts:
         assert info.value.scenario.batch == 2048
         assert info.value.timeout == 0.2
 
+    def test_timed_out_attempt_does_not_poison_its_context(
+        self, monkeypatch
+    ):
+        """The abandoned attempt keeps evaluating while it holds its
+        context's lock; the retry and every later scenario on the same
+        cluster must not queue behind it."""
+        from repro.systems import MPipeMoEModel
+
+        real_evaluate = MPipeMoEModel.evaluate
+        calls = []
+
+        def stall_first_call(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(3.0)  # 6x the attempt timeout
+                # Abandoned by now: end without pricing anything, so the
+                # orphan cannot race a later test's call counters.
+                raise RuntimeError("abandoned attempt")
+            return real_evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(MPipeMoEModel, "evaluate", stall_first_call)
+        grid = [
+            Scenario(system="mpipemoe", spec="GPT-S", world_size=8, batch=b)
+            for b in (4096, 8192)
+        ]
+        results = (
+            Study(grid).retry(max_attempts=3, timeout=0.5).keep_going().run()
+        )
+        assert [r.ok for r in results] == [True, True]
+        assert [r.attempts for r in results] == [2, 1]
+
     def test_timeout_counts_as_a_failed_attempt_and_retries(self, tmp_path):
         plan = plan_of(
             tmp_path,
@@ -382,6 +447,18 @@ class TestResume:
         assert by_batch[4096].attempts == 3
         assert all(by_batch[b].cached for b in (1024, 2048, 8192))
         assert not RunManifest.load(cache).failed()
+
+    def test_keep_going_manifest_bytes_are_pinned(self, tmp_path):
+        """The exact manifest a keep-going run leaves: grid digest, slot
+        keys, statuses, attempt counts and the kept error payload."""
+        cache = tmp_path / "cache"
+        plan = plan_of(tmp_path, Fault(kind="fail", match={"batch": 4096}))
+        with plan.active():
+            SweepRunner(
+                fake_evaluate, cache_dir=cache, backend="serial",
+                retry=RetryPolicy(max_attempts=2), on_error="keep",
+            ).run(GRID)
+        assert (cache / MANIFEST_NAME).read_text() == PINNED_MANIFEST
 
     def test_resume_rejects_a_different_grid(self, tmp_path):
         cache = tmp_path / "cache"
