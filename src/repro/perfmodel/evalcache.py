@@ -10,10 +10,14 @@ more full sims per evaluate, and both rebuilt identical Op DAGs.
 
 :class:`Evaluator` memoizes all of it behind one object that a
 :class:`~repro.systems.base.SystemContext` owns, so the n-search, the
-strategy-search, and the final report all share results.  Makespans are
-priced through the compiled-timeline fast path (no Op or OpRecord
-allocation); full recorded sims are cached separately for reports that
-read utilization.  The uncached seed path — fresh costs, fresh Op DAG,
+strategy-search, and the final report all share results.  Timelines are
+priced on their compiled DAGs by schedule replay
+(:meth:`~repro.sim.engine.SimEngine.timing`: no Op or OpRecord
+allocation, and the event loop runs only when no recorded schedule
+fits); one memo entry holds the makespan and device 0's comp busy time,
+which is all a system report reads, so a report on a point the search
+already priced is a memo hit.  Recorded sims, for trace readers, are
+cached separately.  The uncached seed path — fresh costs, fresh Op DAG,
 recorded run — is :class:`repro.testing.oracles.ColdEvaluator`, the
 oracle the cache-correctness tests compare this class to.
 """
@@ -32,7 +36,7 @@ from repro.perfmodel.cost import HardwareRates, PerfModel
 from repro.perfmodel.selector import StrategySelector
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts, compile_timeline
-from repro.sim.engine import SimResult
+from repro.sim.engine import SimResult, Timing
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.systems.base
     from repro.systems.base import SystemContext
@@ -108,6 +112,17 @@ class _LruMemo:
 
     def clear(self) -> None:
         self._data.clear()
+
+
+def _gating(dag, runs) -> tuple[int, Timing]:
+    """Index and replayed timing of the run that gates the iteration:
+    the worst makespan, ties to the first run (``max()``'s order)."""
+    gate_index, gate = 0, None
+    for index, (engine, works) in enumerate(runs):
+        timing = engine.timing(dag, works)
+        if gate is None or timing.makespan > gate.makespan:
+            gate_index, gate = index, timing
+    return gate_index, gate
 
 
 @dataclass
@@ -202,13 +217,8 @@ class Evaluator:
 
     # -- placement-aware hetero composition ------------------------------------
     def _placement_pairs(
-        self,
-        spec: MoELayerSpec,
-        batch: int,
-        n: int,
-        gemm_derate: float,
-        workload: WorkloadSpec,
-    ) -> list[tuple[int, "DeviceRates"]]:
+        self, spec: MoELayerSpec, batch: int, workload: WorkloadSpec
+    ) -> list[tuple[int, DeviceRates]]:
         """Distinct (rows, device profile) pairs for a placed workload.
 
         The seed hetero path runs the *bottleneck* costs through every
@@ -221,17 +231,11 @@ class Evaluator:
         device" finally price differently.
         """
         load = workload.load(spec, batch, self.context.effective_world)
-        hetero = self.context.hetero
+        rank_rates = self.context.rank_rates
         pairs: dict[tuple[int, DeviceRates], None] = {}
         for rank, rank_rows in enumerate(load.anchored_rank_rows()):
-            if rank_rows <= 0:
-                continue
-            if hetero is None:
-                profile = DeviceRates()
-            else:
-                rates = hetero.rates_for(rank)
-                profile = DeviceRates(comp=rates.comp, mem=rates.mem)
-            pairs.setdefault((max(1, math.ceil(rank_rows)), profile), None)
+            if rank_rows > 0:
+                pairs.setdefault((max(1, math.ceil(rank_rows)), rank_rates[rank]), None)
         return list(pairs)
 
     def _use_placement_pairs(self, workload: WorkloadSpec | None) -> bool:
@@ -257,10 +261,33 @@ class Evaluator:
         gemm_derate: float = 1.0,
         workload: WorkloadSpec | None = None,
     ) -> float:
-        """Iteration makespan of one timeline, via the compiled fast path.
+        """Iteration makespan of one timeline: :meth:`timing`'s makespan.
 
         This is the selector-inner-loop entry point: no Op DAG and no
         trace records are materialized.
+        """
+        return self.timing(
+            spec, batch, n, strategy, decomposed_comm=decomposed_comm,
+            sequential=sequential, gemm_derate=gemm_derate, workload=workload,
+        ).makespan
+
+    def timing(
+        self,
+        spec: MoELayerSpec,
+        batch: int,
+        n: int,
+        strategy: str = "none",
+        *,
+        decomposed_comm: bool = False,
+        sequential: bool = False,
+        gemm_derate: float = 1.0,
+        workload: WorkloadSpec | None = None,
+    ) -> Timing:
+        """Makespan and device 0's comp busy time of the gating run.
+
+        Priced by schedule replay (:meth:`SimEngine.timing`) and
+        memoized in the makespan table; with several runs the first
+        worst one gates, as in :meth:`simulate`.
         """
         key = (self._hkey, spec, batch, n, strategy, decomposed_comm, sequential,
                gemm_derate, workload)
@@ -272,12 +299,8 @@ class Evaluator:
         compiled = compile_timeline(
             n, strategy, decomposed_comm=decomposed_comm, sequential=sequential
         )
-        value = max(
-            engine.compiled_makespan(compiled.dag, works)
-            for engine, works in self._runs(
-                compiled, spec, batch, n, gemm_derate, workload
-            )
-        )
+        runs = self._runs(compiled, spec, batch, n, gemm_derate, workload)
+        value = _gating(compiled.dag, runs)[1]
         self._makespans[key] = value
         return value
 
@@ -293,7 +316,11 @@ class Evaluator:
         gemm_derate: float = 1.0,
         workload: WorkloadSpec | None = None,
     ) -> SimResult:
-        """Full recorded simulation, for reports that read the trace."""
+        """Full recorded simulation of the gating run, for trace readers.
+
+        Replay picks the gating run; the event loop runs once, with the
+        :class:`OpRecord` sink.
+        """
         key = (self._hkey, spec, batch, n, strategy, decomposed_comm, sequential,
                gemm_derate, workload)
         sim = self._sims.get(key)
@@ -305,12 +332,8 @@ class Evaluator:
             n, strategy, decomposed_comm=decomposed_comm, sequential=sequential
         )
         runs = self._runs(compiled, spec, batch, n, gemm_derate, workload)
-        engine, works = runs[0]
-        if len(runs) > 1:
-            # One pricing pass picks the gating run; ties break on run
-            # order (first wins), matching max() in makespan().
-            spans = [e.compiled_makespan(compiled.dag, w) for e, w in runs]
-            engine, works = runs[spans.index(max(spans))]
+        gate = _gating(compiled.dag, runs)[0] if len(runs) > 1 else 0
+        engine, works = runs[gate]
         sim = engine.run_compiled(compiled.dag, works, record=True)
         self._sims[key] = sim
         return sim
@@ -335,9 +358,7 @@ class Evaluator:
                         )
                     ),
                 )
-                for rows, profile in self._placement_pairs(
-                    spec, batch, n, gemm_derate, workload
-                )
+                for rows, profile in self._placement_pairs(spec, batch, workload)
             ]
         works = compiled.works(self.stage_costs(spec, batch, n, gemm_derate, workload))
         if not context.sim_profiles:
@@ -420,13 +441,7 @@ class Evaluator:
         if placed and hetero is not None:
             # Per-rank composition instead of the worst-device
             # rescale: each rank's load meets its own rates.
-            rank_rates = tuple(
-                DeviceRates(
-                    comp=hetero.rates_for(r).comp,
-                    mem=hetero.rates_for(r).mem,
-                )
-                for r in range(world)
-            )
+            rank_rates = self.context.rank_rates
         elif hetero is not None:
             # W_comm already rides the link-overridden topology; the
             # bottleneck device rescales W_comp and W_mem.

@@ -98,8 +98,8 @@ def expert_capacity(
         raise ValueError("num_experts must be >= 1")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if capacity_factor <= 0:
-        raise ValueError("capacity_factor must be positive")
+    if not (math.isfinite(capacity_factor) and capacity_factor > 0):
+        raise ValueError("capacity_factor must be finite and positive")
     return max(1, math.ceil(capacity_factor * batch * top_k / num_experts))
 
 
@@ -234,8 +234,10 @@ class WorkloadSpec:
                 "imbalance is the hottest-expert load ratio; it must be a "
                 "finite value >= 1.0 (1.0 = uniform routing)"
             )
-        if self.capacity_factor is not None and self.capacity_factor <= 0:
-            raise ValueError("capacity_factor must be positive (or None)")
+        if self.capacity_factor is not None and not (
+            math.isfinite(self.capacity_factor) and self.capacity_factor > 0
+        ):
+            raise ValueError("capacity_factor must be finite and positive (or None)")
         if self.placement is not None and not isinstance(
             self.placement, PlacementSpec
         ):

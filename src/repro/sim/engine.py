@@ -37,8 +37,17 @@ without two optional sinks:
 * :meth:`SimEngine.run` / :meth:`SimEngine.makespan` are
   :func:`compile_dag` plus ``run_compiled``, for ad-hoc Op lists.
 * :meth:`SimEngine.record_compiled_schedule` adds the schedule sink: a
-  :class:`ScheduleTrace` that :func:`replay_schedule` re-prices over a
-  whole matrix of work vectors at once.
+  compact :class:`ScheduleTrace` of the run's control flow.
+
+A recorded schedule prices any work vector that follows the same event
+order with straight-line float arithmetic.  :meth:`SimEngine.timing` is
+the scalar pricing entry the evaluation layer uses: it replays the
+DAG's most recently used traces (at most :data:`SCHEDULES_PER_DAG` per
+DAG per engine) in plain Python, checking the zero-work pattern and
+every heap-order guard, and runs the loop — recording a new trace —
+only when they all diverge.  :func:`replay_schedule` replays one trace
+over a whole numpy matrix of work vectors for the whole-grid path.
+Both give the loop's floats bit for bit.
 
 The straight-line reference loop the engine is proven against lives
 with the other oracles in :mod:`repro.testing.oracles`.
@@ -48,13 +57,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.hardware.hetero import DeviceRateTable
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE, StreamKind
 
 _EPS = 1e-15
+
+#: Recorded schedules :meth:`SimEngine.timing` keeps per compiled DAG
+#: (per engine), most recently used first.  Work vectors that vary
+#: with batch cross a few event-order boundaries, so one trace is not
+#: enough; past a handful, extra traces rarely hit.
+SCHEDULES_PER_DAG = 8
 
 
 def _active_rate_table(device_rates: DeviceRateTable | None) -> DeviceRateTable | None:
@@ -142,6 +158,25 @@ class SimResult:
 
     def by_tag(self, tag: str) -> list[OpRecord]:
         return [r for r in self.records if r.tag == tag]
+
+
+class Timing(NamedTuple):
+    """What a system report reads of a run, without the records.
+
+    ``comp_busy`` equals ``SimResult.device_busy_time(0, COMP)`` to the
+    last bit: one lane never overlaps itself, so its merged busy time
+    is the sum of ``end - start`` in completion order.
+    """
+
+    makespan: float
+    comp_busy: float
+
+    @property
+    def comp_utilization(self) -> float:
+        """:meth:`SimResult.utilization` of device 0's comp lane."""
+        if self.makespan <= 0:
+            return 0.0
+        return self.comp_busy / self.makespan
 
 
 def _validate(ops: list[Op]) -> dict[Op, list[Op]]:
@@ -248,36 +283,35 @@ def compile_dag(ops: Sequence[Op]) -> CompiledDag:
 
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """The control flow of one :meth:`SimEngine.run_compiled` execution.
+    """The control flow of one event-loop run, stored flat.
 
     Interference rates are a pure function of the (stream kind, active
     stream set) pair — they never depend on the work values — so once
-    the discrete schedule (which op finishes next, which ops start,
-    which re-rates fire) is fixed, pricing it is straight-line float
-    arithmetic.  :func:`replay_schedule` runs that arithmetic over a
-    whole matrix of work vectors at once, validating per scenario that
-    the recorded event order is the order the scalar engine would have
-    chosen (exact lexicographic heap tie-breaks included); scenarios
-    whose ordering diverges are flagged invalid, never mispriced.
+    the discrete schedule (which op finishes next, which re-rates fire)
+    is fixed, pricing it is straight-line float arithmetic.  A replay
+    re-checks, per work vector, that the recorded event order is the
+    order the event loop would have chosen: the zero-work pattern must
+    match, and at every event the finishing op must win the heap's
+    ``(time, op)`` order against every other running op — strictly
+    against a lower-indexed one, ties allowed against a higher-indexed
+    one.  Vectors whose order diverges are flagged, never mispriced.
 
-    ``prologue`` is the initial frontier settle at t=0; each event is
-    ``(finished_op, others, starts, updates)`` where ``others`` holds
-    ``(op, strict)`` ordering guards against the other running ops and
-    ``updates`` holds ``(op, old_rate, new_rate)`` re-rates.
+    Only what a replay cannot re-derive is stored: ``order`` holds the
+    finishing op of each completion event, and ``rerates`` the flat
+    ``(op, new_rate, op, new_rate, ...)`` re-rates of every frontier
+    settle — ``counts[0]`` pairs for the t=0 settle, then
+    ``counts[e + 1]`` pairs after event ``e``.  An op's first re-rate
+    is its start (a start always re-rates its device, from rate 0);
+    old rates and the running set (the guards) follow from the
+    replay's own state.  Op indices and rates are shared objects of the
+    DAG and the engine's rate tables, so each slot costs one pointer.
     """
 
     num_ops: int
-    zero_pattern: tuple[bool, ...]  # per op: work <= _EPS in the recording
-    prologue: tuple[tuple[int, ...], tuple[tuple[int, float, float], ...]]
-    events: tuple[
-        tuple[
-            int,
-            tuple[tuple[int, bool], ...],
-            tuple[int, ...],
-            tuple[tuple[int, float, float], ...],
-        ],
-        ...,
-    ]
+    zeros: tuple[int, ...]  # ops with work <= _EPS in the recording
+    order: tuple[int, ...]
+    counts: tuple[int, ...]
+    rerates: tuple
 
 
 class SimEngine:
@@ -307,6 +341,10 @@ class SimEngine:
         self.device_rates = _active_rate_table(device_rates)
         self._flat_rates: list[float] | None = None
         self._dev_flat: dict[int, list[float]] = {}
+        # id(dag) -> (dag, device-0 comp-lane mask, MRU traces).  Holding
+        # the dag pins its id; lookups still check identity, so a copied
+        # engine never prices one DAG with another's traces.
+        self._schedules: dict[int, tuple] = {}
 
     def makespan(self, ops: Sequence[Op]) -> float:
         """Makespan of the DAG without building any trace records."""
@@ -382,46 +420,91 @@ class SimEngine:
     ) -> ScheduleTrace:
         """Run ``works`` through the event loop, recording its schedule.
 
-        On top of executing the schedule, the loop logs every start,
-        re-rate and completion into a :class:`ScheduleTrace` that
-        :func:`replay_schedule` can re-price for a whole batch of work
-        vectors.  Runs once per template group, so it stays a plain
-        scalar pass.
+        On top of executing the schedule, the loop logs every re-rate
+        and completion into a :class:`ScheduleTrace` that
+        :meth:`timing` and :func:`replay_schedule` re-price for other
+        work vectors.
         """
         if works is None:
             works = dag.works
-        log: list = []
-        self._run(dag, works, schedule=log)
+        order: list[int] = []
+        counts: list[int] = []
+        rerates: list = []
+        self._run(dag, works, schedule=(order, counts, rerates))
         return ScheduleTrace(
             num_ops=dag.num_ops,
-            zero_pattern=tuple(w <= _EPS for w in works),
-            prologue=log[0],
-            events=tuple(log[1:]),
+            zeros=tuple(i for i, w in enumerate(works) if w <= _EPS),
+            order=tuple(order),
+            counts=tuple(counts),
+            rerates=tuple(rerates),
         )
+
+    def timing(
+        self, dag: CompiledDag, works: Sequence[float] | None = None
+    ) -> Timing:
+        """Makespan and device 0's comp busy time, priced by replay.
+
+        Tries this DAG's most recently used recorded schedules in turn;
+        the first whose event order ``works`` follows prices it.  When
+        every one diverges, :meth:`record_compiled_schedule` runs the
+        loop once and its trace joins the front of the list (at most
+        :data:`SCHEDULES_PER_DAG` are kept).  Values equal
+        ``run_compiled(dag, works, record=True)``'s makespan and
+        ``device_busy_time(0, StreamKind.COMP)`` bit for bit.
+
+        Threads sharing an engine replace the trace list whole, so a
+        race can drop a trace (one more recording later), never give a
+        wrong value.
+        """
+        if works is None:
+            works = dag.works
+        _check_works(dag, works)
+        key = id(dag)
+        entry = self._schedules.get(key)
+        if entry is None or entry[0] is not dag:
+            comp0 = bytes(
+                dag.lane_device[lane] == 0 and dag.lane_kidx[lane] == 0
+                for lane in dag.op_lane
+            )
+            entry = (dag, comp0, ())
+        _, comp0, traces = entry
+        for k, trace in enumerate(traces):
+            priced = _replay_timing(trace, works, comp0)
+            if priced is not None:
+                if k:
+                    self._schedules[key] = (
+                        dag, comp0, (trace,) + traces[:k] + traces[k + 1:]
+                    )
+                return Timing(*priced)
+        trace = self.record_compiled_schedule(dag, works)
+        priced = _replay_timing(trace, works, comp0)
+        if priced is None:
+            # Only a non-finite makespan fails its own recording (NaN
+            # compares false in the guards, inf - inf spoils the busy
+            # sum); the loop's records decide.
+            sim = self.run_compiled(dag, works, record=True)
+            return Timing(sim.makespan, sim.device_busy_time(0, StreamKind.COMP))
+        self._schedules[key] = (dag, comp0, ((trace,) + traces)[:SCHEDULES_PER_DAG])
+        return Timing(*priced)
 
     def _run(
         self,
         dag: CompiledDag,
         works: Sequence[float] | None,
         records: list[OpRecord] | None = None,
-        schedule: list | None = None,
+        schedule: tuple[list, list, list] | None = None,
     ) -> float:
         """The event loop behind every entry point; returns the makespan.
 
         Each optional sink costs one local ``None`` check where it is
         fed.  ``records`` receives one :class:`OpRecord` per op, in
-        completion order.  ``schedule`` receives the control flow of a
-        :class:`ScheduleTrace`: the t=0 settle as ``(starts, updates)``,
-        then one ``(finished_op, others, starts, updates)`` entry per
-        completion event.
+        completion order.  ``schedule`` is the ``(order, counts,
+        rerates)`` lists of a :class:`ScheduleTrace`, filled in place.
         """
         if works is None:
             works = dag.works
+        _check_works(dag, works)
         num = dag.num_ops
-        if len(works) != num:
-            raise ValueError(f"expected {num} works, got {len(works)}")
-        if num and min(works) < 0:
-            raise ValueError("op works must be non-negative")
         rates = self._rate_table()
         device_rates = self.device_rates
         lane_ops, lane_device, lane_kidx = dag.lane_ops, dag.lane_device, dag.lane_kidx
@@ -429,9 +512,9 @@ class SimEngine:
         if records is not None:
             lane_stream = tuple(_KIND_BY_INDEX[k] for k in lane_kidx)
             started_at = [0.0] * num
-        starts = updates = None
+        order = counts = rerates = None
         if schedule is not None:
-            starts, updates = [], []
+            order, counts, rerates = schedule
 
         dep_rem = list(dag.dep_count)
         lane_pos = [0] * len(lane_ops)
@@ -495,8 +578,6 @@ class SimEngine:
                     synced_at[i] = now
                     if records is not None:
                         started_at[i] = now
-                    if starts is not None:
-                        starts.append(i)
                     token[i] = 0
                     dev_running[device].append((i, kidx))
                     # One lane per (device, kind) runs one op at a time, so
@@ -525,31 +606,20 @@ class SimEngine:
                         tok = token[i] + 1
                         token[i] = tok
                         heappush(heap, (now + rem[i] / new_rate, i, tok))
-                        if updates is not None:
-                            updates.append((i, old_rate, new_rate))
+                        if rerates is not None:
+                            rerates.append(i)
+                            rerates.append(new_rate)
                 dirty.clear()
 
         settle_frontier()
-        if schedule is not None:
-            schedule.append((tuple(starts), tuple(updates)))
-            starts.clear()
-            updates.clear()
+        if counts is not None:
+            logged = len(rerates)
+            counts.append(logged >> 1)
         while heap:
             pred_finish, i, entry_token = heappop(heap)
             if not running[i] or entry_token != token[i]:
                 continue  # stale: op finished or was re-rated since push
             now = pred_finish
-            if schedule is not None:
-                # Heap order is (time, op): op ``i`` wins against a lower-
-                # indexed running op only strictly, against a higher-
-                # indexed one also on ties.  Replay re-checks these
-                # guards per row.
-                others = tuple(
-                    (j, j < i)
-                    for lst in dev_running.values()
-                    for (j, _k) in lst
-                    if j != i
-                )
             running[i] = 0
             lane = op_lane[i]
             device, kidx = lane_device[lane], lane_kidx[lane]
@@ -569,10 +639,10 @@ class SimEngine:
                     pending.append(op_lane[child])
             pending.append(lane)
             settle_frontier()
-            if schedule is not None:
-                schedule.append((i, others, tuple(starts), tuple(updates)))
-                starts.clear()
-                updates.clear()
+            if order is not None:
+                order.append(i)
+                counts.append((len(rerates) - logged) >> 1)
+                logged = len(rerates)
 
         if done_count != num:
             stuck = [names[i] for i in range(num) if not finished[i]][:8]
@@ -581,6 +651,77 @@ class SimEngine:
                 f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
             )
         return now
+
+
+def _check_works(dag: CompiledDag, works: Sequence[float]) -> None:
+    num = dag.num_ops
+    if len(works) != num:
+        raise ValueError(f"expected {num} works, got {len(works)}")
+    if num and min(works) < 0:
+        raise ValueError("op works must be non-negative")
+
+
+def _replay_timing(
+    trace: ScheduleTrace, works: Sequence[float], comp0: bytes
+) -> tuple[float, float] | None:
+    """``(makespan, comp busy)`` of ``works`` along ``trace``; None if
+    the vector's event order diverges from the recording, or if the
+    makespan is not finite.
+
+    The scalar twin of :func:`replay_schedule`, numpy-free: the event
+    loop's expressions in the loop's order, so a vector that follows
+    the recorded order gets the loop's floats exactly.  ``comp0`` flags
+    the ops of device 0's comp lane; that lane runs one op at a time,
+    so one start time suffices to sum its busy time.  The sum equals
+    the merged busy time only while every time is finite.
+    """
+    for z in trace.zeros:
+        if works[z] > _EPS:
+            return None
+    num = trace.num_ops
+    rem = [0.0] * num
+    rate = [0.0] * num
+    synced = [0.0] * num
+    fin = [0.0] * num
+    running: list[int] = []
+    rerates = trace.rerates
+    now = busy = comp_start = 0.0
+    k = 0
+    for c, count in zip(itertools.chain((-1,), trace.order), trace.counts):
+        if c >= 0:
+            now = fin[c]
+            for j in running:
+                if j < c:
+                    if not now < fin[j]:
+                        return None
+                elif j > c and not now <= fin[j]:
+                    return None
+            running.remove(c)
+            if comp0[c]:
+                busy += now - comp_start
+        stop = k + 2 * count
+        while k < stop:
+            j = rerates[k]
+            new = rerates[k + 1]
+            k += 2
+            old = rate[j]
+            if old > 0.0:
+                r = rem[j] - (now - synced[j]) * old
+                r = r if r > 0.0 else 0.0
+            else:  # first re-rate: the op starts
+                r = works[j]
+                if r <= _EPS:
+                    return None  # zero work here, started in the recording
+                running.append(j)
+                if comp0[j]:
+                    comp_start = now
+            rem[j] = r
+            rate[j] = new
+            synced[j] = now
+            fin[j] = now + r / new
+    if not math.isfinite(now):
+        return None
+    return now, busy
 
 
 def replay_schedule(trace: ScheduleTrace, works_matrix) -> tuple:
@@ -604,38 +745,44 @@ def replay_schedule(trace: ScheduleTrace, works_matrix) -> tuple:
         raise ValueError(
             f"expected a (scenarios, {trace.num_ops}) works matrix, got {W.shape}"
         )
-    pattern = np.asarray(trace.zero_pattern, dtype=bool)
+    num = trace.num_ops
+    pattern = np.zeros(num, dtype=bool)
+    pattern[list(trace.zeros)] = True
     valid = np.all((W <= _EPS) == pattern, axis=1)
 
-    num = trace.num_ops
     rem: list = [None] * num
+    rate = [0.0] * num
     synced: list = [0.0] * num
     fin: list = [None] * num
-
-    def apply(now, starts, updates) -> None:
-        # Mirrors one settle_frontier: starts first, then re-rates.
-        # ``rem[j] - (now - synced[j]) * old`` and ``now + rem[j] / new``
-        # reproduce the event loop's expressions operation for operation.
-        for j in starts:
-            rem[j] = W[:, j]
-            synced[j] = now
-        for j, old, new in updates:
-            rj = rem[j]
+    running: list[int] = []
+    rerates = trace.rerates
+    now = 0.0
+    k = 0
+    for c, count in zip(itertools.chain((-1,), trace.order), trace.counts):
+        if c >= 0:
+            now = fin[c]
+            for j in running:
+                if j < c:
+                    valid &= now < fin[j]
+                elif j > c:
+                    valid &= now <= fin[j]
+            running.remove(c)
+        stop = k + 2 * count
+        while k < stop:
+            j = rerates[k]
+            new = rerates[k + 1]
+            k += 2
+            old = rate[j]
             if old > 0.0:
-                r = rj - (now - synced[j]) * old
-                rj = np.where(r > 0.0, r, 0.0)
-                rem[j] = rj
+                r = rem[j] - (now - synced[j]) * old
+                r = np.where(r > 0.0, r, 0.0)
+            else:  # first re-rate: the op starts
+                r = W[:, j]
+                running.append(j)
+            rem[j] = r
+            rate[j] = new
             synced[j] = now
-            fin[j] = now + rj / new
-
-    apply(0.0, *trace.prologue)
-    now = None
-    for c, others, starts, updates in trace.events:
-        now = fin[c]
-        for j, strict in others:
-            fj = fin[j]
-            valid &= (now < fj) if strict else (now <= fj)
-        apply(now, starts, updates)
-    if now is None:  # every op had zero work: makespan stays 0.0
+            fin[j] = now + r / new
+    if not trace.order:  # every op had zero work: makespan stays 0.0
         return np.zeros(W.shape[0]), valid
     return now, valid

@@ -30,6 +30,7 @@ import difflib
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -141,8 +142,10 @@ class Scenario:
             )
         if self.num_experts is not None and self.num_experts < 1:
             raise ValueError("num_experts must be >= 1 (or None for the preset's)")
-        if self.capacity_factor is not None and self.capacity_factor <= 0:
-            raise ValueError("capacity_factor must be positive (or None)")
+        if self.capacity_factor is not None and not (
+            math.isfinite(self.capacity_factor) and self.capacity_factor > 0
+        ):
+            raise ValueError("capacity_factor must be finite and positive (or None)")
         if self.top_k is not None:
             if self.top_k < 1:
                 raise ValueError("top_k must be >= 1 (or None for the preset's)")

@@ -12,7 +12,7 @@ from repro.hardware.topology import ClusterTopology
 from repro.memory.footprint import FootprintModel
 from repro.perfmodel.evalcache import Evaluator
 from repro.perfmodel.workload import WorkloadSpec
-from repro.sim.engine import SimEngine, SimResult
+from repro.sim.engine import SimEngine, Timing
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,14 @@ class SystemContext:
             if self.hetero is None
             else self.hetero.sim_profiles(self.effective_world)
         )
+        self._rank_rates = (
+            ()
+            if self.hetero is None
+            else tuple(
+                DeviceRates(comp=r.comp, mem=r.mem)
+                for r in map(self.hetero.rates_for, range(self.effective_world))
+            )
+        )
         self._profile_engines: dict[DeviceRates, SimEngine] = {}
         self.evaluator = Evaluator(self, max_entries=self.evaluator_max_entries)
 
@@ -87,6 +95,12 @@ class SystemContext:
     def sim_profiles(self) -> tuple[DeviceRates, ...]:
         """Distinct (comp, mem) device profiles; empty when homogeneous."""
         return self._sim_profiles
+
+    @property
+    def rank_rates(self) -> tuple[DeviceRates, ...]:
+        """Each active rank's (comp, mem) profile, resolved once; empty
+        without a hetero spec.  Placed workloads compose per rank from it."""
+        return self._rank_rates
 
     def engine_for(self, profile: DeviceRates) -> SimEngine:
         """An engine whose every simulated device runs at ``profile``.
@@ -150,19 +164,25 @@ class SystemModel:
         self,
         spec: MoELayerSpec,
         batch: int,
-        sim: SimResult,
+        timing: Timing,
         memory: int,
         n: int = 1,
         strategy: str = "none",
     ) -> SystemReport:
+        """Build the report from the evaluator's memoized ``timing``.
+
+        :meth:`Evaluator.timing` carries the gating run's makespan and
+        device 0's comp busy time, the two numbers a report reads, so
+        no run is recorded for it.
+        """
         return SystemReport(
             system=self.name,
             spec_name=spec.name,
             batch=batch,
             world_size=self.context.effective_world,
-            iteration_time=sim.makespan,
+            iteration_time=timing.makespan,
             peak_memory_bytes=memory,
             num_partitions=n,
             strategy=strategy,
-            comp_utilization=sim.utilization(0),
+            comp_utilization=timing.comp_utilization,
         )

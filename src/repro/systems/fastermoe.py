@@ -71,7 +71,7 @@ class FasterMoEModel(SystemModel):
     ) -> SystemReport:
         n = min(self.fixed_n, self.context.effective_world)
         evaluator = self.context.evaluator
-        sim = evaluator.simulate(
+        timing = evaluator.timing(
             spec, batch, n, "none",
             decomposed_comm=True, gemm_derate=self.gemm_derate,
             workload=workload,
@@ -79,4 +79,4 @@ class FasterMoEModel(SystemModel):
         memory = evaluator.footprint_bytes(
             spec, batch, pipelined=n > 1, workload=workload
         ) + self.shadowing_bytes(spec)
-        return self._report(spec, batch, sim, memory, n=n, strategy="none")
+        return self._report(spec, batch, timing, memory, n=n, strategy="none")

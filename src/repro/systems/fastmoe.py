@@ -41,11 +41,11 @@ class FastMoEModel(SystemModel):
         workload: WorkloadSpec | None = None,
     ) -> SystemReport:
         evaluator = self.context.evaluator
-        sim = evaluator.simulate(
+        timing = evaluator.timing(
             spec, batch, 1, "none",
             sequential=True, gemm_derate=self.gemm_derate, workload=workload,
         )
         memory = evaluator.footprint_bytes(
             spec, batch, pipelined=False, workload=workload
         )
-        return self._report(spec, batch, sim, memory, n=1, strategy="none")
+        return self._report(spec, batch, timing, memory, n=1, strategy="none")

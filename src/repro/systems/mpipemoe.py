@@ -100,9 +100,9 @@ class MPipeMoEModel(SystemModel):
         n = self.pipemoe.choose_n(spec, batch, workload)
         strategy = self.choose_strategy(spec, batch, n, workload)
         evaluator = self.context.evaluator
-        sim = evaluator.simulate(spec, batch, n, strategy, workload=workload)
+        timing = evaluator.timing(spec, batch, n, strategy, workload=workload)
         reuse_n = n if strategy != "none" else 0
         memory = evaluator.footprint_bytes(
             spec, batch, pipelined=n > 1, reuse_n=reuse_n, workload=workload
         )
-        return self._report(spec, batch, sim, memory, n=n, strategy=strategy)
+        return self._report(spec, batch, timing, memory, n=n, strategy=strategy)

@@ -77,8 +77,8 @@ class PipeMoEModel(SystemModel):
     ) -> SystemReport:
         n = self.choose_n(spec, batch, workload)
         evaluator = self.context.evaluator
-        sim = evaluator.simulate(spec, batch, n, "none", workload=workload)
+        timing = evaluator.timing(spec, batch, n, "none", workload=workload)
         memory = evaluator.footprint_bytes(
             spec, batch, pipelined=n > 1, workload=workload
         )
-        return self._report(spec, batch, sim, memory, n=n, strategy="none")
+        return self._report(spec, batch, timing, memory, n=n, strategy="none")

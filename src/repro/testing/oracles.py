@@ -33,6 +33,7 @@ from repro.sim.engine import (
     Op,
     OpRecord,
     SimResult,
+    Timing,
     _active_rate_table,
     _validate,
 )
@@ -196,6 +197,10 @@ class ColdEvaluator(Evaluator):
     def makespan(self, *args, **kwargs) -> float:
         return self.simulate(*args, **kwargs).makespan
 
+    def timing(self, *args, **kwargs) -> Timing:
+        sim = self.simulate(*args, **kwargs)
+        return Timing(sim.makespan, sim.device_busy_time(0, StreamKind.COMP))
+
     def simulate(
         self,
         spec: MoELayerSpec,
@@ -210,7 +215,7 @@ class ColdEvaluator(Evaluator):
     ) -> SimResult:
         context = self.context
         if self._use_placement_pairs(workload):
-            runs = self._placement_pairs(spec, batch, n, gemm_derate, workload)
+            runs = self._placement_pairs(spec, batch, workload)
         else:
             runs = [(None, profile) for profile in context.sim_profiles]
         sims = []

@@ -11,8 +11,10 @@ import dataclasses
 import pytest
 
 from repro.config import MOE_GPT3_XL, get_preset
+from repro.hardware.hetero import StragglerModel
 from repro.perfmodel.evalcache import Evaluator
 from repro.pipeline.schedule import MoEStageCosts, build_timeline
+from repro.sim.engine import SimEngine
 from repro.systems import (
     FastMoEModel,
     FasterMoEModel,
@@ -43,6 +45,20 @@ SYSTEM_FACTORIES = {
     "mpipemoe_S2": lambda ctx: MPipeMoEModel(ctx, fixed_n=4, fixed_strategy="S2"),
     "mpipemoe_eq10": lambda ctx: MPipeMoEModel(ctx, fixed_n=4, sim_selection=False),
 }
+
+
+@pytest.fixture
+def loop_runs(monkeypatch) -> list:
+    """The ``record`` flag of every ``SimEngine.run_compiled`` call."""
+    calls = []
+    run_compiled = SimEngine.run_compiled
+
+    def spy(self, dag, works=None, record=False):
+        calls.append(record)
+        return run_compiled(self, dag, works, record=record)
+
+    monkeypatch.setattr(SimEngine, "run_compiled", spy)
+    return calls
 
 
 class TestWarmEqualsCold:
@@ -110,6 +126,35 @@ class TestBuildingBlocks:
         cold = ctx.engine.run(build_timeline(costs, 2, "S3"))
         assert sim.makespan == cold.makespan
         assert sim.records == cold.records
+
+    def test_simulate_runs_the_loop_once_per_miss(self, loop_runs):
+        """Replay picks the gating run; only that run is recorded."""
+        hetero = StragglerModel("single-slow-gpu", severity=0.5).build()
+        ctx = make_context(enabled=True, hetero=hetero)
+        cold = make_context(enabled=False, hetero=hetero)
+        assert len(ctx.sim_profiles) == 2
+        spec = get_preset("GPT-XL")
+        points = ((4096, 1, "none"), (16384, 4, "S1"), (16384, 8, "S3"))
+        for batch, n, strategy in points:
+            loop_runs.clear()
+            sim = ctx.evaluator.simulate(spec, batch, n, strategy)
+            assert loop_runs == [True]
+            loop_runs.clear()
+            assert ctx.evaluator.simulate(spec, batch, n, strategy) is sim
+            assert loop_runs == []
+            assert sim == cold.evaluator.simulate(spec, batch, n, strategy)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEM_FACTORIES))
+    def test_reports_record_no_run(self, name, loop_runs):
+        """System reports read the memoized timing: no event loop runs
+        with the record sink, and adaptive reports hit their own trials."""
+        ctx = make_context(enabled=True)
+        SYSTEM_FACTORIES[name](ctx).evaluate(get_preset("GPT-XL"), 8192)
+        assert loop_runs == []
+        stats = ctx.evaluator.stats
+        assert stats.sim_misses == stats.sim_hits == 0
+        if name in ("pipemoe", "mpipemoe"):
+            assert stats.makespan_hits >= 1  # the report's own trial
 
     def test_footprint_bytes_match_direct_model(self):
         ctx = make_context(enabled=True)

@@ -59,6 +59,10 @@ class TestExpertCapacity:
         with pytest.raises(ValueError):
             expert_capacity(16, 64, 1, 0.0)
         with pytest.raises(ValueError):
+            expert_capacity(16, 64, 1, float("nan"))
+        with pytest.raises(ValueError):
+            expert_capacity(16, 64, 1, float("inf"))
+        with pytest.raises(ValueError):
             expert_capacity(16, 0, 1, 1.0)
         with pytest.raises(ValueError):
             expert_capacity(16, 64, 0, 1.0)
@@ -99,6 +103,10 @@ class TestWorkloadSpecValidation:
             WorkloadSpec(imbalance=float("nan"))
         with pytest.raises(ValueError):
             WorkloadSpec(capacity_factor=0.0)
+        with pytest.raises(ValueError):
+            WorkloadSpec(capacity_factor=float("nan"))
+        with pytest.raises(ValueError):
+            WorkloadSpec(capacity_factor=float("inf"))
 
     def test_for_dtype(self):
         assert WorkloadSpec.for_dtype("fp32").bytes_per_elem == 4

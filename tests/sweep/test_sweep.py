@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.api import Study
 from repro.sweep import (
     Scenario,
     ScenarioGrid,
@@ -86,6 +87,9 @@ class TestScenario:
             {"dtype": "fp12"},
             {"imbalance": 0.5},
             {"imbalance": float("nan")},
+            # Non-finite capacity factors would fail mid-run in math.ceil.
+            {"capacity_factor": float("nan")},
+            {"capacity_factor": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -122,6 +126,13 @@ class TestScenario:
 
 
 class TestScenarioGrid:
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_capacity_factor_fails_at_build(self, factor):
+        """Rejected when the study is built, not inside a running sweep."""
+        grid = ScenarioGrid(systems=("mpipemoe",), capacity_factors=(factor,))
+        with pytest.raises(ValueError, match="capacity_factor"):
+            Study(grid)
+
     def test_cartesian_product_size_and_order(self):
         grid = ScenarioGrid(
             systems=("fastmoe", "pipemoe"), batches=(1024, 2048), ns=(1, 2)

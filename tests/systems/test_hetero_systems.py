@@ -17,7 +17,9 @@ import pytest
 
 from repro.config import MOE_GPT3_XL, get_preset
 from repro.hardware.device import A100_SXM_40GB, V100_SXM_32GB
-from repro.hardware.hetero import HeteroClusterSpec, StragglerModel
+from repro.hardware.hetero import DeviceRates, HeteroClusterSpec, StragglerModel
+from repro.perfmodel.placement import PlacementSpec
+from repro.perfmodel.workload import WorkloadSpec
 from repro.systems import (
     FastMoEModel,
     FasterMoEModel,
@@ -124,6 +126,22 @@ class TestMixedDevicePool:
         # stages stretch accordingly.
         assert t_mixed > t_plain * 1.3
 
+    def test_rank_rates_follow_each_rank(self):
+        """Per-rank (comp, mem) profiles, resolved once, in rank order;
+        comm is stripped like in the device profiles."""
+        mixed = HeteroClusterSpec.of(
+            devices={5: V100_SXM_32GB}, rates={9: DeviceRates(comp=0.5, comm=0.3)}
+        )
+        ctx = SystemContext(world_size=16, hetero=mixed)
+        assert len(ctx.rank_rates) == 16
+        v100 = mixed.rates_for(5)
+        assert v100.comp < 1.0
+        assert ctx.rank_rates[5] == DeviceRates(comp=v100.comp, mem=v100.mem)
+        assert ctx.rank_rates[9] == DeviceRates(comp=0.5)
+        others = set(ctx.rank_rates[:5] + ctx.rank_rates[6:9] + ctx.rank_rates[10:])
+        assert others == {DeviceRates()}
+        assert SystemContext(world_size=16).rank_rates == ()
+
     def test_memory_gate_follows_the_smallest_device(self):
         ctx_probe = SystemContext(world_size=16)
         needed = ctx_probe.footprint(MOE_GPT3_XL).total_bytes(
@@ -140,22 +158,53 @@ class TestMixedDevicePool:
             MPipeMoEModel(ctx, fixed_n=4).evaluate(MOE_GPT3_XL, 4096)
 
 
+#: Seed routing plus two placed workloads: per-rank (rows, profile) runs.
+WORKLOADS = {
+    "seed": None,
+    "round_robin": WorkloadSpec(imbalance=4.0, placement=PlacementSpec.round_robin()),
+    "shadowed": WorkloadSpec(imbalance=4.0, placement=PlacementSpec.shadowed()),
+}
+SKEWS = [("single-slow-gpu", 0.5), ("slow-node", 0.6), ("degraded-link", 0.5),
+         ("random-jitter", 0.7)]
+MODELS = [FastMoEModel, FasterMoEModel, PipeMoEModel, MPipeMoEModel]
+
+
+def _skew_case(kind, severity, workload, model):
+    # MPipeMoE on seed routing keeps its original "kind-severity" id.
+    if workload == "seed" and model is MPipeMoEModel:
+        case_id = f"{kind}-{severity}"
+    else:
+        case_id = f"{kind}-{severity}-{workload}-{model.name}"
+    return pytest.param(kind, severity, workload, model, id=case_id)
+
+
 class TestWarmEqualsColdUnderSkew:
-    """The memoized fast path must equal cold evaluation under skew too."""
+    """The memoized fast path must equal cold evaluation under skew too.
+
+    The warm reports come from replayed schedules; the cold ones from
+    recorded runs, so this also pins ``comp_utilization`` to the records.
+    """
 
     @pytest.mark.parametrize(
-        "kind,severity",
-        [("single-slow-gpu", 0.5), ("slow-node", 0.6), ("degraded-link", 0.5),
-         ("random-jitter", 0.7)],
+        "kind,severity,workload,model",
+        [
+            _skew_case(kind, severity, workload, model)
+            for kind, severity in SKEWS
+            for workload in WORKLOADS
+            for model in MODELS
+        ],
     )
-    def test_reports_identical(self, kind, severity):
+    def test_reports_identical(self, kind, severity, workload, model):
+        workload = WORKLOADS[workload]
+
         def make(enabled):
             ctx = straggler_context(kind, severity=severity)
             if not enabled:
                 ctx.evaluator = ColdEvaluator(ctx)
-            return MPipeMoEModel(ctx)
+            return model(ctx)
 
         cold, warm = make(False), make(True)
         for batch in (8192, 24576):
-            assert warm.evaluate(SPEC, batch) == cold.evaluate(SPEC, batch)
-            assert warm.evaluate(SPEC, batch) == cold.evaluate(SPEC, batch)
+            point = (SPEC, batch, workload)
+            assert warm.evaluate(*point) == cold.evaluate(*point)
+            assert warm.evaluate(*point) == cold.evaluate(*point)
