@@ -96,6 +96,16 @@ class DeviceRates:
 UNIT_RATES = DeviceRates()
 
 
+def distinct_profiles(profiles) -> tuple[DeviceRates, ...]:
+    """``profiles`` deduplicated in first-seen order.
+
+    An empty tuple means every profile is unit — the evaluation layer
+    then uses the plain homogeneous engine.
+    """
+    distinct = tuple(dict.fromkeys(profiles))
+    return () if distinct == (UNIT_RATES,) else distinct
+
+
 @dataclass(frozen=True)
 class DeviceRateTable:
     """Per-simulated-device rate multipliers consumed by the engine.
@@ -270,25 +280,23 @@ class HeteroClusterSpec:
         )
         return DeviceRateTable(entries=entries)
 
-    def sim_profiles(self, world_size: int | None = None) -> tuple[DeviceRates, ...]:
-        """Distinct (comp, mem) device profiles for the representative sim.
+    def rank_profiles(self, world_size: int | None = None) -> tuple[DeviceRates, ...]:
+        """Each active rank's (comp, mem) profile for the representative sim.
 
         Comm multipliers are deliberately stripped (set to 1.0): All-to-
         Alls are collectives whose degradation rides the topology's link
-        overrides, pricing into every rank's stage costs.  An empty
-        tuple means every profile is unit — the evaluation layer then
-        uses the plain homogeneous engine.
+        overrides, pricing into every rank's stage costs.
         """
         world = self._check_world(world_size)
-        seen: list[DeviceRates] = []
-        for rank in range(world):
-            r = self.rates_for(rank)
-            profile = DeviceRates(comp=r.comp, comm=1.0, mem=r.mem)
-            if profile not in seen:
-                seen.append(profile)
-        if seen == [UNIT_RATES]:
-            return ()
-        return tuple(seen)
+        return tuple(
+            DeviceRates(comp=r.comp, mem=r.mem)
+            for r in map(self.rates_for, range(world))
+        )
+
+    def sim_profiles(self, world_size: int | None = None) -> tuple[DeviceRates, ...]:
+        """Distinct (comp, mem) device profiles for the representative sim
+        (see :func:`distinct_profiles`)."""
+        return distinct_profiles(self.rank_profiles(world_size))
 
     def link_overrides(self, world_size: int | None = None) -> LinkOverrides | None:
         """Per-link bandwidth scales derived from comm multipliers.

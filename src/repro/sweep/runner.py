@@ -75,7 +75,6 @@ from repro.sweep.resilience import (
     run_with_policy,
 )
 from repro.config import DGX_A100_CLUSTER, MoELayerSpec, get_preset
-from repro.hardware.device import A100_SXM_40GB
 from repro.hardware.hetero import HeteroClusterSpec, StragglerModel
 from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.placeopt import PlacementProblem, optimize_placement
@@ -408,24 +407,16 @@ def scenario_placement(scenario: Scenario, workload: WorkloadSpec) -> PlacementS
     """
     if scenario.placement != "optimized":
         return PlacementSpec(strategy=scenario.placement)
-    spec = _scenario_spec(scenario)
-    hetero = scenario_hetero(scenario)
-    world = scenario.world_size
-    if hetero is not None:
-        comp_rates = tuple(hetero.rates_for(r).comp for r in range(world))
-        memory = hetero.min_memory_bytes(world)
-    else:
-        comp_rates = None
-        memory = A100_SXM_40GB.memory_bytes
+    ctx = shared_context(scenario.world_size, scenario_hetero(scenario))
     problem = PlacementProblem.from_workload(
-        spec,
+        _scenario_spec(scenario),
         workload,
-        world,
+        scenario.world_size,
         scenario.batch,
-        comp_rates=comp_rates,
-        memory_bytes=memory,
+        comp_rates=tuple(r.comp for r in ctx.rank_rates) or None,
+        memory_bytes=ctx.device_memory_bytes,
     )
-    memo = shared_context(world, hetero).placements
+    memo = ctx.placements
     placed = memo.get(problem)
     if placed is None:  # racing threads at worst both store equal specs
         placed = memo[problem] = optimize_placement(problem)

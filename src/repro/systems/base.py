@@ -7,7 +7,12 @@ from dataclasses import dataclass, field
 from repro.comm.cost import NcclCostModel
 from repro.config import ClusterSpec, DGX_A100_CLUSTER, MoELayerSpec
 from repro.hardware.device import A100_SXM_40GB, DeviceSpec
-from repro.hardware.hetero import DeviceRates, DeviceRateTable, HeteroClusterSpec
+from repro.hardware.hetero import (
+    DeviceRates,
+    DeviceRateTable,
+    HeteroClusterSpec,
+    distinct_profiles,
+)
 from repro.hardware.topology import ClusterTopology
 from repro.memory.footprint import FootprintModel
 from repro.perfmodel.evalcache import Evaluator
@@ -70,19 +75,12 @@ class SystemContext:
             overrides = self.hetero.link_overrides(self.effective_world)
         self.topology = ClusterTopology(self.cluster, overrides)
         self.engine = SimEngine()
-        self._sim_profiles = (
-            ()
-            if self.hetero is None
-            else self.hetero.sim_profiles(self.effective_world)
-        )
         self._rank_rates = (
             ()
             if self.hetero is None
-            else tuple(
-                DeviceRates(comp=r.comp, mem=r.mem)
-                for r in map(self.hetero.rates_for, range(self.effective_world))
-            )
+            else self.hetero.rank_profiles(self.effective_world)
         )
+        self._sim_profiles = distinct_profiles(self._rank_rates)
         self._profile_engines: dict[DeviceRates, SimEngine] = {}
         self.evaluator = Evaluator(self, max_entries=self.evaluator_max_entries)
 

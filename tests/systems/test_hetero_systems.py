@@ -140,6 +140,13 @@ class TestMixedDevicePool:
         assert ctx.rank_rates[9] == DeviceRates(comp=0.5)
         others = set(ctx.rank_rates[:5] + ctx.rank_rates[6:9] + ctx.rank_rates[10:])
         assert others == {DeviceRates()}
+        assert ctx.rank_rates == mixed.rank_profiles(16)
+        # The device profiles are the rank profiles, first seen first.
+        assert ctx.sim_profiles == mixed.sim_profiles(16) == (
+            DeviceRates(),
+            ctx.rank_rates[5],
+            DeviceRates(comp=0.5),
+        )
         assert SystemContext(world_size=16).rank_rates == ()
 
     def test_memory_gate_follows_the_smallest_device(self):
