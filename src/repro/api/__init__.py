@@ -19,9 +19,10 @@ The pieces:
 * :class:`Study` — declarative builder composing a grid, an objective
   (``"system"``, ``"timeline"``, or a callable), a cluster overlay, and
   execution options; immutable and chainable.
-* :class:`ResultSet` / :class:`StudyResult` — typed results with
-  ``.pareto()``, ``.table()``, ``.group_by()``, ``.cache_stats()``,
-  ``.to_json()``.
+* :class:`ResultSet` — typed results with ``.pareto()``, ``.table()``,
+  ``.group_by()``, ``.cache_stats()``, ``.to_json()``; each row is a
+  ``StudyResult``, the public name of
+  :class:`~repro.sweep.runner.SweepResult`.
 * :mod:`repro.api.backends` — the execution-backend registry
   (``serial`` / ``process`` / ``vectorized`` / ``remote``),
   third-party extensible via :func:`register_backend` /
@@ -92,7 +93,7 @@ _LAZY = {
     "CacheStore": ("repro.distrib.store", "CacheStore"),
     "Study": ("repro.api.study", "Study"),
     "OBJECTIVES": ("repro.api.study", "OBJECTIVES"),
-    "StudyResult": ("repro.api.result", "StudyResult"),
+    "StudyResult": ("repro.sweep.runner", "SweepResult"),
     "ResultSet": ("repro.api.result", "ResultSet"),
     "RetryPolicy": ("repro.sweep.resilience", "RetryPolicy"),
     "SweepError": ("repro.sweep.resilience", "SweepError"),

@@ -1,15 +1,19 @@
-"""Typed result wrappers for the public API, absorbing sweep analysis.
+"""The public API's result collection, absorbing sweep analysis.
 
-:class:`StudyResult` is one evaluated scenario; :class:`ResultSet` is an
-ordered, immutable collection of them with first-class accessors —
-``.pareto()``, ``.table()``, ``.group_by()``, ``.to_json()``,
-``.cache_stats()`` — backed by the module-level analysis helpers
-defined here.
+One evaluated scenario is a :class:`~repro.sweep.runner.SweepResult`
+row (``repro.api.StudyResult`` names the same class): it carries
+``label``, column access via ``get`` and the JSON row shape
+``to_dict``.  :class:`ResultSet` is an ordered, immutable collection of
+those rows, holding the runner's row objects themselves, with
+first-class accessors — ``.pareto()``, ``.best()``, ``.table()``,
+``.group_by()``, ``.to_json()``, ``.cache_stats()`` — backed by the
+module-level analysis helpers defined here.
 
 The module-level functions (:func:`pareto_front`, :func:`sweep_table`,
-:func:`group_by`) are the relocated implementations and still operate on
-any iterable of :class:`~repro.sweep.runner.SweepResult`, so legacy call
-sites keep working unchanged through ``repro.sweep``.
+:func:`group_by`) operate on any iterable of rows, so legacy call sites
+keep working unchanged through ``repro.sweep``.  Rows of a keep-going
+run that failed read ``None`` for value columns and are never ranked
+by :func:`pareto_front` or :meth:`ResultSet.best`.
 
 JSON contract: :meth:`ResultSet.to_json` is deterministic — scenario
 order, sorted keys, and (by default) only the *physical* values.  The
@@ -24,7 +28,6 @@ import json
 import os
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.sweep.grid import scenario_payload
 from repro.sweep.runner import SweepResult
 from repro.utils import Table
 
@@ -32,23 +35,11 @@ Getter = Callable[[SweepResult], Any]
 
 
 def _getter(column: str | Getter) -> Getter:
-    """Resolve a column spec: callables pass through; strings look up the
-    result values first, then scenario fields, then ``label``."""
+    """Resolve a column spec: callables pass through; strings read
+    :meth:`SweepResult.get <repro.sweep.runner.SweepResult.get>`."""
     if callable(column):
         return column
-
-    def get(result: SweepResult):
-        if column in result.values:
-            return result.values[column]
-        if column == "label":
-            return result.scenario.label()
-        if hasattr(result.scenario, column):
-            return getattr(result.scenario, column)
-        raise KeyError(
-            f"column {column!r} is neither a result value nor a scenario field"
-        )
-
-    return get
+    return lambda result: result.get(column)
 
 
 def sweep_table(
@@ -96,11 +87,11 @@ def pareto_front(
 
     A point is dominated when another point is no worse on both axes and
     strictly better on at least one.  Duplicated coordinates survive
-    together (neither strictly improves on the other).  The front comes
-    back sorted by ``x``.
+    together (neither strictly improves on the other).  Failed rows have
+    no values and are left out.  The front comes back sorted by ``x``.
     """
     get_x, get_y = _getter(x), _getter(y)
-    points = [(get_x(r), get_y(r), r) for r in results]
+    points = [(get_x(r), get_y(r), r) for r in results if r.ok]
     front = [
         (px, py, r)
         for px, py, r in points
@@ -113,61 +104,13 @@ def pareto_front(
     return [r for _, _, r in front]
 
 
-class StudyResult(SweepResult):
-    """One evaluated scenario, with the public-API conveniences.
-
-    A frozen value object: everything :class:`~repro.sweep.runner
-    .SweepResult` carries, plus ``label``, column access via
-    :meth:`get`, and a deterministic :meth:`to_dict` for JSON export.
-    """
-
-    @classmethod
-    def of(cls, result: SweepResult) -> "StudyResult":
-        if isinstance(result, cls):
-            return result
-        return cls(
-            scenario=result.scenario,
-            values=result.values,
-            cached=result.cached,
-            cache_stats=result.cache_stats,
-            ok=result.ok,
-            error=result.error,
-            attempts=result.attempts,
-        )
-
-    @property
-    def label(self) -> str:
-        return self.scenario.label()
-
-    def get(self, column: str | Getter):
-        """Resolve ``column`` like a table would: values, then scenario
-        fields, then ``label``; callables receive the result."""
-        return _getter(column)(self)
-
-    def to_dict(self, *, include_cache_stats: bool = False) -> dict:
-        payload = {
-            "scenario": scenario_payload(self.scenario),
-            "label": self.label,
-            "values": dict(self.values),
-        }
-        if not self.ok:
-            # Failure fields appear only on failures, so healthy-run
-            # JSON stays byte-identical to pre-resilience exports.
-            payload["ok"] = False
-            payload["error"] = self.error
-            payload["attempts"] = self.attempts
-        if include_cache_stats:
-            payload["cached"] = self.cached
-            payload["cache_stats"] = self.cache_stats
-        return payload
-
-
 class ResultSet(Sequence):
-    """Ordered, immutable collection of :class:`StudyResult`.
+    """Ordered, immutable collection of result rows.
 
-    Wraps what a study run returns; slicing yields another
-    :class:`ResultSet`, so positional post-processing of concatenated
-    grids (``results[:len(first_grid)]``) keeps the accessors.
+    Wraps what a study run returns, keeping the rows it is given (no
+    per-row copy); slicing yields another :class:`ResultSet`, so
+    positional post-processing of concatenated grids
+    (``results[:len(first_grid)]``) keeps the accessors.
     """
 
     def __init__(
@@ -175,16 +118,14 @@ class ResultSet(Sequence):
         results: Iterable[SweepResult] = (),
         metrics: dict | None = None,
     ) -> None:
-        self._results: tuple[StudyResult, ...] = tuple(
-            StudyResult.of(r) for r in results
-        )
+        self._results: tuple[SweepResult, ...] = tuple(results)
         self._metrics = metrics
 
     # -- sequence protocol -----------------------------------------------------
     def __len__(self) -> int:
         return len(self._results)
 
-    def __iter__(self) -> Iterator[StudyResult]:
+    def __iter__(self) -> Iterator[SweepResult]:
         return iter(self._results)
 
     def __getitem__(self, index):
@@ -218,10 +159,10 @@ class ResultSet(Sequence):
         """Render as a :class:`~repro.utils.Table`.
 
         Default columns: ``label`` plus every value key of the first
-        result, in evaluator order.
+        ``ok`` result, in evaluator order.
         """
         if columns is None:
-            first = self._results[0].values if self._results else {}
+            first = next((r.values for r in self._results if r.ok), {})
             columns = ["label", *first.keys()]
         return sweep_table(self._results, columns, title=title)
 
@@ -237,15 +178,18 @@ class ResultSet(Sequence):
         x: str | Getter = "iteration_time",
         y: str | Getter = "peak_memory_bytes",
     ) -> "ResultSet":
-        """The non-dominated (x, y) frontier, both axes minimized."""
+        """The non-dominated (x, y) frontier of the ``ok`` rows, both
+        axes minimized."""
         return ResultSet(pareto_front(self._results, x, y))
 
-    def best(self, column: str | Getter = "iteration_time") -> StudyResult:
-        """The result minimizing ``column``."""
-        if not self._results:
-            raise ValueError("empty ResultSet has no best result")
-        get = _getter(column)
-        return min(self._results, key=get)
+    def best(self, column: str | Getter = "iteration_time") -> SweepResult:
+        """The ``ok`` result minimizing ``column``."""
+        ranked = [r for r in self._results if r.ok]
+        if not ranked:
+            raise ValueError(
+                "ResultSet has no ok result to rank (empty or all failed)"
+            )
+        return min(ranked, key=_getter(column))
 
     def ok(self) -> "ResultSet":
         """The successfully evaluated subset, order preserved."""

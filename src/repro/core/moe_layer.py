@@ -22,6 +22,11 @@ Execution paths:
 All ranks live in-process: ``forward`` takes and returns one tensor per
 rank, and expert parallelism (Fig. 1) is realised by the stacked
 All-to-All exchanges inside.
+
+The adaptive choices are priced by the timing layer the system models
+use: one :class:`~repro.systems.base.SystemContext` for the layer's
+cluster, device and world size, whose memoized evaluator answers every
+Algorithm 1 trial (a makespan) and builds the Eq. 10 selector.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.cost import NcclCostModel
 from repro.config import ClusterSpec, DGX_A100_CLUSTER, MoELayerSpec
 from repro.core.dispatch import (
     DispatchPlan,
@@ -43,18 +47,12 @@ from repro.core.dispatch import (
 from repro.core.experts import ExpertFFN
 from repro.core.gating import GateDecision, TopKGate
 from repro.hardware.device import A100_SXM_40GB, DeviceSpec
-from repro.hardware.topology import ClusterTopology
-from repro.memory.footprint import FootprintModel
 from repro.memory.host_pool import HostBufferPool
 from repro.memory.strategies import Strategy, get_strategy
-from repro.perfmodel.cost import HardwareRates, PerfModel
-from repro.perfmodel.selector import StrategySelector
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.executor import PipelinedMoEMiddle, middle_autograd
 from repro.pipeline.granularity import GranularitySearcher
 from repro.pipeline.partition import pad_capacity
-from repro.pipeline.schedule import MoEStageCosts, build_timeline
-from repro.sim.engine import SimEngine
 from repro.sim.memory_allocator import CachingAllocator
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -151,36 +149,33 @@ class MoELayer:
             for r in range(world_size)
         ]
 
-        # Timing-layer context for the adaptive components.
+        # Timing-layer context for the adaptive components.  Imported
+        # here, not at module level: the pricing stack under
+        # repro.systems reaches repro.core through the pipeline package
+        # init, so a module-level import would join repro.systems to
+        # that import cycle.
+        from repro.systems.base import SystemContext
+
         if cluster is None:
             cluster = DGX_A100_CLUSTER.with_world_size(world_size)
         self.cluster = cluster
         self.device = device
-        self._topology = ClusterTopology(self.cluster)
-        self._comm_model = NcclCostModel(self._topology, world_size)
-        self._sim = SimEngine()
         # The default WorkloadSpec inherits this layer's top_k, so the
         # adaptive components price k routed rows per token — a k=1
         # layer resolves to the raw batch bit for bit.  (The executable
         # capacity_factor stays out: the timing layer prices what a
         # granularity trial would measure, dropped tokens included.)
-        self.timing_workload = WorkloadSpec()
+        spec = self.spec
+        workload = self.timing_workload = WorkloadSpec()
+        evaluator = SystemContext(cluster, device, world_size).evaluator
+        # Algorithm 1 trial: the simulated fw+bw makespan at (B, n).
         self.granularity_searcher = GranularitySearcher(
-            evaluate=self._simulated_iteration_time,
+            evaluate=lambda b, n: evaluator.makespan(
+                spec, b, n, "none", workload=workload
+            ),
             candidates=self.candidate_partitions,
         )
-        rates = HardwareRates.from_cluster(device, self._comm_model)
-        self.perf_model = PerfModel(
-            self.spec, rates,
-            workload=self.timing_workload, world_size=world_size,
-        )
-        self.strategy_selector = StrategySelector(
-            self.perf_model,
-            footprint=FootprintModel(
-                self.spec, world_size, workload=self.timing_workload
-            ),
-            device_capacity=device.memory_bytes,
-        )
+        self.strategy_selector = evaluator.selector(spec, workload)
         self.last_selection = None
 
     # -- parameters ---------------------------------------------------------------
@@ -200,15 +195,6 @@ class MoELayer:
         return sum(p.size for p in self.parameters())
 
     # -- adaptive components ---------------------------------------------------------
-    def _simulated_iteration_time(self, batch: int, n: int) -> float:
-        """Trial evaluator for Algorithm 1: simulated fw+bw makespan."""
-        costs = MoEStageCosts.compute(
-            self.spec, batch, n, self.device, self._comm_model,
-            workload=self.timing_workload,
-        )
-        ops = build_timeline(costs, n, strategy="none", include_backward=True)
-        return self._sim.run(ops).makespan
-
     def configure(self, batch: int) -> tuple[int, Strategy]:
         """Resolve (n, strategy) for this batch size.
 

@@ -20,10 +20,10 @@ array pass per group:
   group's arrays.
 
 The cost formulas are written once, as plain arithmetic that runs on
-Python ints and on int64 arrays alike, so the batched values are the
-scalar path's bit for bit.  The one array twin kept here is
-:func:`batched_device_rows`, because the scalar ``WorkloadSpec.load``
-branches per point.  The replay engine validates per scenario that the
+Python ints and on int64 arrays alike, and each scenario's bottleneck
+rows come from the scalar ``WorkloadSpec.device_rows``, so the batched
+values are the scalar path's bit for bit; no formula has an array twin
+here.  The replay engine validates per scenario that the
 recorded event order is the one the scalar engine would execute
 (divergent scenarios are re-recorded or priced scalar — never
 approximated).  Both objectives share one group loop and take their
@@ -38,15 +38,13 @@ batched twins; :func:`batch_map` is what the sweep runner and the
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 
-from repro.config import MoELayerSpec
 from repro.memory.strategies import STRATEGIES
 from repro.perfmodel.cost import stage_stream_times
-from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import (
     TIMING_BYTES_PER_ELEM,
     MoEStageCosts,
@@ -104,75 +102,6 @@ def _scalar_group_fallback(evaluate, scenarios, group, out, objective) -> None:
 #: ranges at high n flip op orderings often) stops paying record+replay
 #: overhead past this point.
 MAX_SCHEDULES_PER_GROUP = 64
-
-
-# -- batched routing geometry (WorkloadSpec.load over arrays) -----------------
-def batched_device_rows(
-    np,
-    spec: MoELayerSpec,
-    world_size: int,
-    batches,
-    workloads: Sequence[WorkloadSpec | None],
-):
-    """Bottleneck-device rows per scenario — ``WorkloadSpec.load`` vectorized.
-
-    ``batches`` is an (S,) int array; ``workloads[s] is None`` marks the
-    seed path (rows = batch, through integer arithmetic only).  Mirrors
-    the scalar branch structure exactly: the e == 1 collapse, the
-    uniform-routing integer fast path, the skewed bottleneck ratio, and
-    the equal-shaped capacity buffers.
-    """
-    batch = np.asarray(batches, dtype=np.int64)
-    rows = batch.copy()
-    idx = [s for s, wl in enumerate(workloads) if wl is not None]
-    if not idx:
-        return rows
-    e = spec.num_experts
-    w = max(1, world_size)
-    experts_per_rank = -(-e // w)
-    sub = np.asarray(idx)
-    b = batch[sub]
-    k = np.asarray(
-        [
-            workloads[s].top_k if workloads[s].top_k is not None else spec.top_k
-            for s in idx
-        ],
-        dtype=np.int64,
-    )
-    imb = np.asarray([workloads[s].imbalance for s in idx])
-    routed = b * k
-    routed_f = routed.astype(np.float64)
-    if e == 1:
-        hot = routed_f
-        cold = routed_f
-    else:
-        uniform = routed / e
-        hot = np.minimum(imb * uniform, routed_f)
-        cold = (routed - hot) / (e - 1)
-
-    out = np.empty(len(idx), dtype=np.int64)
-    capped = np.asarray([workloads[s].capacity_factor is not None for s in idx])
-    free = ~capped
-    if free.any():
-        r_u = routed[free]
-        dr = r_u.copy()
-        skew = imb[free] != 1.0
-        if skew.any():
-            r_s = r_u[skew]
-            hot_rank = hot[free][skew] + (experts_per_rank - 1) * cold[free][skew]
-            uniform_rank = experts_per_rank * (r_s / e)
-            dr[skew] = np.maximum(
-                r_s, np.ceil(r_s * hot_rank / uniform_rank).astype(np.int64)
-            )
-        out[free] = dr
-    if capped.any():
-        f = np.asarray([workloads[s].capacity_factor for s in idx])[capped]
-        capacity = np.maximum(
-            1, np.ceil(f * b[capped] * k[capped] / e).astype(np.int64)
-        )
-        out[capped] = experts_per_rank * w * capacity
-    rows[sub] = out
-    return rows
 
 
 # -- batched compiled pricing -------------------------------------------------
@@ -317,9 +246,19 @@ def _batch_evaluate(
 
 
 def _group_rows(np, group: dict, world: int) -> tuple:
-    """The group's bottleneck rows and activation widths, (S,) int64 each."""
-    workloads = group["workloads"]
-    rows = batched_device_rows(np, group["spec"], world, group["batches"], workloads)
+    """The group's bottleneck rows and activation widths, (S,) int64 each.
+
+    Each row is the scalar ``WorkloadSpec.device_rows`` (the batch itself
+    on the seed path, where the workload is ``None``).
+    """
+    spec, workloads = group["spec"], group["workloads"]
+    rows = np.asarray(
+        [
+            batch if wl is None else wl.device_rows(spec, batch, world)
+            for batch, wl in zip(group["batches"], workloads)
+        ],
+        dtype=np.int64,
+    )
     bpe = np.asarray(
         [
             TIMING_BYTES_PER_ELEM if wl is None else wl.bytes_per_elem

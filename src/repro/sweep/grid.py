@@ -167,10 +167,10 @@ class Scenario:
                 f"unknown dtype {self.dtype!r}; available: "
                 f"{sorted(DTYPE_BYTES)} (or None for the timing default)"
             )
-        if not self.imbalance >= 1.0:
+        if not (math.isfinite(self.imbalance) and self.imbalance >= 1.0):
             raise ValueError(
-                "imbalance is the hottest-expert load ratio: >= 1.0 "
-                "(1.0 = uniform gating)"
+                "imbalance is the hottest-expert load ratio: a finite "
+                "value >= 1.0 (1.0 = uniform gating)"
             )
         if self.placement is not None:
             if self.placement not in PLACEMENT_AXIS_VALUES:

@@ -85,6 +85,7 @@ from repro.sweep.grid import (
     encode_entry,
     objective_salt,
     read_entry,
+    scenario_payload,
 )
 from repro.systems import (
     FastMoEModel,
@@ -621,6 +622,10 @@ class SweepResult:
     ``ok=False``, empty ``values``, and the serialized taxonomy error
     (see :func:`repro.sweep.resilience.error_payload`); ``attempts``
     counts evaluation attempts, cumulative across resumed runs.
+
+    This is the one result row: the runner builds it once per distinct
+    scenario, and :class:`~repro.api.result.ResultSet` (whose
+    ``repro.api.StudyResult`` names this class) holds it as given.
     """
 
     scenario: Scenario
@@ -633,6 +638,50 @@ class SweepResult:
 
     def __getitem__(self, key: str):
         return self.values[key]
+
+    @property
+    def label(self) -> str:
+        return self.scenario.label()
+
+    def get(self, column: str | Callable[[SweepResult], object]):
+        """Resolve ``column`` like a table would: the result values,
+        then ``label``, then scenario fields; callables receive the row.
+
+        A failed row has no values, so any other column reads ``None``
+        there instead of raising.
+        """
+        if callable(column):
+            return column(self)
+        values = self.values
+        if column in values:
+            return values[column]
+        if column == "label":
+            return self.label
+        if hasattr(self.scenario, column):
+            return getattr(self.scenario, column)
+        if not self.ok:
+            return None
+        raise KeyError(
+            f"column {column!r} is neither a result value nor a scenario field"
+        )
+
+    def to_dict(self, *, include_cache_stats: bool = False) -> dict:
+        """The row's deterministic JSON shape (see ``ResultSet.to_json``)."""
+        payload = {
+            "scenario": scenario_payload(self.scenario),
+            "label": self.label,
+            "values": dict(self.values),
+        }
+        if not self.ok:
+            # Failure fields appear only on failures, so healthy-run
+            # JSON stays byte-identical to pre-resilience exports.
+            payload["ok"] = False
+            payload["error"] = self.error
+            payload["attempts"] = self.attempts
+        if include_cache_stats:
+            payload["cached"] = self.cached
+            payload["cache_stats"] = self.cache_stats
+        return payload
 
 
 class SweepRunner:
@@ -934,53 +983,46 @@ class SweepRunner:
         points = list(scenarios)
 
         # Resolve cache hits and dedupe repeated points (a concatenated
-        # grid may name the same scenario twice — evaluate it once).
-        # Bookkeeping is slot-indexed, not Scenario-keyed: one hash per
-        # point (``setdefault``) instead of eight, which matters on
-        # 10k-point whole-grid runs where hashing rivals pricing.
+        # grid may name the same scenario twice — evaluate it once, and
+        # return its one row at each of its positions).  Bookkeeping is
+        # slot-indexed, not Scenario-keyed: one hash per point
+        # (``setdefault``), which matters on 10k-point whole-grid runs
+        # where hashing rivals pricing.  ``slot_of`` keeps the distinct
+        # scenarios in slot order.
         slot_of: dict[Scenario, int] = {}
         slots: list[int] = []  # per point, in order
-        slot_scenarios: list[Scenario] = []  # per slot
-        values: list[dict] = []  # per slot
-        stats: list[dict | None] = []
-        cached: list[bool] = []
-        attempts: list[int] = []
-        errors: list[dict | None] = []
-        quarantined: list[bool] = []
+        rows: list[SweepResult | None] = []  # per slot; None until computed
+        quarantined: set[int] = set()  # slots whose cache entry was bad
         misses: list[Scenario] = []
         miss_slots: list[int] = []
         caching = self.cache_dir is not None
         for sc in points:
-            slot = slot_of.setdefault(sc, len(values))
+            slot = slot_of.setdefault(sc, len(rows))
             slots.append(slot)
-            if slot < len(values):
+            if slot < len(rows):
                 continue  # repeated point: reuse the first slot
-            slot_scenarios.append(sc)
             quarantined_before = self.quarantined
             hit = self._cache_load(sc) if caching else None
-            quarantined.append(self.quarantined > quarantined_before)
-            errors.append(None)
-            if hit is not None:
-                hit_values, hit_stats, hit_attempts = hit
-                values.append(hit_values)
-                stats.append(hit_stats)
-                cached.append(True)
-                attempts.append(hit_attempts)
-            else:
-                values.append({})  # placeholder keeps dedupe order stable
-                stats.append(None)
-                cached.append(False)
-                attempts.append(1)
+            if self.quarantined > quarantined_before:
+                quarantined.add(slot)
+            if hit is None:
+                rows.append(None)
                 misses.append(sc)
                 miss_slots.append(slot)
+            else:
+                hit_values, hit_stats, hit_attempts = hit
+                rows.append(SweepResult(
+                    sc, hit_values, cached=True, cache_stats=hit_stats,
+                    attempts=hit_attempts,
+                ))
 
         observing = _obs_active()
         if observing:
             _obs_emit(
                 "cache.resolved",
-                hits=sum(cached),
+                hits=len(rows) - len(misses),
                 misses=len(misses),
-                quarantined=sum(quarantined),
+                quarantined=len(quarantined),
             )
 
         # The run manifest exists only when it can matter — a resilient
@@ -989,7 +1031,7 @@ class SweepRunner:
         manifest = prior = None
         keys: list[str] | None = None
         if caching and (self.resume or self._resilient):
-            keys = [sc.key(self._salt) for sc in slot_scenarios]
+            keys = [sc.key(self._salt) for sc in slot_of]
             digest = grid_digest(keys)
             prior = RunManifest.load(self.cache_dir) if self.resume else None
             if prior is not None and prior.grid_hash != digest:
@@ -1000,9 +1042,9 @@ class SweepRunner:
                     f"at the original grid or use a fresh cache_dir"
                 )
             manifest = RunManifest(self.cache_dir, digest)
-            for slot, sc in enumerate(slot_scenarios):
-                if cached[slot]:
-                    manifest.record(keys[slot], "ok", attempts[slot])
+            for slot, row in enumerate(rows):
+                if row is not None:  # a cache hit
+                    manifest.record(keys[slot], "ok", row.attempts)
 
         if misses:
             try:
@@ -1046,9 +1088,7 @@ class SweepRunner:
                     # across runs — the proof that resume re-executed
                     # it rather than recomputing from scratch.
                     sc_attempts += prior.prior_attempts(keys[slot])
-                attempts[slot] = sc_attempts
                 if error is None:
-                    values[slot] = vals
                     if caching:
                         # Group-level batch stats never reach the cache
                         # files — entries stay byte-identical to what
@@ -1073,17 +1113,20 @@ class SweepRunner:
                 else:
                     # Failures become result rows, never cache entries:
                     # a later run (resumed or not) must re-evaluate.
-                    errors[slot] = error
+                    vals = {}
                     if manifest is not None:
                         manifest.record(
                             keys[slot], "failed", sc_attempts, error
                         )
-                if quarantined[slot]:
+                if slot in quarantined:
                     # Surfaced on the in-memory result only — the fresh
                     # cache entry describes a healthy recompute.
                     sc_stats = dict(sc_stats or {})
                     sc_stats["quarantined"] = 1
-                stats[slot] = sc_stats
+                rows[slot] = SweepResult(
+                    sc, vals, cache_stats=sc_stats, ok=error is None,
+                    error=error, attempts=sc_attempts,
+                )
             if observing:
                 if not evaluator_totals["federated"]:
                     # Only remote runs with store hits carry the field,
@@ -1094,15 +1137,4 @@ class SweepRunner:
         if manifest is not None:
             manifest.write()
 
-        return [
-            SweepResult(
-                scenario=sc,
-                values=values[slot],
-                cached=cached[slot],
-                cache_stats=stats[slot],
-                ok=errors[slot] is None,
-                error=errors[slot],
-                attempts=attempts[slot],
-            )
-            for sc, slot in zip(points, slots)
-        ]
+        return [rows[slot] for slot in slots]

@@ -14,7 +14,7 @@ from repro.api import (
     StudyResult,
     pareto_front,
 )
-from repro.sweep.runner import SweepResult
+from repro.sweep.runner import SweepResult, SweepRunner
 
 
 # Module-level so process-backend workers can pickle it.
@@ -29,6 +29,12 @@ GRID = ScenarioGrid(
     systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
     batches=(1024, 2048), ns=(1, 2),
 )
+
+
+def failing_at_2048(scenario: Scenario) -> dict:
+    if scenario.batch == 2048:
+        raise RuntimeError("injected failure")
+    return fake_objective(scenario)
 
 
 class TestStudyBuilder:
@@ -227,6 +233,37 @@ class TestResultSet:
         # The process-wide shared context may already be warm from other
         # tests: the memo was touched either way.
         assert stats["evaluator_hits"] + stats["evaluator_misses"] > 0
+
+    def test_holds_the_runners_rows(self):
+        rows = SweepRunner(fake_objective, backend="serial").run(GRID + GRID)
+        results = ResultSet(rows)
+        assert all(kept is row for kept, row in zip(results, rows))
+        # A repeated point is one row, returned at each of its positions.
+        assert all(
+            results[i] is results[i + len(GRID)] for i in range(len(GRID))
+        )
+
+    def test_accessors_on_a_keep_going_set_with_a_failed_row(self):
+        grid = ScenarioGrid(
+            systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
+            batches=(1024, 2048, 4096), ns=(1,),
+        )
+        results = Study(grid).objective(failing_at_2048).keep_going().run()
+        first, failed, last = results
+        assert not failed.ok and first.ok and last.ok
+        # Ranking skips the failed row ...
+        assert results.best() is first
+        assert list(results.pareto()) == [first]
+        # ... and value columns read None on it.
+        assert results.column("iteration_time") == [
+            first["iteration_time"], None, last["iteration_time"],
+        ]
+        assert list(results.group_by("iteration_time")[None]) == [failed]
+        text = results.table().render()
+        assert "peak_memory_bytes" in text  # columns from the first ok row
+        # With no ok row left there is nothing to rank.
+        with pytest.raises(ValueError, match="no ok result"):
+            results.failures().best()
 
     def test_wraps_plain_sweep_results(self):
         raw = SweepResult(scenario=Scenario(), values={"iteration_time": 1.0})

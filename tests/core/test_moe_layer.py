@@ -1,11 +1,15 @@
 """The public MoELayer: configuration resolution, equivalence across
 execution modes, adaptive component wiring."""
 
+import struct
+
 import numpy as np
 import pytest
 
 import repro
+from repro.systems.base import SystemContext
 from repro.tensor import Tensor, no_grad
+from repro.testing.oracles import ColdEvaluator
 
 from tests.conftest import make_inputs, make_layer, scalar_loss
 
@@ -62,6 +66,49 @@ class TestConfigure:
         layer = make_layer(memory_reuse=True, num_partitions=1)
         _, strat = layer.configure(32)
         assert strat.name == "none"
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def selection_bits(selector, batch: int, n: int):
+    try:
+        result = selector.select(batch, n)
+    except MemoryError:
+        return "oom"
+    return (
+        result.strategy.name, bits(result.cost), result.memory_bytes,
+        sorted((name, bits(cost)) for name, cost in result.costs.items()),
+    )
+
+
+class TestTimingPath:
+    """The adaptive components price through the layer's evaluator: the
+    seed path (a fresh Op DAG and a recorded event-loop run per trial,
+    an unmemoized selector) gives the same bits."""
+
+    @pytest.mark.parametrize("world_size", [2, 8])
+    def test_trials_and_selection_match_the_cold_path(self, world_size):
+        layer = repro.MoELayer(
+            d_model=128, d_hidden=512, num_experts=16, world_size=world_size,
+            memory_reuse=True, candidate_partitions=(1, 2, 4, 8, 16),
+            dtype=np.float32,
+        )
+        cold = ColdEvaluator(
+            SystemContext(layer.cluster, layer.device, world_size)
+        )
+        workload = layer.timing_workload
+        cold_selector = cold.build_selector(layer.spec, workload)
+        for batch in (256, 4096, 65536, 1 << 20):
+            for n in layer.candidate_partitions:
+                trial = layer.granularity_searcher.evaluate(batch, n)
+                seed = cold.makespan(layer.spec, batch, n, "none", workload=workload)
+                assert bits(trial) == bits(seed), (batch, n)
+                if n >= 2:
+                    assert selection_bits(
+                        layer.strategy_selector, batch, n
+                    ) == selection_bits(cold_selector, batch, n), (batch, n)
 
 
 class TestForward:

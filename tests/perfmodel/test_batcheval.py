@@ -21,7 +21,6 @@ from repro.perfmodel.batcheval import (
     batch_evaluate_timeline,
     batch_evaluator_for,
     batch_map,
-    batched_device_rows,
     batched_makespans,
     register_batch_evaluator,
 )
@@ -37,9 +36,7 @@ from repro.sweep import (
 )
 from repro.sweep.runner import (
     CACHE_STATS_KEY,
-    _scenario_spec,
     scenario_hetero,
-    scenario_workload,
     shared_context,
 )
 
@@ -232,19 +229,6 @@ class TestGeneratedGroups:
     @given(template_group("eq10"))
     def test_eq10_twin(self, scenarios):
         assert_twin_matches(evaluate_eq10, batch_evaluate_eq10, scenarios)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(template_group("timeline"))
-    def test_device_rows_twin(self, scenarios):
-        spec = _scenario_spec(scenarios[0])
-        world = scenarios[0].world_size
-        batches = [sc.batch for sc in scenarios]
-        workloads = [scenario_workload(sc) for sc in scenarios]
-        rows = batched_device_rows(np, spec, world, batches, workloads)
-        assert rows.tolist() == [
-            batch if wl is None else wl.device_rows(spec, batch, world)
-            for batch, wl in zip(batches, workloads)
-        ]
 
 
 class TestBackendsIdentity:

@@ -87,6 +87,7 @@ class TestScenario:
             {"dtype": "fp12"},
             {"imbalance": 0.5},
             {"imbalance": float("nan")},
+            {"imbalance": float("inf")},
             # Non-finite capacity factors would fail mid-run in math.ceil.
             {"capacity_factor": float("nan")},
             {"capacity_factor": float("inf")},
