@@ -31,9 +31,10 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.config import PRESETS
 from repro.hardware.hetero import STRAGGLER_KINDS
@@ -185,27 +186,6 @@ class Scenario:
                     "the replica off the hot expert's rank"
                 )
 
-    def __hash__(self) -> int:
-        # Memoized: the runner hashes each scenario several times per
-        # run (dedupe dict, values/stats maps), and on a 10k+-point
-        # vectorized sweep the generated 17-field-tuple hash becomes
-        # measurable overhead.  Frozen dataclass, so compute-once is
-        # safe; equal scenarios have equal field tuples, hence equal
-        # cached hashes.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        value = hash((
-            self.system, self.spec, self.world_size, self.batch, self.n,
-            self.strategy, self.decomposed_comm, self.sequential,
-            self.straggler, self.severity, self.straggler_seed,
-            self.num_experts, self.capacity_factor, self.top_k,
-            self.dtype, self.imbalance, self.placement,
-        ))
-        object.__setattr__(self, "_hash", value)
-        return value
-
     def key(self, salt: str = "") -> str:
         """Stable digest of this scenario (plus an optional salt such as
         the evaluator's qualified name) — the cache key."""
@@ -245,6 +225,12 @@ class Scenario:
         return "/".join(parts)
 
 
+#: The :class:`Scenario` field names in declaration order: the payload
+#: keys, and the argument order of ``Scenario(*values)``.
+_FIELD_NAMES = tuple(field.name for field in fields(Scenario))
+_field_values = operator.attrgetter(*_FIELD_NAMES)
+
+
 def scenario_payload(scenario: Scenario) -> dict:
     """The scenario's serialized field dict — the cache/wire payload.
 
@@ -255,8 +241,8 @@ def scenario_payload(scenario: Scenario) -> dict:
     re-evaluating the same numbers under new keys.  Named placements
     serialize normally (and therefore key distinctly).
     """
-    payload = asdict(scenario)
-    if payload.get("placement") is None:
+    payload = dict(zip(_FIELD_NAMES, _field_values(scenario)))
+    if payload["placement"] is None:
         del payload["placement"]
     return payload
 
@@ -280,8 +266,8 @@ def encode_entry(
     ``stats`` and ``attempts`` are written only when present and above
     one, so first-try entries keep the bytes they have always had.
     """
-    # scenario_payload(), not __dict__: that would leak the memoized
-    # hash slot and name axis-absent defaults old entries never had.
+    # scenario_payload(), not __dict__: that would name the axis-absent
+    # placement default, which old entries never had.
     payload = {"scenario": scenario_payload(scenario), "values": values}
     if version is not None:
         payload["version"] = version
@@ -326,8 +312,9 @@ def read_entry(path, scenario: Scenario, version: int | None = None):
     return payload["values"], payload.get("evaluator_cache"), attempts
 
 
-#: Grid axis name -> the :class:`Scenario` field it populates, in the
-#: fixed iteration order of the cartesian product.
+#: Grid axis name -> the :class:`Scenario` field it populates, in field
+#: declaration order: the fixed iteration order of the cartesian product
+#: and the argument order :meth:`ScenarioGrid.scenarios` builds with.
 AXIS_FIELDS: dict[str, str] = {
     "systems": "system",
     "specs": "spec",
@@ -350,102 +337,74 @@ AXIS_FIELDS: dict[str, str] = {
 
 
 def _check_axis(name: str, values) -> tuple:
-    """Reject the two silent-footgun axis spellings eagerly.
+    """Reject axis spellings that would go wrong far from their typo.
 
     A bare string (``specs="GPT-XL"``) would fan out over its characters
     and a bare scalar (``batches=4096``) would fail deep inside
-    ``itertools.product`` — both far from the typo that caused them.
+    ``itertools.product``.  A set iterates in hash order, so the
+    scenario order and the result JSON would follow ``PYTHONHASHSEED``.
+    A value that is not a JSON scalar (``numpy.int64``) would run, then
+    fail at the first cache key or at ``to_json()``.
     """
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise ValueError(
             f"grid axis {name!r} must be a sequence of values, got "
             f"{type(values).__name__} — write {name}=({values!r},)"
         )
-    return tuple(values)
+    if isinstance(values, (set, frozenset)):
+        raise ValueError(
+            f"grid axis {name!r} must be an ordered sequence, got a "
+            f"{type(values).__name__}, whose order follows the hash seed"
+        )
+    values = tuple(values)
+    for value in values:
+        if value is not None and not isinstance(value, (str, int, float)):
+            kind = type(value)
+            raise ValueError(
+                f"grid axis {name!r} holds {value!r} of type "
+                f"{kind.__module__}.{kind.__qualname__}; axis values must "
+                f"be None, str, int, float or bool"
+            )
+    return values
 
 
 class ScenarioGrid:
     """Cartesian product over scenario axes.
 
-    Axis order is fixed (system, spec, world_size, batch, n, strategy,
-    decomposed, sequential, straggler, severity, straggler_seed,
-    num_experts, capacity_factor, top_k, dtype, imbalance, placement)
-    so iteration order — and therefore sweep result order — is
-    deterministic.  ``grid_a + grid_b``
-    concatenates into a :class:`ScenarioList` (grid-compatible:
-    ``scenarios()``/``len``/``+`` keep chaining) for non-rectangular
-    studies.  Unknown axis names fail eagerly with the valid spellings —
-    not as a confusing downstream failure.
+    Each keyword is an axis name of :data:`AXIS_FIELDS` with an ordered
+    sequence of plain Python values; an absent axis takes its field's
+    default.  Axes iterate in :data:`AXIS_FIELDS` order, so iteration
+    order — and therefore sweep result order — is deterministic.
+    ``grid_a + grid_b`` concatenates into a :class:`ScenarioList`
+    (grid-compatible: ``scenarios()``/``len``/``+`` keep chaining) for
+    non-rectangular studies.  Unknown axis names fail eagerly with the
+    valid spellings — not as a confusing downstream failure.
     """
 
-    def __init__(
-        self,
-        systems: Sequence[str] = ("mpipemoe",),
-        specs: Sequence[str] = ("GPT-XL",),
-        world_sizes: Sequence[int] = (64,),
-        batches: Sequence[int] = (16384,),
-        ns: Sequence[int | None] = (None,),
-        strategies: Sequence[str | None] = (None,),
-        decomposed: Sequence[bool] = (False,),
-        sequential: Sequence[bool] = (False,),
-        stragglers: Sequence[str | None] = (None,),
-        severities: Sequence[float] = (1.0,),
-        straggler_seeds: Sequence[int] = (0,),
-        num_experts: Sequence[int | None] = (None,),
-        capacity_factors: Sequence[float | None] = (None,),
-        top_ks: Sequence[int | None] = (None,),
-        dtypes: Sequence[str | None] = (None,),
-        imbalances: Sequence[float] = (1.0,),
-        placements: Sequence[str | None] = (None,),
-        **unknown_axes,
-    ) -> None:
+    def __init__(self, **axes) -> None:
+        unknown_axes = sorted(axes.keys() - AXIS_FIELDS.keys())
         if unknown_axes:
             hints = []
-            for name in sorted(unknown_axes):
+            for name in unknown_axes:
                 close = difflib.get_close_matches(name, AXIS_FIELDS, n=1)
                 if close:
                     hints.append(f"did you mean {close[0]!r} for {name!r}?")
             detail = f" ({' '.join(hints)})" if hints else ""
             raise ValueError(
-                f"unknown grid axis(es) {sorted(unknown_axes)}; valid axes "
+                f"unknown grid axis(es) {unknown_axes}; valid axes "
                 f"(scenario field): "
                 + ", ".join(f"{a} ({f})" for a, f in AXIS_FIELDS.items())
                 + detail
             )
-        self.axes = (
-            _check_axis("systems", systems),
-            _check_axis("specs", specs),
-            _check_axis("world_sizes", world_sizes),
-            _check_axis("batches", batches),
-            _check_axis("ns", ns),
-            _check_axis("strategies", strategies),
-            _check_axis("decomposed", decomposed),
-            _check_axis("sequential", sequential),
-            _check_axis("stragglers", stragglers),
-            _check_axis("severities", severities),
-            _check_axis("straggler_seeds", straggler_seeds),
-            _check_axis("num_experts", num_experts),
-            _check_axis("capacity_factors", capacity_factors),
-            _check_axis("top_ks", top_ks),
-            _check_axis("dtypes", dtypes),
-            _check_axis("imbalances", imbalances),
-            _check_axis("placements", placements),
+        self.axes = tuple(
+            _check_axis(axis, axes[axis]) if axis in axes else (field.default,)
+            for axis, field in zip(AXIS_FIELDS, fields(Scenario))
         )
         if any(not axis for axis in self.axes):
             raise ValueError("every grid axis needs at least one value")
 
     def scenarios(self) -> list[Scenario]:
-        return [
-            Scenario(
-                system=sy, spec=sp, world_size=w, batch=b, n=n,
-                strategy=st, decomposed_comm=dc, sequential=sq,
-                straggler=sg, severity=sev, straggler_seed=seed,
-                num_experts=ne, capacity_factor=cf,
-                top_k=tk, dtype=dt, imbalance=im, placement=pl,
-            )
-            for sy, sp, w, b, n, st, dc, sq, sg, sev, seed, ne, cf, tk, dt, im, pl
-            in itertools.product(*self.axes)
-        ]
+        return [Scenario(*combo) for combo in itertools.product(*self.axes)]
 
     def __iter__(self) -> Iterator[Scenario]:
         return iter(self.scenarios())

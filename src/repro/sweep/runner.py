@@ -80,6 +80,7 @@ from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.placeopt import PlacementProblem, optimize_placement
 from repro.perfmodel.workload import WorkloadSpec
 from repro.sweep.grid import (
+    AXIS_FIELDS,
     Scenario,
     ScenarioGrid,
     encode_entry,
@@ -657,7 +658,7 @@ class SweepResult:
             return values[column]
         if column == "label":
             return self.label
-        if hasattr(self.scenario, column):
+        if column in AXIS_FIELDS.values():
             return getattr(self.scenario, column)
         if not self.ok:
             return None

@@ -4,11 +4,12 @@ aliases warn never, and importing the facade stays lean."""
 from __future__ import annotations
 
 import importlib
-import subprocess
 import sys
 import warnings
 
 import pytest
+
+from tests.conftest import run_python
 
 
 @pytest.mark.parametrize("module_name", ["repro", "repro.api", "repro.sweep"])
@@ -73,25 +74,6 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
     assert namespace["front"]
     assert len(list((tmp_path / ".sweep_cache").glob("*.json"))) >= len(results)
     assert results.to_json() in capsys.readouterr().out
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with this checkout's ``src`` importable."""
-    import os
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
 
 
 def test_python_dash_m_repro_wires_the_cli():

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +40,24 @@ def make_inputs(layer: repro.MoELayer, batch: int = 12, seed: int = 5,
                requires_grad=requires_grad)
         for _ in range(layer.world_size)
     ]
+
+
+def run_python(
+    *args: str, input: str | None = None, **env: str
+) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's ``src`` importable,
+    ``env`` added to its environment and ``input`` on its stdin."""
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args],
+        input=input,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
 
 
 def on_thread_pool(evaluate, scenarios, workers: int) -> list:

@@ -16,7 +16,7 @@ from repro.sweep import (
     pareto_front,
     sweep_table,
 )
-from tests.conftest import on_thread_pool
+from tests.conftest import on_thread_pool, run_python
 
 # Module-level so worker processes can unpickle it by qualified name.
 def fake_evaluate(scenario: Scenario) -> dict:
@@ -53,6 +53,53 @@ class TestScenario:
         assert a.key() == b.key()
         assert a.key() != c.key()
         assert a.key(salt="other-evaluator") != a.key()
+
+    def test_key_table_is_pinned(self):
+        """Scenario.key() names every cache entry and store file: these
+        digests must not move when the payload code changes."""
+        placed = dict(
+            system="timeline", spec="GPT-S", world_size=8, batch=2048,
+            imbalance=4.0, straggler="single-slow-gpu", severity=0.5,
+        )
+        assert Scenario().key() == "ed6f203bff1219c979e4"
+        assert (
+            Scenario().key("repro.sweep.runner.evaluate_system")
+            == "42a7934938b74f0f45a7"
+        )
+        assert (
+            Scenario(**placed, n=2, strategy="S1", placement="optimized").key()
+            == "612e77386c48c150d9d7"
+        )
+        every_field = Scenario(
+            **{**placed, "straggler": "random-jitter"}, n=4, strategy="S3",
+            decomposed_comm=True, sequential=True, straggler_seed=3,
+            num_experts=32, capacity_factor=1.25, top_k=2, dtype="bf16",
+            placement="shadowed",
+        )
+        assert every_field.key() == "0a5de2c5a380f65c3aa9"
+
+    def test_hash_survives_pickling_across_hash_seeds(self):
+        """A scenario pickled in one interpreter (as spawn and
+        forkserver pools ship it) must hash like a fresh copy in another
+        whose hash seed differs, or dict lookups on it miss."""
+        build = (
+            "import pickle, sys; from repro.sweep.grid import Scenario; "
+            "sc = Scenario(system='timeline', spec='GPT-S', dtype='bf16'); "
+        )
+        dumped = run_python(
+            "-c", build + "hash(sc); sys.stdout.write(pickle.dumps(sc).hex())",
+            PYTHONHASHSEED="0",
+        )
+        assert dumped.returncode == 0, dumped.stderr
+        loaded = run_python(
+            "-c",
+            build + "back = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+            "assert back == sc; print(hash(back) == hash(sc), {sc: 1}.get(back))",
+            input=dumped.stdout,
+            PYTHONHASHSEED="1",
+        )
+        assert loaded.returncode == 0, loaded.stderr
+        assert loaded.stdout.split() == ["True", "1"]
 
     def test_label_mentions_the_set_knobs(self):
         label = Scenario(system="mpipemoe", n=4, strategy="S2").label()
@@ -185,15 +232,41 @@ class TestScenarioGrid:
 
     def test_scalar_and_string_axes_fail_eagerly(self):
         """specs="GPT-XL" must not fan out over characters, and
-        batches=4096 must not die deep inside itertools.product."""
+        batches=4096 must not die deep inside itertools.product.  A set
+        axis would order the scenarios by hash seed, and numpy scalars
+        would run, then fail at the first cache key or at to_json()."""
+        import numpy as np
+
         with pytest.raises(ValueError, match="specs=\\('GPT-XL',\\)"):
             ScenarioGrid(specs="GPT-XL")
         with pytest.raises(ValueError, match="sequence"):
             ScenarioGrid(batches=4096)
+        with pytest.raises(ValueError, match="'systems'.*ordered sequence"):
+            ScenarioGrid(systems={"fastmoe", "pipemoe"})
+        with pytest.raises(ValueError, match="'ns'.*frozenset"):
+            ScenarioGrid(ns=frozenset({2, 4}))
+        with pytest.raises(ValueError, match="'batches'.*numpy.int64"):
+            ScenarioGrid(batches=np.arange(1024, 3072, 1024))
+        with pytest.raises(ValueError, match="'decomposed'.*numpy.bool"):
+            ScenarioGrid(decomposed=(np.bool_(True),))
+        # JSON's scalars pass: None, str, int, float and bool.
+        grid = ScenarioGrid(ns=(None, 2), severities=(1.0,), sequential=(True,))
+        assert len(grid) == 2
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             ScenarioGrid(batches=())
+
+    def test_axis_fields_follow_the_scenario_fields(self):
+        """scenarios() builds Scenario(*combo) positionally, and an
+        absent axis takes its field's default: both need AXIS_FIELDS to
+        name every field once, in declaration order."""
+        from dataclasses import fields
+
+        from repro.sweep import AXIS_FIELDS
+
+        assert list(AXIS_FIELDS.values()) == [f.name for f in fields(Scenario)]
+        assert ScenarioGrid().scenarios() == [Scenario()]
 
     def test_unknown_spec_fails_before_any_point_runs(self):
         """An unknown preset name used to build fine and then raise
@@ -382,8 +455,10 @@ class TestAnalysis:
 
     def test_sweep_table_unknown_column(self):
         results = SweepRunner(fake_evaluate).run([Scenario(system="timeline", n=2)])
-        with pytest.raises(KeyError, match="neither"):
-            sweep_table(results, ["no_such_column"]).render()
+        # "key" is a Scenario method, not a field: no column either.
+        for column in ("no_such_column", "key"):
+            with pytest.raises(KeyError, match="neither"):
+                sweep_table(results, [column]).render()
 
     def test_group_by_scenario_field(self):
         results = SweepRunner(fake_evaluate).run(SMALL_GRID)
