@@ -20,18 +20,26 @@ order, sorted keys, and (by default) only the *physical* values.  The
 per-run evaluator-cache deltas depend on worker scheduling, so they are
 opt-in (``include_cache_stats=True``); this is what makes the same study
 byte-identical across the serial/process/vectorized/remote backends.
+The text is ``json.dumps`` of the rows' ``to_dict()``s with sorted keys;
+at the default ``indent=1`` the cache files' template writer,
+:func:`~repro.sweep.grid.json_text`, writes it about twice as fast.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.sweep.grid import json_text, scenario_payload
 from repro.sweep.runner import SweepResult
 from repro.utils import Table
 
 Getter = Callable[[SweepResult], Any]
+
+#: An ok row's ``to_dict()`` as :meth:`ResultSet.to_json` writes it.
+_ROW = '{\n  "label": %s,\n  "scenario": %s,\n  "values": %s\n }'
 
 
 def _getter(column: str | Getter) -> Getter:
@@ -283,11 +291,21 @@ class ResultSet(Sequence):
         """Deterministic JSON: scenario order, sorted keys, physical
         values only unless ``include_cache_stats=True`` (per-run memo
         deltas vary with worker scheduling; the values never do)."""
-        payload = [
-            r.to_dict(include_cache_stats=include_cache_stats)
+        with_stats = include_cache_stats
+        if indent != 1:
+            rows = [r.to_dict(include_cache_stats=with_stats) for r in self._results]
+            return json.dumps(rows, indent=indent, sort_keys=True)
+        rows = [
+            json_text(r.to_dict(include_cache_stats=with_stats), 1)
+            if with_stats or not r.ok
+            else _ROW % (
+                encode_basestring_ascii(r.label),
+                json_text(scenario_payload(r.scenario), 2),
+                json_text(r.values, 2),
+            )
             for r in self._results
         ]
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return "[\n " + ",\n ".join(rows) + "\n]" if rows else "[]"
 
     def save_json(
         self,

@@ -40,6 +40,7 @@ from repro.sweep.grid import (
     ScenarioGrid,
     ScenarioList,
     as_scenarios,
+    check_field_value,
     scenario_payload,
 )
 from repro.sweep.resilience import RetryPolicy
@@ -263,7 +264,9 @@ class Study:
     def where(self, **fields) -> "Study":
         """Overlay scenario fields onto every point (applied at run time).
 
-        Unknown field names fail eagerly with the valid spellings.
+        Unknown field names and values that are not JSON scalars (the
+        grid axes' rule, :func:`~repro.sweep.grid.check_field_value`)
+        fail eagerly.
         """
         valid = set(AXIS_FIELDS.values())
         unknown = sorted(set(fields) - valid)
@@ -272,6 +275,8 @@ class Study:
                 f"unknown scenario field(s) {unknown}; valid fields: "
                 f"{', '.join(sorted(valid))}"
             )
+        for name, value in fields.items():
+            check_field_value(f"scenario field {name!r}", value)
         return self._clone(_overlay={**self._overlay, **fields})
 
     def cluster(

@@ -167,6 +167,10 @@ class Evaluator:
         self._footprints = _LruMemo(self.max_entries)
         self._footprint_bytes = _LruMemo(self.max_entries)
         self._selectors = _LruMemo(self.max_entries)
+        self._memos = (
+            self._costs, self._makespans, self._sims,
+            self._footprint_bytes, self._footprints, self._selectors,
+        )
         self._hkey = self.context.hetero_key
 
     # -- shared building blocks ------------------------------------------------
@@ -461,23 +465,32 @@ class Evaluator:
     def cache_info(self) -> dict:
         """Counters plus live entry counts, JSON-ready.
 
-        The sweep runner snapshots this before/after each scenario and
-        persists the delta next to the scenario's values, making cache
+        The sweep runner persists the per-scenario :meth:`cache_delta`
+        of these counters next to the scenario's values, making cache
         efficacy visible per study.
         """
-        memos = (
-            self._costs,
-            self._makespans,
-            self._sims,
-            self._footprint_bytes,
-            self._footprints,
-            self._selectors,
-        )
         info = self.stats.as_dict()
-        info["entries"] = sum(len(m) for m in memos)
-        info["evictions"] = sum(m.evictions for m in memos)
+        info["entries"] = sum(len(m) for m in self._memos)
+        info["evictions"] = sum(m.evictions for m in self._memos)
         info["max_entries"] = self.max_entries
         return info
+
+    def counters(self) -> tuple[int, ...]:
+        """The :class:`EvalStats` hit/miss pairs and the evictions: the
+        cheap snapshot the sweep runner takes around each scenario."""
+        return (*vars(self.stats).values(), sum(m.evictions for m in self._memos))
+
+    def cache_delta(self, before: tuple[int, ...]) -> dict:
+        """The :meth:`counters` accrued since ``before``, by name, then
+        their ``hits`` and ``misses`` totals and the live ``entries``
+        and ``max_entries`` of :meth:`cache_info`."""
+        counts = [now - then for now, then in zip(self.counters(), before)]
+        delta = dict(zip((*vars(self.stats), "evictions"), counts))
+        delta["hits"] = sum(counts[:-1:2])
+        delta["misses"] = sum(counts[1:-1:2])
+        delta["entries"] = sum(map(len, self._memos))
+        delta["max_entries"] = self.max_entries
+        return delta
 
     def clear(self) -> None:
         """Drop every memo (stats are kept)."""

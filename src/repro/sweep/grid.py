@@ -27,12 +27,14 @@ entries keep hitting.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -253,6 +255,59 @@ def objective_salt(objective) -> str:
     return f"{objective.__module__}.{objective.__qualname__}"
 
 
+#: How ``json`` writes each exact scalar type (NaN and the infinities
+#: as ``json.dumps`` spells them).
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda value: repr(value) if math.isfinite(value) else json.dumps(value),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_template(keys: tuple, depth: int) -> tuple[str, tuple] | None:
+    """The ``%`` template of a dict with these keys at ``depth``, and the
+    sorted keys that fill it; ``None`` unless every key is a ``str``."""
+    if not all(type(key) is str for key in keys):
+        return None
+    ordered = tuple(sorted(keys))
+    item = "\n" + " " * (depth + 1)
+    body = ("," + item).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered
+    )
+    return "{" + item + body + "\n" + " " * depth + "}", ordered
+
+
+def json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)`` nested ``depth``
+    levels deep (each newline followed by ``depth`` more spaces).
+
+    Any ``indent`` runs ``json``'s pure-Python encoder, so non-empty
+    ``str``-keyed dicts are filled into cached templates and exact
+    scalars written directly; anything else (lists, other keys,
+    subclasses, non-JSON values, nesting past 32 levels, so cycles)
+    goes to ``json.dumps``, for the same text or the same error.
+    """
+    kind = type(value)
+    if kind is dict and value and depth < 32:
+        shape = _dict_template(tuple(value), depth)
+        if shape is not None:
+            template, keys = shape
+            get, inner = _SCALAR_TEXT.get, depth + 1
+            return template % tuple([
+                scalar(item) if (scalar := get(type(item))) else json_text(item, inner)
+                for item in map(value.__getitem__, keys)
+            ])
+    else:
+        scalar = _SCALAR_TEXT.get(kind)
+        if scalar is not None:
+            return scalar(value)
+    text = json.dumps(value, indent=1, sort_keys=True)
+    return text.replace("\n", "\n" + " " * depth) if depth else text
+
+
 def encode_entry(
     scenario: Scenario,
     values: dict,
@@ -275,7 +330,7 @@ def encode_entry(
         payload["evaluator_cache"] = stats
     if attempts > 1:
         payload["attempts"] = attempts
-    return json.dumps(payload, indent=1, sort_keys=True)
+    return json_text(payload)
 
 
 def read_entry(path, scenario: Scenario, version: int | None = None):
@@ -336,6 +391,18 @@ AXIS_FIELDS: dict[str, str] = {
 }
 
 
+def check_field_value(where: str, value) -> None:
+    """Reject a scenario field value that is not a JSON scalar: a
+    ``numpy.int64`` would run, then fail at a cache key or ``to_json()``."""
+    if value is not None and not isinstance(value, (str, int, float)):
+        kind = type(value)
+        raise ValueError(
+            f"{where} holds {value!r} of type "
+            f"{kind.__module__}.{kind.__qualname__}; scenario values must "
+            f"be None, str, int, float or bool"
+        )
+
+
 def _check_axis(name: str, values) -> tuple:
     """Reject axis spellings that would go wrong far from their typo.
 
@@ -343,8 +410,7 @@ def _check_axis(name: str, values) -> tuple:
     and a bare scalar (``batches=4096``) would fail deep inside
     ``itertools.product``.  A set iterates in hash order, so the
     scenario order and the result JSON would follow ``PYTHONHASHSEED``.
-    A value that is not a JSON scalar (``numpy.int64``) would run, then
-    fail at the first cache key or at ``to_json()``.
+    Each value must pass :func:`check_field_value`.
     """
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise ValueError(
@@ -358,13 +424,7 @@ def _check_axis(name: str, values) -> tuple:
         )
     values = tuple(values)
     for value in values:
-        if value is not None and not isinstance(value, (str, int, float)):
-            kind = type(value)
-            raise ValueError(
-                f"grid axis {name!r} holds {value!r} of type "
-                f"{kind.__module__}.{kind.__qualname__}; axis values must "
-                f"be None, str, int, float or bool"
-            )
+        check_field_value(f"grid axis {name!r}", value)
     return values
 
 

@@ -410,9 +410,13 @@ class RunManifest:
 
     One entry per deduplicated grid slot, keyed by the scenario's cache
     key: status (``"ok"`` / ``"failed"``), cumulative attempt count, and
-    the error payload for failures.  The file is rewritten atomically
-    after every computed point while resilience is active, so a crashed
-    process leaves an accurate picture for ``resume=True`` to pick up.
+    the error payload for failures.  The runner writes the file
+    atomically at most twice per run: when evaluation raises (the cache
+    hits stay on record) and when the run ends.  A rewrite per computed
+    point would cost time quadratic in the grid size, so a process
+    killed mid-evaluation leaves the previous manifest, or none, and
+    ``resume=True`` falls back to the cache files, where the killed run
+    wrote none of its points (entries follow evaluation's return).
     """
 
     def __init__(self, cache_dir, grid_hash: str) -> None:

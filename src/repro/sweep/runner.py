@@ -425,19 +425,9 @@ def scenario_placement(scenario: Scenario, workload: WorkloadSpec) -> PlacementS
     return placed
 
 
-def _with_cache_stats(ctx: SystemContext, before: dict, values: dict) -> dict:
+def _with_cache_stats(ctx: SystemContext, before: tuple, values: dict) -> dict:
     """Attach the per-scenario evaluator-cache delta to ``values``."""
-    after = ctx.evaluator.cache_info()
-    delta = {
-        k: after[k] - before[k]
-        for k in after
-        if k not in ("entries", "max_entries")
-    }
-    delta["hits"] = sum(v for k, v in delta.items() if k.endswith("_hits"))
-    delta["misses"] = sum(v for k, v in delta.items() if k.endswith("_misses"))
-    delta["entries"] = after["entries"]
-    delta["max_entries"] = after["max_entries"]
-    values[CACHE_STATS_KEY] = delta
+    values[CACHE_STATS_KEY] = ctx.evaluator.cache_delta(before)
     return values
 
 
@@ -486,7 +476,7 @@ def evaluate_system(scenario: Scenario) -> dict:
     # same-context evaluations would contend on the GIL anyway, and
     # different contexts still proceed concurrently.
     with ctx.sweep_lock:
-        before = ctx.evaluator.cache_info()
+        before = ctx.evaluator.counters()
         report = model.evaluate(spec, scenario.batch, workload=workload)
         return _with_cache_stats(ctx, before, {
             "system": report.system,
@@ -561,7 +551,7 @@ def evaluate_timeline(scenario: Scenario) -> dict:
     spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
     strategy = scenario.strategy or "none"
     with ctx.sweep_lock:  # exact stats attribution; see evaluate_system
-        before = ctx.evaluator.cache_info()
+        before = ctx.evaluator.counters()
         makespan = ctx.evaluator.makespan(
             spec, scenario.batch, scenario.n, strategy,
             decomposed_comm=scenario.decomposed_comm,
@@ -586,7 +576,7 @@ def evaluate_eq10(scenario: Scenario) -> dict:
     ctx = shared_context(scenario.world_size, scenario_hetero(scenario))
     spec, workload = _scenario_spec(scenario), scenario_workload(scenario)
     with ctx.sweep_lock:  # exact stats attribution; see evaluate_system
-        before = ctx.evaluator.cache_info()
+        before = ctx.evaluator.counters()
         selector = ctx.evaluator.selector(spec, workload)
         # Infeasibility is data; bugs are failures.  Only the selector's
         # own MemoryError (Eq. 1-5 says no reuse strategy fits the

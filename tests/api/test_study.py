@@ -99,6 +99,19 @@ class TestStudyBuilder:
         with pytest.raises(ValueError, match="unknown scenario field"):
             Study(GRID).where(granularity=4)
 
+    def test_where_rejects_values_that_are_not_json_scalars(self):
+        """A numpy overlay value used to run, then fail at to_json() with
+        "Object of type int64 is not JSON serializable"."""
+        import numpy as np
+
+        with pytest.raises(ValueError, match="'batch'.*numpy.int64"):
+            Study(GRID, objective="timeline").where(batch=np.int64(4096))
+        with pytest.raises(ValueError, match="'severity'.*numpy.float32"):
+            Study(GRID).cluster("single-slow-gpu", severity=np.float32(0.5))
+        study = Study(GRID, objective="timeline").where(batch=4096, dtype=None)
+        rows = json.loads(study.run().to_json())
+        assert {row["scenario"]["batch"] for row in rows} == {4096}
+
     def test_describe_from_spec_round_trip(self):
         study = (
             Study(GRID, objective="timeline")
