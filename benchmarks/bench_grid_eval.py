@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     groups = ", ".join(f"{s}@n={list(ns)}" for s, ns in TEMPLATES)
     print(f"{points} timeline scenarios ({SPEC} x {WORLD} GPUs, {groups})")
 
-    vectorized = SweepRunner(evaluate_timeline, backend="vectorized")
+    vectorized = SweepRunner(evaluate_timeline, backend="serial", vectorize=True)
     serial = SweepRunner(evaluate_timeline, backend="serial", vectorize=False)
 
     # Warm the process-level caches both paths share (template compilation,

@@ -24,9 +24,10 @@ The pieces:
   ``StudyResult``, the public name of
   :class:`~repro.sweep.runner.SweepResult`.
 * :mod:`repro.api.backends` — the execution-backend registry
-  (``serial`` / ``process`` / ``vectorized`` / ``remote``),
-  third-party extensible via :func:`register_backend` /
-  :func:`unregister_backend` / :func:`temporary_backend`.
+  (``serial`` / ``process`` / ``remote``), third-party extensible via
+  :func:`register_backend` / :func:`unregister_backend` /
+  :func:`temporary_backend`.  Whole-grid numpy pricing is the
+  ``vectorize`` run option (:meth:`Study.vectorize`), not a backend.
 * ``python -m repro`` — the CLI over all of it (:mod:`repro.api.cli`).
 
 Grid construction (:class:`Scenario`, :class:`ScenarioGrid`,
@@ -40,7 +41,6 @@ from repro.api.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    VectorizedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -53,7 +53,6 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ProcessBackend",
-    "VectorizedBackend",
     "register_backend",
     "unregister_backend",
     "temporary_backend",

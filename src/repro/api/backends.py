@@ -1,17 +1,13 @@
 """Pluggable execution backends for studies and sweeps.
 
 A :class:`Backend` turns an evaluator function and a list of work items
-into a list of results, preserving item order.  Four implementations
+into a list of results, preserving item order.  Three implementations
 ship registered under well-known names:
 
 * ``serial`` — in-process loop; the reference semantics.
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`;
   isolates heavy evaluations, each worker grows its own context pool.
   Evaluators must be module-level (picklable by qualified name).
-* ``vectorized`` — whole-grid evaluation: evaluators with a batched
-  twin registered in :mod:`repro.perfmodel.batcheval` price every item
-  in one numpy pass (bit-identical values, no per-item Python); others
-  degrade to the serial loop.
 * ``remote`` — :class:`repro.distrib.backend.RemoteBackend` (loaded
   lazily): shards the grid across ``python -m repro serve`` worker
   hosts, streams results back, and reshards a dead host's unfinished
@@ -20,6 +16,8 @@ ship registered under well-known names:
 There is no in-process thread or event-loop backend: pricing is pure
 Python and holds the GIL, so threads only add scheduling cost, and
 every evaluator is a plain callable (coroutine functions are rejected).
+Whole-grid numpy pricing is no backend either: the sweep runner takes
+that pass in place of ``Backend.map`` when its ``vectorize`` option says.
 
 Third-party backends plug in through :func:`register_backend` (usable
 as a decorator, undone by :func:`unregister_backend` or scoped with
@@ -178,30 +176,6 @@ class ProcessBackend(Backend):
         return [results[i] for i in range(len(items))]
 
 
-class VectorizedBackend(Backend):
-    """Whole-grid evaluation through the batched evaluator registry.
-
-    Evaluators with a registered batched twin (see
-    :func:`repro.perfmodel.batcheval.register_batch_evaluator`) price
-    every item in one numpy pass — same values as the serial loop, bit
-    for bit, minus the per-item cache-stats entry a batched pass cannot
-    honestly attribute.  Unregistered evaluators degrade to the in-line
-    serial loop, so the backend is always safe to select.  ``workers``
-    is ignored: the batched pass is single-process by construction.
-    """
-
-    name = "vectorized"
-
-    def map(self, fn, items, *, workers: int = 1) -> list:
-        self._require_sync(fn)
-        # Imported lazily: this module stays repro-import-free at import
-        # time (see the module docstring), and the batched twins pull in
-        # the whole evaluation stack.
-        from repro.perfmodel.batcheval import batch_map
-
-        return batch_map(fn, list(items))
-
-
 #: name -> zero-arg factory returning a fresh Backend.
 _REGISTRY: dict[str, Callable[[], Backend]] = {}
 
@@ -321,5 +295,4 @@ def _remote_backend() -> Backend:
 
 register_backend("serial", SerialBackend)
 register_backend("process", ProcessBackend)
-register_backend("vectorized", VectorizedBackend)
 register_backend("remote", _remote_backend)

@@ -19,7 +19,7 @@ JSON contract: :meth:`ResultSet.to_json` is deterministic — scenario
 order, sorted keys, and (by default) only the *physical* values.  The
 per-run evaluator-cache deltas depend on worker scheduling, so they are
 opt-in (``include_cache_stats=True``); this is what makes the same study
-byte-identical across the serial/process/vectorized/remote backends.
+byte-identical across backends and the whole-grid pass.
 The text is ``json.dumps`` of the rows' ``to_dict()``s with sorted keys;
 at the default ``indent=1`` the cache files' template writer,
 :func:`~repro.sweep.grid.json_text`, writes it about twice as fast.

@@ -31,7 +31,7 @@ import dataclasses
 import os
 from typing import Callable, Iterable
 
-from repro.api.backends import Backend, get_backend
+from repro.api.backends import Backend
 from repro.api.result import ResultSet
 from repro.obs import ObsSession
 from repro.sweep.grid import (
@@ -43,9 +43,9 @@ from repro.sweep.grid import (
     check_field_value,
     scenario_payload,
 )
-from repro.sweep.resilience import RetryPolicy
 from repro.sweep.runner import (
     SweepRunner,
+    check_run_option,
     evaluate_eq10,
     evaluate_system,
     evaluate_timeline,
@@ -71,76 +71,51 @@ def _resolve_objective(objective) -> Callable[[Scenario], dict]:
     return fn
 
 
-def _resolve_retry(retry) -> "RetryPolicy | None":
-    """Normalize a retry spec: policy, int (max attempts), dict, or None."""
-    if retry is None or isinstance(retry, RetryPolicy):
-        return retry
-    if isinstance(retry, int) and not isinstance(retry, bool):
-        return RetryPolicy(max_attempts=retry)
-    if isinstance(retry, dict):
-        return RetryPolicy(**retry)
-    raise TypeError(
-        f"retry must be a RetryPolicy, an int (max attempts), a policy "
-        f"kwargs dict, or None, got {type(retry).__name__}"
-    )
+#: A study's run options and defaults, by SweepRunner keyword, in describe()
+#: order (a study runs on ``serial`` by default, a bare runner on ``process``).
+RUN_OPTIONS = {
+    "backend": "serial",
+    "workers": 1,
+    "cache_dir": None,
+    "evaluator_max_entries": None,
+    "vectorize": None,
+    "retry": None,
+    "on_error": "raise",
+    "resume": False,
+}
 
 
 class Study:
-    """Declarative, immutable experiment description with a fluent API."""
+    """Declarative, immutable experiment description with a fluent API.
 
-    def __init__(
-        self,
-        grid=None,
-        *,
-        objective="system",
-        backend: "str | Backend" = "serial",
-        workers: int = 1,
-        cache_dir=None,
-        evaluator_max_entries: int | None = None,
-        vectorize: bool | None = None,
-        retry: "RetryPolicy | int | None" = None,
-        on_error: str = "raise",
-        resume: bool = False,
-    ) -> None:
+    Each run option of :data:`RUN_OPTIONS` is a keyword of ``Study()``
+    and has a fluent method; :func:`~repro.sweep.runner.check_run_option`
+    checks it as it is set (an unknown name is a ``TypeError``).
+    """
+
+    def __init__(self, grid=None, *, objective="system", **options) -> None:
         self._scenarios: list[Scenario] = [] if grid is None else as_scenarios(grid)
         self._objective = objective
         _resolve_objective(objective)  # eager validation
-        self._backend = backend
-        get_backend(backend)  # eager validation
-        self._workers = int(workers)
-        if self._workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._cache_dir = cache_dir
-        self._max_entries = evaluator_max_entries
-        self._vectorize = vectorize
-        self._retry = _resolve_retry(retry)
-        if on_error not in ("raise", "keep"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'keep', got {on_error!r}"
-            )
-        self._on_error = on_error
-        self._resume = bool(resume)
+        self._options = dict(RUN_OPTIONS)
+        for name, value in options.items():
+            self._options[name] = check_run_option(name, value)
         self._observe: "dict | ObsSession | None" = None
         self._overlay: dict = {}
 
     # -- fluent builders (copy-on-write) ---------------------------------------
     def _clone(self, **changes) -> "Study":
+        # A study never mutates its list or dicts in place, so copies
+        # share them until a change replaces one.
         study = Study.__new__(Study)
-        study._scenarios = list(self._scenarios)
-        study._objective = self._objective
-        study._backend = self._backend
-        study._workers = self._workers
-        study._cache_dir = self._cache_dir
-        study._max_entries = self._max_entries
-        study._vectorize = self._vectorize
-        study._retry = self._retry
-        study._on_error = self._on_error
-        study._resume = self._resume
-        study._observe = self._observe
-        study._overlay = dict(self._overlay)
-        for key, value in changes.items():
-            setattr(study, key, value)
+        study.__dict__.update(self.__dict__, **changes)
         return study
+
+    def _with(self, name: str, value) -> "Study":
+        """A copy with one run option set, checked as the runner checks it."""
+        return self._clone(
+            _options={**self._options, name: check_run_option(name, value)}
+        )
 
     def grid(self, *grids) -> "Study":
         """Append one or more grids / scenario iterables to the study."""
@@ -157,21 +132,18 @@ class Study:
 
     def backend(self, backend: "str | Backend") -> "Study":
         """Select the execution backend by registry name or instance."""
-        get_backend(backend)
-        return self._clone(_backend=backend)
+        return self._with("backend", backend)
 
     def workers(self, workers: int) -> "Study":
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return self._clone(_workers=int(workers))
+        return self._with("workers", workers)
 
     def cache(self, cache_dir) -> "Study":
         """Cache completed scenarios as JSON under ``cache_dir``."""
-        return self._clone(_cache_dir=cache_dir)
+        return self._with("cache_dir", cache_dir)
 
     def limit_memo(self, max_entries: int | None) -> "Study":
         """Bound every shared evaluator memo (LRU) for oversized grids."""
-        return self._clone(_max_entries=max_entries)
+        return self._with("evaluator_max_entries", max_entries)
 
     def vectorize(self, vectorize: bool | None = True) -> "Study":
         """Control the whole-grid fast path (see
@@ -179,7 +151,7 @@ class Study:
         batched numpy pass for objectives with a batched twin, ``False``
         pins the per-scenario memoized path, ``None`` restores the
         automatic default (engage on large in-line batches)."""
-        return self._clone(_vectorize=vectorize)
+        return self._with("vectorize", vectorize)
 
     def retry(self, policy=None, **kwargs) -> "Study":
         """Retry failing scenarios under a policy.
@@ -193,15 +165,13 @@ class Study:
         """
         if policy is not None and kwargs:
             raise ValueError("pass a policy/int or policy kwargs, not both")
-        return self._clone(_retry=_resolve_retry(kwargs or policy))
+        return self._with("retry", kwargs or policy)
 
     def on_error(self, mode: str) -> "Study":
         """``"raise"`` (default: first failure propagates) or ``"keep"``
         (failures become ``ok=False`` rows; see
         :meth:`ResultSet.failures <repro.api.result.ResultSet.failures>`)."""
-        if mode not in ("raise", "keep"):
-            raise ValueError(f"on_error must be 'raise' or 'keep', got {mode!r}")
-        return self._clone(_on_error=mode)
+        return self._with("on_error", mode)
 
     def keep_going(self) -> "Study":
         """Shorthand for ``on_error("keep")``."""
@@ -210,7 +180,7 @@ class Study:
     def resume(self, resume: bool = True) -> "Study":
         """Resume a previous run from its cache-side manifest,
         re-executing only failed-or-missing points (needs a cache)."""
-        return self._clone(_resume=bool(resume))
+        return self._with("resume", resume)
 
     def observe(
         self,
@@ -333,22 +303,17 @@ class Study:
             if isinstance(self._objective, str)
             else getattr(self._objective, "__qualname__", repr(self._objective))
         )
-        backend = (
-            self._backend
-            if isinstance(self._backend, str)
-            else self._backend.name
-        )
+        options = dict(self._options)
+        if not isinstance(options["backend"], str):
+            options["backend"] = options["backend"].name
+        if options["cache_dir"] is not None:
+            options["cache_dir"] = str(options["cache_dir"])
+        if options["retry"] is not None:
+            options["retry"] = options["retry"].to_dict()
         return {
             "scenarios": [scenario_payload(sc) for sc in self.scenarios()],
             "objective": objective,
-            "backend": backend,
-            "workers": self._workers,
-            "cache_dir": None if self._cache_dir is None else str(self._cache_dir),
-            "evaluator_max_entries": self._max_entries,
-            "vectorize": self._vectorize,
-            "retry": None if self._retry is None else self._retry.to_dict(),
-            "on_error": self._on_error,
-            "resume": self._resume,
+            **options,
             "observe": self._describe_observe(),
         }
 
@@ -374,17 +339,13 @@ class Study:
 
         Recognized keys: ``grids`` (list of axis dicts, each a
         :class:`ScenarioGrid`), ``scenarios`` (list of scenario field
-        dicts), ``objective``, ``backend``, ``workers``, ``cache_dir``,
-        ``evaluator_max_entries``, ``cluster`` (dict of
-        straggler/severity/seed).
+        dicts), ``objective``, ``cluster`` (dict of
+        straggler/severity/seed), ``observe`` (as :meth:`describe`
+        writes it) and every run option of :data:`RUN_OPTIONS`.
         """
         if not isinstance(spec, dict):
             raise TypeError(f"study spec must be a dict, got {type(spec).__name__}")
-        known = {
-            "grids", "scenarios", "objective", "backend", "workers",
-            "cache_dir", "evaluator_max_entries", "cluster", "vectorize",
-            "retry", "on_error", "resume", "observe",
-        }
+        known = {"grids", "scenarios", "objective", "cluster", "observe", *RUN_OPTIONS}
         unknown = sorted(set(spec) - known)
         if unknown:
             raise ValueError(
@@ -399,14 +360,7 @@ class Study:
         study = cls(
             points,
             objective=spec.get("objective", "system"),
-            backend=spec.get("backend", "serial"),
-            workers=spec.get("workers", 1),
-            cache_dir=spec.get("cache_dir"),
-            evaluator_max_entries=spec.get("evaluator_max_entries"),
-            vectorize=spec.get("vectorize"),
-            retry=spec.get("retry"),
-            on_error=spec.get("on_error", "raise"),
-            resume=spec.get("resume", False),
+            **{name: spec[name] for name in RUN_OPTIONS if name in spec},
         )
         cluster = spec.get("cluster")
         if cluster:
@@ -428,9 +382,9 @@ class Study:
         return study
 
     def __repr__(self) -> str:
-        backend = (
-            self._backend if isinstance(self._backend, str) else self._backend.name
-        )
+        backend = self._options["backend"]
+        if not isinstance(backend, str):
+            backend = backend.name
         objective = (
             self._objective
             if isinstance(self._objective, str)
@@ -438,7 +392,7 @@ class Study:
         )
         return (
             f"Study({len(self._scenarios)} scenarios, objective={objective!r}, "
-            f"backend={backend!r}, workers={self._workers})"
+            f"backend={backend!r}, workers={self._options['workers']})"
         )
 
     # -- execution -------------------------------------------------------------
@@ -460,14 +414,7 @@ class Study:
         study executes on (exposed for introspection and reuse)."""
         return SweepRunner(
             _resolve_objective(self._objective),
-            cache_dir=self._cache_dir,
-            workers=self._workers,
-            backend=self._backend,
-            evaluator_max_entries=self._max_entries,
-            vectorize=self._vectorize,
-            retry=self._retry,
-            on_error=self._on_error,
-            resume=self._resume,
+            **self._options,
             obs=self._build_obs(),
         )
 

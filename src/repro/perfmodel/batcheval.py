@@ -31,8 +31,8 @@ validation and values-row shape from their scalar evaluators in
 :mod:`repro.sweep.runner`.
 
 The registry at the bottom maps scalar evaluator functions to their
-batched twins; :func:`batch_map` is what the sweep runner and the
-``"vectorized"`` backend call.
+batched twins, which the sweep runner finds with
+:func:`batch_evaluator_for` when its ``vectorize`` option engages.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def batched_makespans(
         trace = engine.record_compiled_schedule(dag, W[rep].tolist())
         schedules += 1
         spans, valid = replay_schedule(trace, W[remaining])
-        if not valid[0]:  # defensive: a representative always self-validates
+        if not valid[0]:  # a NaN work fails even its own recorded order
             out[rep] = engine.compiled_makespan(dag, W[rep].tolist())
             remaining = remaining[1:]
             continue
@@ -427,15 +427,6 @@ def register_batch_evaluator(evaluate: Callable, batch_evaluate: Callable):
 
 def batch_evaluator_for(evaluate: Callable) -> Callable | None:
     return _BATCH_EVALUATORS.get(evaluate)
-
-
-def batch_map(evaluate: Callable, scenarios: Iterable[Scenario]) -> list[dict]:
-    """Evaluate scenarios through the batched twin, or serially if none."""
-    scenarios = list(scenarios)
-    batched = _BATCH_EVALUATORS.get(evaluate)
-    if batched is None:
-        return [evaluate(sc) for sc in scenarios]
-    return batched(scenarios)
 
 
 def _register_builtins() -> None:

@@ -39,7 +39,6 @@ from repro.sweep.resilience import (
     WorkerCrashError,
 )
 from repro.sweep.runner import (
-    VECTORIZE_ENV,
     VECTORIZE_MIN_POINTS,
     SweepResult,
     SweepRunner,
@@ -66,7 +65,6 @@ __all__ = [
     "SweepRunner",
     "SweepTimeoutError",
     "WorkerCrashError",
-    "VECTORIZE_ENV",
     "VECTORIZE_MIN_POINTS",
     "as_scenarios",
     "evaluate_eq10",

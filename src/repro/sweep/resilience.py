@@ -22,7 +22,8 @@ those — without changing a single byte of what a healthy run computes:
 * :class:`RunManifest` — the resumability record written next to the
   JSON scenario cache (``manifest.json``: grid hash, per-slot status,
   cumulative attempt counts) that lets ``SweepRunner(resume=True)``
-  re-execute only the failed-or-missing points of a crashed run.
+  re-execute only the failed-or-missing points of a crashed run; a run
+  killed mid-evaluation cached none of the points it had computed.
 
 Fault injection for tests lives in :mod:`repro.testing.faults`; the
 retry loop consults the active plan so injected faults hit every

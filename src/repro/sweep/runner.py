@@ -3,10 +3,12 @@
 :class:`SweepRunner` takes any iterable of :class:`Scenario` (usually a
 :class:`ScenarioGrid`), evaluates each point with a module-level
 evaluator function through a backend from the
-:mod:`repro.api.backends` registry (serial / process / vectorized /
-remote, or any registered third-party backend), and returns
-:class:`SweepResult` objects in scenario order regardless of worker
-count or backend.  Completed points are
+:mod:`repro.api.backends` registry (serial / process / remote, or any
+registered third-party backend), and returns :class:`SweepResult`
+objects in scenario order regardless of worker count or backend.
+Objectives with a batched twin in :mod:`repro.perfmodel.batcheval`
+can instead price all cache misses in one whole-grid pass, as the
+runner's ``vectorize`` option decides.  Completed points are
 cached as JSON files keyed by the scenario hash, so re-running a study —
 or extending its grid — only pays for the new points.
 
@@ -53,7 +55,6 @@ from repro.api.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    VectorizedBackend,
     get_backend,
 )
 from repro.obs.bus import active as _obs_active
@@ -153,13 +154,8 @@ MAX_MEMO_ENTRIES_ENV = "REPRO_SWEEP_MAX_MEMO_ENTRIES"
 #: Below this many cache-miss scenarios, auto mode keeps the memoized
 #: per-scenario path: small grids gain little wall-clock from a batched
 #: pass and would lose their per-scenario cache stats for nothing.
-#: Explicit ``vectorize=True`` (or ``backend="vectorized"``) ignores it.
+#: Explicit ``vectorize=True`` ignores it.
 VECTORIZE_MIN_POINTS = 64
-
-#: Set to ``"0"`` to disable automatic whole-grid vectorization
-#: process-wide; explicit ``vectorize=True`` / ``backend="vectorized"``
-#: still engage it.
-VECTORIZE_ENV = "REPRO_SWEEP_VECTORIZE"
 
 #: Sentinel distinguishing "no per-run bound set" from an explicit bound.
 _UNSET = object()
@@ -675,12 +671,45 @@ class SweepResult:
         return payload
 
 
+def check_run_option(name: str, value):
+    """Check one run option, named by its :class:`SweepRunner` keyword,
+    and return the value a run keeps.  The runner and every
+    :class:`~repro.api.study.Study` change share this one check."""
+    if name == "backend":
+        get_backend(value)  # unknown names fail here, listing the registry
+    elif name == "workers":
+        if value < 1:
+            raise ValueError("workers must be >= 1")
+        return int(value)
+    elif name == "evaluator_max_entries":
+        if value is not None and value < 1:
+            raise ValueError("evaluator_max_entries must be >= 1 (or None)")
+    elif name == "retry":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return RetryPolicy(max_attempts=value)
+        if isinstance(value, dict):
+            return RetryPolicy(**value)
+        if value is not None and not isinstance(value, RetryPolicy):
+            raise TypeError(
+                f"retry must be a RetryPolicy, an int (max attempts), a policy "
+                f"kwargs dict, or None, got {type(value).__name__}"
+            )
+    elif name == "on_error":
+        if value not in ("raise", "keep"):
+            raise ValueError(f"on_error must be 'raise' or 'keep', got {value!r}")
+    elif name == "resume":
+        return bool(value)
+    elif name not in ("cache_dir", "vectorize"):  # these take any value
+        raise TypeError(f"unknown run option {name!r}")
+    return value
+
+
 class SweepRunner:
     """Fan scenarios out over workers with per-scenario JSON caching.
 
     Execution delegates to the :mod:`repro.api.backends` registry:
     ``backend`` is a registered name (``"serial"``, ``"process"`` — the
-    default — ``"vectorized"`` or ``"remote"``) or any
+    default — or ``"remote"``) or any
     :class:`~repro.api.backends.Backend` instance.  ``process`` isolates
     workers in subprocesses, each growing its own :func:`shared_context`
     pool; ``serial`` prices every point in-line on this process's pool.
@@ -699,29 +728,30 @@ class SweepRunner:
     process-wide fallback.  Contexts created before the run keep their
     existing bound.
 
-    ``vectorize`` controls the whole-grid fast path: evaluators with a
-    batched twin (see :mod:`repro.perfmodel.batcheval`) can price all
-    cache-miss scenarios in one numpy pass, bit-identical to the serial
-    loop.  ``None`` (default) engages it automatically when the batch
-    is large enough (:data:`VECTORIZE_MIN_POINTS`) and the backend
-    would run the points in-line anyway (``serial``, or ``process`` at
-    one worker — never ``remote``); ``True`` forces it for any
-    miss count; ``False`` (or ``REPRO_SWEEP_VECTORIZE=0`` in the
-    environment) keeps the per-scenario memoized path, which
-    trace-needing objectives such as :func:`evaluate_system` always
-    use.  Vectorized results carry *group-level* cache stats — a
-    ``batch_group`` dict (objective, group size, distinct vectors,
-    schedules) shared by every row the group priced — instead of the
-    per-scenario memo deltas a batched pass cannot honestly attribute;
-    these group stats are never persisted into the cache files.
+    ``vectorize`` alone selects the whole-grid fast path: evaluators
+    with a batched twin (see :mod:`repro.perfmodel.batcheval`) can price
+    all cache-miss scenarios in one numpy pass, bit-identical to the
+    serial loop, in place of the backend.  ``None`` (default) engages it
+    automatically when the batch is large enough
+    (:data:`VECTORIZE_MIN_POINTS`) and the backend would run the points
+    in-line anyway (``serial``, or ``process`` at one worker — never
+    ``remote``); ``True`` forces it on any backend for any miss count;
+    ``False`` keeps the per-scenario path through the backend, which
+    trace-needing objectives such as :func:`evaluate_system` and every
+    retrying or keep-going run always use.  Vectorized results carry
+    *group-level* cache stats — a ``batch_group`` dict (objective, group
+    size, distinct vectors, schedules) shared by every row the group
+    priced — instead of the per-scenario memo deltas a batched pass
+    cannot honestly attribute; these group stats are never persisted
+    into the cache files.
 
     Fault tolerance rides three knobs.  ``retry`` is a
-    :class:`~repro.sweep.resilience.RetryPolicy` (or an int, shorthand
-    for ``RetryPolicy(max_attempts=retry)``) giving each scenario
-    bounded re-attempts with deterministic backoff and an optional
-    per-attempt timeout (a timed-out attempt keeps running on its
-    abandoned thread, so its cluster's shared context leaves the pool
-    and the retry starts on a fresh one).  ``on_error`` picks the
+    :class:`~repro.sweep.resilience.RetryPolicy` (or its kwargs dict, or
+    an int, shorthand for ``RetryPolicy(max_attempts=retry)``) giving
+    each scenario bounded re-attempts with deterministic backoff and an
+    optional per-attempt timeout (a timed-out attempt keeps running on
+    its abandoned thread, so its cluster's shared context leaves the
+    pool and the retry starts on a fresh one).  ``on_error`` picks the
     partial-failure semantics: ``"raise"`` (the default — the first
     failing scenario propagates, exactly today's behavior) or
     ``"keep"``, which turns failures into ``SweepResult(ok=False,
@@ -747,40 +777,28 @@ class SweepRunner:
         resume: bool = False,
         obs: "ObsSession | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        self.workers = check_run_option("workers", workers)
         if obs is not None and not isinstance(obs, ObsSession):
             raise TypeError(
                 f"obs must be an ObsSession or None, got {type(obs).__name__}"
             )
-        self._backend = get_backend(backend)  # rejects unknown backend names
+        # check_run_option's backend check, keeping the backend it builds.
+        self._backend = get_backend(backend)
         # Checked here, not only in Backend.map: the whole-grid path
         # never reaches a backend's map.
         self._backend._require_sync(evaluate)
-        if evaluator_max_entries is not None and evaluator_max_entries < 1:
-            raise ValueError("evaluator_max_entries must be >= 1 (or None)")
-        if isinstance(retry, int) and not isinstance(retry, bool):
-            retry = RetryPolicy(max_attempts=retry)
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise TypeError(
-                f"retry must be a RetryPolicy, an int (max attempts), or "
-                f"None, got {type(retry).__name__}"
-            )
-        if on_error not in ("raise", "keep"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'keep', got {on_error!r}"
-            )
+        self.evaluator_max_entries = check_run_option(
+            "evaluator_max_entries", evaluator_max_entries
+        )
+        self.retry = check_run_option("retry", retry)
+        self.on_error = check_run_option("on_error", on_error)
         if resume and cache_dir is None:
             raise ValueError("resume=True needs a cache_dir to resume from")
         self.evaluate = evaluate
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.workers = workers
         self.backend = backend if isinstance(backend, str) else self._backend.name
-        self.evaluator_max_entries = evaluator_max_entries
         self.vectorize = vectorize
-        self.retry = retry
-        self.on_error = on_error
-        self.resume = resume
+        self.resume = check_run_option("resume", resume)
         #: The run's observability session, or None (the default — in
         #: which case the runner adds zero overhead beyond one boolean
         #: check per instrumented site and produces byte-identical
@@ -896,21 +914,13 @@ class SweepRunner:
         from repro.perfmodel.batcheval import batch_evaluator_for
 
         if batch_evaluator_for(self.evaluate) is None:
-            # No batched twin: the backend runs the points through the
-            # wrapped evaluator (``vectorized`` as an in-line loop).
-            return False
-        if isinstance(self._backend, VectorizedBackend):
-            return True  # the backend was named explicitly; it decides
-        if self.vectorize:
-            return True
-        if self.vectorize is False:
-            return False
+            return False  # no batched twin: the backend runs the points
+        if self.vectorize is not None:
+            return bool(self.vectorize)
         # Auto mode: engage only where it cannot change scheduling
         # semantics — the backend would run the points in-line anyway —
         # and only when the batch is big enough that per-scenario cache
         # stats are worth trading for throughput.
-        if os.environ.get(VECTORIZE_ENV, "") == "0":
-            return False
         if len(misses) < VECTORIZE_MIN_POINTS:
             return False
         return isinstance(self._backend, SerialBackend) or (
@@ -920,17 +930,16 @@ class SweepRunner:
     def _batch_map(self, misses: list[Scenario]) -> list[dict]:
         """One whole-grid pass over the misses, memo bound in scope.
 
-        Calls :func:`~repro.perfmodel.batcheval.batch_map` directly
-        (not through :meth:`_bound_evaluate`) because the batched-twin
-        registry is keyed by evaluator identity — an :class:`Execution`
-        would silently fall back to the serial loop.  Once the pass
-        returns, its points count as computed, one attempt each
-        (``batch.pass``); a pass measures no per-scenario wall time.
+        Looks the twin up by ``self.evaluate`` (not through
+        :meth:`_bound_evaluate`) because the batched-twin registry is
+        keyed by evaluator identity.  Once the pass returns, its points
+        count as computed, one attempt each (``batch.pass``); a pass
+        measures no per-scenario wall time.
         """
-        from repro.perfmodel.batcheval import batch_map
+        from repro.perfmodel.batcheval import batch_evaluator_for
 
         with _memo_bound(self.evaluator_max_entries):
-            computed = batch_map(self.evaluate, misses)
+            computed = batch_evaluator_for(self.evaluate)(misses)
         if _obs_active():
             _obs_emit("batch.pass", scenarios=len(computed))
         return computed
@@ -1083,7 +1092,7 @@ class SweepRunner:
                     if caching:
                         # Group-level batch stats never reach the cache
                         # files — entries stay byte-identical to what
-                        # the memoized/vectorized paths always wrote.
+                        # the memoized path writes.
                         store_stats = sc_stats
                         if store_stats is not None and "batch_group" in store_stats:
                             store_stats = None

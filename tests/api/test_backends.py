@@ -1,8 +1,10 @@
-"""Execution-backend registry and cross-backend equivalence.
+"""Execution-backend registry and cross-path equivalence.
 
-The acceptance contract of the api_redesign PR: the same study run under
-``serial``, ``process`` and ``vectorized`` yields byte-identical
-ResultSet JSON and byte-identical cache files for a >= 50-scenario grid.
+The acceptance contract of the public API: the same study run on
+``serial``, on ``process`` and through the whole-grid pass
+(``vectorize=True`` in place of either in-line backend) yields
+byte-identical ResultSet JSON and byte-identical cache files for a
+>= 50-scenario grid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ from repro.obs import ObsSession
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner, shared_context
 from repro.sweep.runner import scenario_hetero
 
-ALL_BACKENDS = ("serial", "process", "vectorized")
+BACKENDS = ("serial", "process")
+
+#: Every local execution path: each backend's per-scenario map, and the
+#: whole-grid pass in place of each in-line backend.
+RUN_PATHS = {
+    "serial": {"backend": "serial", "workers": 2},  # serial ignores workers
+    "process": {"backend": "process", "workers": 2},
+    "vectorize-serial": {"backend": "serial", "vectorize": True},
+    "vectorize-process": {"backend": "process", "workers": 1, "vectorize": True},
+}
 
 #: The acceptance grid: 4 batches x 3 granularities x 5 strategies = 60
 #: timeline points, all priced through the memoized makespan-only path.
@@ -60,14 +71,12 @@ def pure_makespan(scenario: Scenario) -> dict:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(ALL_BACKENDS) <= set(available_backends())
+        assert set(BACKENDS) <= set(available_backends())
 
-    def test_builtins_are_exactly_the_four(self):
-        assert available_backends() == (
-            "process", "remote", "serial", "vectorized"
-        )
+    def test_builtins_are_exactly_the_three(self):
+        assert available_backends() == ("process", "remote", "serial")
 
-    @pytest.mark.parametrize("name", ["thread", "asyncio"])
+    @pytest.mark.parametrize("name", ["thread", "asyncio", "vectorized"])
     def test_removed_backend_names_fail_at_build_time(self, name):
         """No alias survives: every way of naming a removed backend hits
         the registry's unknown-name error before any point runs."""
@@ -156,7 +165,7 @@ class TestRegistry:
 
 
 class TestBackendMap:
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 3])
     def test_map_matches_serial_semantics(self, name, workers):
         backend = get_backend(name)
@@ -165,7 +174,7 @@ class TestBackendMap:
             x * x for x in items
         ]
 
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_items(self, name):
         assert get_backend(name).map(square, [], workers=2) == []
 
@@ -196,21 +205,21 @@ class TestBackendEquivalence:
 
     def test_resultset_json_byte_identical_across_backends(self):
         assert len(EQUIVALENCE_GRID) >= 50
-        study = Study(EQUIVALENCE_GRID, objective="timeline")
         payloads = {
-            name: study.backend(name).workers(2).run().to_json()
-            for name in ALL_BACKENDS
+            name: Study(EQUIVALENCE_GRID, objective="timeline", **options)
+            .run()
+            .to_json()
+            for name, options in RUN_PATHS.items()
         }
         reference = payloads["serial"]
         assert "makespan" in reference
-        for name in ALL_BACKENDS:
+        for name in RUN_PATHS:
             assert payloads[name] == reference, name
 
     def test_values_identical_across_backends(self):
-        study = Study(EQUIVALENCE_GRID, objective="timeline")
         runs = {
-            name: study.backend(name).workers(2).run()
-            for name in ALL_BACKENDS
+            name: Study(EQUIVALENCE_GRID, objective="timeline", **options).run()
+            for name, options in RUN_PATHS.items()
         }
         reference = runs["serial"]
         for name, results in runs.items():
@@ -220,25 +229,26 @@ class TestBackendEquivalence:
             assert [r.values for r in results] == [
                 r.values for r in reference
             ], name
+            # The vectorize paths really took the whole-grid pass.
+            assert all(
+                ("batch_group" in r.cache_stats) == ("vectorize" in name)
+                for r in results
+            ), name
 
     def test_cache_files_byte_identical_across_backends(self, tmp_path):
         contents = {}
-        for name in ALL_BACKENDS:
+        for name, options in RUN_PATHS.items():
             cache = tmp_path / name
-            (
-                Study(EQUIVALENCE_GRID)
-                .objective(pure_makespan)
-                .backend(name)
-                .workers(2)
-                .cache(cache)
-                .run()
-            )
+            Study(
+                EQUIVALENCE_GRID, objective=pure_makespan, cache_dir=cache,
+                **options,
+            ).run()
             contents[name] = {
                 p.name: p.read_bytes() for p in sorted(cache.glob("*.json"))
             }
             assert len(contents[name]) == len(EQUIVALENCE_GRID), name
         reference = contents["serial"]
-        for name in ALL_BACKENDS:
+        for name in RUN_PATHS:
             assert contents[name] == reference, name
 
     def test_sweeprunner_accepts_backend_instances(self):

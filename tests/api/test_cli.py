@@ -163,7 +163,7 @@ def test_unknown_backend_is_a_clean_failure(capsys):
     assert "unknown backend" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["thread", "asyncio"])
+@pytest.mark.parametrize("name", ["thread", "asyncio", "vectorized"])
 def test_removed_backend_names_are_clean_failures(name, tmp_path, capsys):
     assert main(["sweep", "--smoke", "--backend", name]) == 2
     assert "unknown backend" in capsys.readouterr().err

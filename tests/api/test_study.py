@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
     ResultSet,
+    RetryPolicy,
     Scenario,
     ScenarioGrid,
     Study,
     StudyResult,
     pareto_front,
 )
+from repro.api.study import RUN_OPTIONS
 from repro.sweep.runner import SweepResult, SweepRunner
 
 
@@ -37,6 +41,26 @@ def failing_at_2048(scenario: Scenario) -> dict:
     return fake_objective(scenario)
 
 
+#: Per run option: a fluent change away from the default, the value
+#: ``describe()`` writes for it, and the value the study's runner holds.
+FLUENT_CHANGES = {
+    "backend": (lambda s: s.backend("process"), "process", "process"),
+    "workers": (lambda s: s.workers(3), 3, 3),
+    "cache_dir": (
+        lambda s: s.cache(Path("elsewhere")), "elsewhere", Path("elsewhere")
+    ),
+    "evaluator_max_entries": (lambda s: s.limit_memo(8), 8, 8),
+    "vectorize": (lambda s: s.vectorize(), True, True),
+    "retry": (
+        lambda s: s.retry(max_attempts=3, backoff=0.5),
+        RetryPolicy(max_attempts=3, backoff=0.5).to_dict(),
+        RetryPolicy(max_attempts=3, backoff=0.5),
+    ),
+    "on_error": (lambda s: s.keep_going(), "keep", "keep"),
+    "resume": (lambda s: s.resume(), True, True),
+}
+
+
 class TestStudyBuilder:
     def test_fluent_calls_return_new_studies(self):
         base = Study(GRID)
@@ -56,6 +80,32 @@ class TestStudyBuilder:
             Study(GRID, objective="vibes")
         with pytest.raises(ValueError, match="workers"):
             Study(GRID).workers(0)
+        with pytest.raises(TypeError, match="unknown run option 'bakend'"):
+            Study(GRID, bakend="serial")
+
+    def test_run_options_are_the_runners_keywords(self):
+        keywords = set(inspect.signature(SweepRunner).parameters)
+        assert set(RUN_OPTIONS) == keywords - {"evaluate", "obs"}
+
+    @pytest.mark.parametrize("name", RUN_OPTIONS)
+    def test_each_run_option_reaches_describe_from_spec_and_runner(
+        self, name, tmp_path
+    ):
+        change, described, held = FLUENT_CHANGES[name]
+        # The base has a cache directory so that resume() can build a runner.
+        base = Study(GRID, objective="timeline").cache(tmp_path)
+        spec = change(base).describe()
+        assert spec == {**base.describe(), name: described}
+        assert described != base.describe()[name]
+        rebuilt = Study.from_spec(spec)
+        assert rebuilt.describe() == spec
+        assert getattr(rebuilt.runner(), name) == held
+
+    def test_a_bad_memo_bound_fails_when_the_study_is_built(self):
+        with pytest.raises(ValueError, match="evaluator_max_entries"):
+            Study(GRID).limit_memo(0)
+        with pytest.raises(ValueError, match="evaluator_max_entries"):
+            Study(GRID, evaluator_max_entries=0)
 
     def test_grid_accepts_grids_lists_and_scenarios(self):
         single = Scenario(system="timeline", spec="GPT-S", world_size=8,
@@ -129,6 +179,11 @@ class TestStudyBuilder:
         )
         assert rebuilt.scenarios() == study.scenarios()
         assert rebuilt.describe() == study.describe()
+        assert list(study.describe()) == [
+            "scenarios", "objective", "backend", "workers", "cache_dir",
+            "evaluator_max_entries", "vectorize", "retry", "on_error",
+            "resume", "observe",
+        ]
 
     def test_routing_axes_round_trip_and_overlay(self):
         study = Study(GRID, objective="timeline").where(

@@ -21,10 +21,17 @@ GRID = ScenarioGrid(
     batches=(1024, 2048, 4096, 8192), ns=(2,),
 )
 
-#: ``remote`` runs against one in-process ``repro serve`` worker, whose
-#: thread pool evaluates the shard concurrently in this process.
-#: ``vectorized`` runs ``fake_evaluate`` (no batched twin) per point.
-POOL_BACKENDS = ("serial", "process", "remote", "vectorized")
+#: Run options per execution path.  ``remote`` runs against one
+#: in-process ``repro serve`` worker, whose thread pool evaluates the
+#: shard concurrently in this process.  The ``vectorize`` paths run
+#: ``fake_evaluate`` (no batched twin) per point on their backend.
+RUN_PATHS = {
+    "serial": {"backend": "serial", "workers": 2},  # serial ignores workers
+    "process": {"backend": "process", "workers": 2},
+    "remote": {"backend": "remote", "workers": 2},
+    "vectorize-serial": {"backend": "serial", "vectorize": True},
+    "vectorize-process": {"backend": "process", "workers": 1, "vectorize": True},
+}
 
 
 # Module-level so process-pool workers unpickle it by name.
@@ -35,19 +42,17 @@ def fake_evaluate(scenario: Scenario) -> dict:
     }
 
 
-@pytest.fixture(params=POOL_BACKENDS)
-def backend(request):
-    """A backend name, with a loopback server up when it is ``remote``."""
+@pytest.fixture(params=RUN_PATHS)
+def path(request):
+    """A path's run options, with a loopback server up for ``remote``."""
     if request.param == "remote":
         request.getfixturevalue("loopback_server")
-    return request.param
+    return RUN_PATHS[request.param]
 
 
-def observed_run(backend: str, workers: int = 2) -> ObsSession:
+def observed_run(path: dict) -> ObsSession:
     session = ObsSession()
-    runner = SweepRunner(
-        fake_evaluate, backend=backend, workers=workers, obs=session
-    )
+    runner = SweepRunner(fake_evaluate, obs=session, **path)
     results = runner.run(GRID)
     assert all(r.ok for r in results)
     return session
@@ -88,8 +93,8 @@ class TestRegistry:
 
 class TestRunCounterDeterminism:
     def test_serial_run_twice_is_identical(self):
-        first = observed_run("serial").registry.snapshot()
-        second = observed_run("serial").registry.snapshot()
+        first = observed_run(RUN_PATHS["serial"]).registry.snapshot()
+        second = observed_run(RUN_PATHS["serial"]).registry.snapshot()
         assert first["counters"] == second["counters"]
         assert {
             name: h["count"] for name, h in first["histograms"].items()
@@ -97,9 +102,9 @@ class TestRunCounterDeterminism:
             name: h["count"] for name, h in second["histograms"].items()
         }
 
-    def test_workload_counters_match_serial(self, backend):
-        baseline = observed_run("serial").registry.snapshot()["counters"]
-        counters = observed_run(backend).registry.snapshot()["counters"]
+    def test_workload_counters_match_serial(self, path):
+        baseline = observed_run(RUN_PATHS["serial"]).registry.snapshot()["counters"]
+        counters = observed_run(path).registry.snapshot()["counters"]
         # Scenario, attempt and disk-cache accounting is workload-shaped
         # and must agree across every execution backend.  (Evaluator-memo
         # counters are excluded by design: fork workers inherit warm
@@ -114,8 +119,8 @@ class TestRunCounterDeterminism:
         ):
             assert counters.get(name, 0) == baseline.get(name, 0), name
 
-    def test_every_scenario_lands_in_the_wall_histogram(self, backend):
-        snap = observed_run(backend).registry.snapshot()
+    def test_every_scenario_lands_in_the_wall_histogram(self, path):
+        snap = observed_run(path).registry.snapshot()
         assert snap["counters"]["sweep.scenarios.computed"] == len(GRID)
         assert snap["histograms"]["sweep.scenario.wall_s"]["count"] == len(GRID)
         assert (
@@ -125,8 +130,8 @@ class TestRunCounterDeterminism:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"vectorize": True}, {"backend": "vectorized"}],
-        ids=["vectorize", "vectorized-backend"],
+        [{"vectorize": True}, {"backend": "serial", "vectorize": True}],
+        ids=["vectorize", "vectorize-serial"],
     )
     def test_whole_grid_points_count_as_computed(self, kwargs):
         session = ObsSession()
@@ -152,7 +157,7 @@ class TestRunCounterDeterminism:
 
 class TestRunReport:
     def test_report_shape_and_run_summary(self):
-        session = observed_run("serial")
+        session = observed_run(RUN_PATHS["serial"])
         report = session.report()
         assert report["version"] == 1
         run = report["run"]

@@ -20,7 +20,6 @@ from repro.perfmodel.batcheval import (
     batch_evaluate_eq10,
     batch_evaluate_timeline,
     batch_evaluator_for,
-    batch_map,
     batched_makespans,
     register_batch_evaluator,
 )
@@ -29,7 +28,6 @@ from repro.sweep import (
     Scenario,
     ScenarioGrid,
     SweepRunner,
-    VECTORIZE_ENV,
     VECTORIZE_MIN_POINTS,
     evaluate_eq10,
     evaluate_timeline,
@@ -240,29 +238,76 @@ class TestBackendsIdentity:
         per_point = SweepRunner(
             evaluate_timeline, backend=backend, workers=2, vectorize=False
         ).run(scenarios)
-        whole_grid = SweepRunner(evaluate_timeline, backend="vectorized").run(
-            scenarios
-        )
-        for p, v in zip(per_point, whole_grid):
-            assert bits(p.values) == bits(v.values)
+        for in_line in ({"backend": "serial"}, {"backend": "process", "workers": 1}):
+            whole_grid = SweepRunner(
+                evaluate_timeline, vectorize=True, **in_line
+            ).run(scenarios)
+            assert all("batch_group" in v.cache_stats for v in whole_grid)
+            for p, v in zip(per_point, whole_grid):
+                assert bits(p.values) == bits(v.values)
+
+
+def scaled_group():
+    """An engine, a template's DAG and a 40-row works matrix for it."""
+    from repro.pipeline.schedule import compile_timeline
+
+    sc = Scenario(system="timeline", spec="GPT-S", batch=4096, n=4)
+    ctx = shared_context(sc.world_size, scenario_hetero(sc))
+    compiled = compile_timeline(4, "S1")
+    rng = np.random.default_rng(7)
+    base = np.asarray(compiled.dag.works, dtype=np.float64)
+    # Scale rows over two decades so several rows force different
+    # event orders (replay must segment, never misprice).
+    W = base * rng.uniform(0.1, 10.0, size=(40, base.size))
+    return ctx.engine, compiled.dag, W
+
+
+def assert_rows_match_the_scalar_engine(engine, dag, W, spans) -> None:
+    for s in range(W.shape[0]):
+        expected = engine.compiled_makespan(dag, W[s].tolist())
+        assert struct.pack("<d", spans[s]) == struct.pack("<d", expected)
+
+
+def count_scalar_calls(monkeypatch, engine) -> list:
+    """Record every ``engine.compiled_makespan`` call until ``undo``."""
+    calls = []
+    scalar = engine.compiled_makespan
+
+    def counted(dag, works):
+        calls.append(works)
+        return scalar(dag, works)
+
+    monkeypatch.setattr(engine, "compiled_makespan", counted)
+    return calls
 
 
 class TestBatchedMakespans:
     def test_every_row_matches_the_scalar_engine(self):
-        from repro.pipeline.schedule import compile_timeline
+        engine, dag, W = scaled_group()
+        spans = batched_makespans(engine, dag, W)
+        assert_rows_match_the_scalar_engine(engine, dag, W, spans)
 
-        sc = Scenario(system="timeline", spec="GPT-S", batch=4096, n=4)
-        ctx = shared_context(sc.world_size, scenario_hetero(sc))
-        compiled = compile_timeline(4, "S1")
-        rng = np.random.default_rng(7)
-        base = np.asarray(compiled.dag.works, dtype=np.float64)
-        # Scale rows over two decades so several rows force different
-        # event orders (replay must segment, never misprice).
-        W = base * rng.uniform(0.1, 10.0, size=(40, base.size))
-        spans = batched_makespans(ctx.engine, compiled.dag, W)
-        for s in range(W.shape[0]):
-            expected = ctx.engine.compiled_makespan(compiled.dag, W[s].tolist())
-            assert struct.pack("<d", spans[s]) == struct.pack("<d", expected)
+    def test_rows_past_max_schedules_take_the_scalar_path(self, monkeypatch):
+        engine, dag, W = scaled_group()
+        calls = count_scalar_calls(monkeypatch, engine)
+        stats: dict = {}
+        spans = batched_makespans(engine, dag, W, max_schedules=1, stats=stats)
+        monkeypatch.undo()
+        assert stats["schedules"] == 1
+        # Every row the one recorded schedule could not replay.
+        assert 0 < len(calls) < W.shape[0]
+        assert_rows_match_the_scalar_engine(engine, dag, W, spans)
+
+    def test_a_representative_failing_its_own_replay_is_priced_scalar(
+        self, monkeypatch
+    ):
+        engine, dag, W = scaled_group()
+        W[0, 0] = np.nan  # replay validates nothing against a NaN work
+        calls = count_scalar_calls(monkeypatch, engine)
+        spans = batched_makespans(engine, dag, W)
+        monkeypatch.undo()
+        assert len(calls) == 1 and np.isnan(calls[0][0])  # row 0 only
+        assert_rows_match_the_scalar_engine(engine, dag, W, spans)
 
     def test_replay_validates_event_order(self):
         from repro.pipeline.schedule import compile_timeline
@@ -292,23 +337,14 @@ class TestRouting:
         assert batch_evaluator_for(evaluate_eq10) is batch_evaluate_eq10
         assert batch_evaluator_for(len) is None
 
-    def test_batch_map_falls_back_to_a_serial_loop(self):
-        calls = []
-
-        def probe(sc):
-            calls.append(sc)
-            return {"x": 1}
-
-        out = batch_map(probe, grid())
-        assert len(out) == len(calls) == 3
-
     def test_register_custom_twin(self):
         def probe(sc):  # pragma: no cover - must not run
             raise AssertionError("scalar path taken")
 
         register_batch_evaluator(probe, lambda scs: [{"x": 0} for _ in scs])
         try:
-            assert [v["x"] for v in batch_map(probe, grid())] == [0, 0, 0]
+            results = SweepRunner(probe, vectorize=True).run(grid())
+            assert [r.values["x"] for r in results] == [0, 0, 0]
         finally:
             from repro.perfmodel import batcheval
 
@@ -345,18 +381,6 @@ class TestRouting:
         scenarios = grid(batches=tuple(range(4096, 4096 + VECTORIZE_MIN_POINTS)))
         results = SweepRunner(evaluate_timeline, vectorize=False).run(scenarios)
         assert all(r.cache_stats is not None for r in results)
-
-    def test_env_kill_switch_disables_auto(self, monkeypatch):
-        monkeypatch.setenv(VECTORIZE_ENV, "0")
-        scenarios = grid(batches=tuple(range(4096, 4096 + VECTORIZE_MIN_POINTS)))
-        results = SweepRunner(evaluate_timeline).run(scenarios)
-        assert all(r.cache_stats is not None for r in results)
-
-    def test_explicit_backend_wins_over_vectorize_false(self):
-        results = SweepRunner(
-            evaluate_timeline, backend="vectorized", vectorize=False
-        ).run(grid())
-        assert all("batch_group" in r.cache_stats for r in results)
 
     def test_objective_without_twin_uses_the_backend(self):
         from repro.sweep import evaluate_system

@@ -44,7 +44,15 @@ GRID = ScenarioGrid(
     batches=(1024, 2048, 4096, 8192), ns=(2,),
 )
 
-ALL_BACKENDS = ("serial", "process", "vectorized")
+#: Every local execution path: each backend's per-scenario map, and the
+#: whole-grid switch on each in-line backend (a resilient run keeps the
+#: per-scenario path even then).
+RUN_PATHS = {
+    "serial": {"backend": "serial", "workers": 2},  # serial ignores workers
+    "process": {"backend": "process", "workers": 2},
+    "vectorize-serial": {"backend": "serial", "vectorize": True},
+    "vectorize-process": {"backend": "process", "workers": 1, "vectorize": True},
+}
 
 
 # Module-level so process-backend workers unpickle them by name.
@@ -199,8 +207,8 @@ class TestRetryLoop:
 
 
 class TestFlakyObjectiveConverges:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_values_match_the_uninjected_run(self, backend, tmp_path):
+    @pytest.mark.parametrize("path", RUN_PATHS)
+    def test_values_match_the_uninjected_run(self, path, tmp_path):
         baseline = SweepRunner(fake_evaluate, backend="serial").run(GRID)
         plan = plan_of(
             tmp_path,
@@ -209,8 +217,8 @@ class TestFlakyObjectiveConverges:
         plan.install()
         try:
             results = SweepRunner(
-                fake_evaluate, backend=backend, workers=2,
-                retry=RetryPolicy(max_attempts=3),
+                fake_evaluate, retry=RetryPolicy(max_attempts=3),
+                **RUN_PATHS[path],
             ).run(GRID)
         finally:
             plan.uninstall()
@@ -238,9 +246,9 @@ class TestFlakyObjectiveConverges:
 
 
 class TestKeepGoing:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("path", RUN_PATHS)
     def test_failures_surface_exactly_the_injected_scenarios(
-        self, backend, tmp_path
+        self, path, tmp_path
     ):
         baseline = SweepRunner(fake_evaluate, backend="serial").run(GRID)
         plan = plan_of(
@@ -249,7 +257,7 @@ class TestKeepGoing:
         plan.install()
         try:
             results = SweepRunner(
-                fake_evaluate, backend=backend, workers=2, on_error="keep",
+                fake_evaluate, on_error="keep", **RUN_PATHS[path]
             ).run(GRID)
         finally:
             plan.uninstall()
