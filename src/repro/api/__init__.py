@@ -41,6 +41,7 @@ from repro.api.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
+    WorkersLost,
     available_backends,
     get_backend,
     register_backend,
@@ -53,6 +54,7 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ProcessBackend",
+    "WorkersLost",
     "register_backend",
     "unregister_backend",
     "temporary_backend",

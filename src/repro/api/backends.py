@@ -1,8 +1,8 @@
 """Pluggable execution backends for studies and sweeps.
 
-A :class:`Backend` turns an evaluator function and a list of work items
-into a list of results, preserving item order.  Three implementations
-ship registered under well-known names:
+A :class:`Backend` evaluates a function over work items, yielding
+``(index, result)`` as each result lands (:meth:`Backend.imap`, its one
+method).  Three implementations ship registered under well-known names:
 
 * ``serial`` — in-process loop; the reference semantics.
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`;
@@ -17,7 +17,7 @@ There is no in-process thread or event-loop backend: pricing is pure
 Python and holds the GIL, so threads only add scheduling cost, and
 every evaluator is a plain callable (coroutine functions are rejected).
 Whole-grid numpy pricing is no backend either: the sweep runner takes
-that pass in place of ``Backend.map`` when its ``vectorize`` option says.
+that pass in place of ``Backend.imap`` when its ``vectorize`` option says.
 
 Third-party backends plug in through :func:`register_backend` (usable
 as a decorator, undone by :func:`unregister_backend` or scoped with
@@ -31,15 +31,18 @@ This module is deliberately free of ``repro`` imports — with one
 carve-out: :mod:`repro.obs.bus`, which itself imports nothing outside
 the standard library, so the legacy :class:`~repro.sweep.runner
 .SweepRunner` still delegates here without creating an import cycle
-with the :mod:`repro.api` facade above it.  Backends emit
-``backend.item`` / ``backend.shard`` / ``backend.pool_respawn`` events
-when observability is on and pay a single boolean check when it is off.
+with the :mod:`repro.api` facade above it.  The process backend emits
+``backend.shard`` / ``backend.pool_respawn`` events when observability
+is on and pays a single boolean check when it is off; the sweep runner
+ticks ``backend.item`` for each result any backend yields.
 
-Determinism contract: a backend must return ``[fn(item) for item in
-items]`` — same values, same order — differing only in *how* the calls
-are scheduled.  The process backend degrades to the in-line loop at
-``workers == 1`` (no pool spin-up, and in-process side effects such as
-shared evaluator memos stay visible to the caller).
+Determinism contract: ``imap`` yields each index once, with
+``fn(items[index])`` — only scheduling and landing order may differ
+from the serial loop — or, after every result that landed, raises
+:class:`WorkersLost` (or the evaluator's own exception).  The process
+backend degrades to the in-line loop at ``workers == 1`` (no pool
+spin-up, and in-process side effects such as shared evaluator memos
+stay visible to the caller).
 """
 
 from __future__ import annotations
@@ -50,23 +53,37 @@ import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 
 
+class WorkersLost(Exception):
+    """Raised by :meth:`Backend.imap`, after every result that landed,
+    when the workers are gone with items unfinished; ``__cause__`` is
+    the backend's own failure, if it has one."""
+
+
 class Backend(abc.ABC):
-    """Execution strategy: map an evaluator over work items, in order."""
+    """Execution strategy: evaluate a function over work items."""
 
     #: Registry name; instances constructed directly may leave it as-is.
     name: str = "backend"
 
     @abc.abstractmethod
+    def imap(
+        self, fn: Callable[[Any], Any], items: Sequence[Any], *, workers: int = 1
+    ) -> Iterator[tuple[int, Any]]:
+        """Yield ``(index, fn(items[index]))`` once per item, as each
+        result lands (see the module's determinism contract)."""
+
     def map(
         self, fn: Callable[[Any], Any], items: Sequence[Any], *, workers: int = 1
     ) -> list[Any]:
         """Return ``[fn(item) for item in items]`` (order preserved)."""
+        landed = dict(self.imap(fn, items, workers=workers))
+        return [landed[i] for i in range(len(landed))]
 
     def _require_sync(self, fn: Callable) -> None:
         """Reject coroutine-function evaluators loudly — silently
@@ -78,16 +95,6 @@ class Backend(abc.ABC):
                 f"wrap it in a synchronous function that runs it to completion"
             )
 
-    def _inline_map(self, fn, items) -> list:
-        """The reference loop, ticking ``backend.item`` when observed."""
-        if not _obs_active():
-            return [fn(item) for item in items]
-        out = []
-        for item in items:
-            out.append(fn(item))
-            _obs_emit("backend.item", backend=self.name)
-        return out
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
 
@@ -97,9 +104,9 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def map(self, fn, items, *, workers: int = 1) -> list:
+    def imap(self, fn, items, *, workers: int = 1):
         self._require_sync(fn)
-        return self._inline_map(fn, items)
+        return enumerate(map(fn, items))
 
 
 class ProcessBackend(Backend):
@@ -108,11 +115,10 @@ class ProcessBackend(Backend):
     Worker death is absorbed, not fatal: when a worker dies mid-shard
     (OOM-killed, segfaulted, SIGKILLed) the pool breaks and every
     unfinished future raises :class:`BrokenProcessPool`.  This backend
-    keeps the results that already landed, respawns the pool, and
+    yields the results that already landed, respawns the pool, and
     retries *only the unfinished shard* — up to ``max_pool_respawns``
-    times, after which the final :class:`BrokenProcessPool` propagates
-    carrying ``partial_results`` (index -> value) and ``pending_items``
-    (indices never finished) so the caller can salvage the run.
+    times, after which it raises :class:`WorkersLost` from the final
+    :class:`BrokenProcessPool`.
     """
 
     name = "process"
@@ -122,17 +128,17 @@ class ProcessBackend(Backend):
             raise ValueError("max_pool_respawns must be >= 0")
         self.max_pool_respawns = max_pool_respawns
 
-    def map(self, fn, items, *, workers: int = 1) -> list:
+    def imap(self, fn, items, *, workers: int = 1):
         self._require_sync(fn)
         items = list(items)
         if workers <= 1 or len(items) <= 1:
-            return self._inline_map(fn, items)
+            yield from enumerate(map(fn, items))
+            return
         observing = _obs_active()
-        results: dict[int, Any] = {}
         pending = list(range(len(items)))
         respawns = 0
         while pending:
-            crash = None
+            unfinished = []
             if observing:
                 shard_ts = time.time()
                 shard_p0 = time.perf_counter()
@@ -140,32 +146,34 @@ class ProcessBackend(Backend):
                 futures = {i: pool.submit(fn, items[i]) for i in pending}
                 for i in pending:
                     try:
-                        results[i] = futures[i].result()
-                        if observing:
-                            _obs_emit("backend.item", backend=self.name)
+                        result = futures[i].result()
                     except BrokenProcessPool as exc:
                         # The pool is gone; completed futures still
                         # yield results, so keep draining the shard.
                         crash = exc
+                        unfinished.append(i)
+                        continue
                     # Any other exception is the evaluator's own and
                     # propagates, matching the serial loop's semantics.
+                    yield i, result
             if observing:
                 _obs_emit(
                     "backend.shard",
                     backend=self.name,
                     items=len(futures),
-                    ok=crash is None,
+                    ok=not unfinished,
                     ts=shard_ts,
                     dur=time.perf_counter() - shard_p0,
                 )
-            pending = [i for i in pending if i not in results]
-            if crash is None or not pending:
+            pending = unfinished
+            if not pending:
                 break
             respawns += 1
             if respawns > self.max_pool_respawns:
-                crash.partial_results = dict(results)
-                crash.pending_items = list(pending)
-                raise crash
+                raise WorkersLost(
+                    f"worker process died; {len(pending)} scenario(s) "
+                    f"unfinished after exhausting pool respawns"
+                ) from crash
             if observing:
                 _obs_emit(
                     "backend.pool_respawn",
@@ -173,7 +181,6 @@ class ProcessBackend(Backend):
                     respawns=respawns,
                     pending=len(pending),
                 )
-        return [results[i] for i in range(len(items))]
 
 
 #: name -> zero-arg factory returning a fresh Backend.

@@ -6,8 +6,8 @@ on the CLI) fans a sweep out across the ``python -m repro serve``
 workers named by :data:`ENDPOINTS_ENV` — without the runner, the study
 facade, or the caller changing at all.
 
-How it honors the backend contract (``[fn(item) for item in items]``,
-order preserved) over a JSON wire: the ``fn`` the runner hands every
+How it honors the backend contract (every index yielded once, with
+``fn(items[index])``) over a JSON wire: the ``fn`` the runner hands every
 backend is the bare objective or a :class:`~repro.sweep.runner
 .Execution` (memo bound / retry policy / observation).  This backend
 ships the execution's :meth:`~repro.sweep.runner.Execution
@@ -15,21 +15,21 @@ ships the execution's :meth:`~repro.sweep.runner.Execution
 server rebuilds the identical execution around the same objective —
 resolved by registry name or imported by qualified name, the
 process-backend pickle contract.  Results stream back one frame per
-scenario and are reassembled into the values dicts (reserved keys
-reattached) the runner's fold loop already understands, so caching,
-manifests, resume, keep-going, and metrics work unchanged.
+scenario, and each is yielded as it arrives, reassembled into the
+values dict (reserved keys reattached) the runner's fold loop already
+understands, so caching, manifests, resume, keep-going, metrics and
+``--progress`` work unchanged.
 
 Failure model: a connection that dies or goes silent (no result or
 heartbeat within ``heartbeat_timeout``) marks that *host* dead; its
 unfinished indices are resharded across the surviving hosts, with one
 dispatch failure added to each rescued scenario's attempt count.  Only
-when every host is gone does the run fail — as a
-:class:`~repro.sweep.resilience.WorkerCrashError` carrying the pending
-scenarios, or, under ``on_error="keep"``, as kept failure rows —
-exactly the semantics the process backend's pool-crash path
-established.  A *handshake rejection* (protocol or cache-store version
-skew) is never retried elsewhere: the software disagrees, not the
-network, and the run fails loudly.
+when every host is gone does the backend give up, raising
+:class:`~repro.api.backends.WorkersLost` after every result that
+landed; the runner settles the unfinished scenarios exactly as it does
+for a process pool past its respawn budget.  A *handshake rejection*
+(protocol or cache-store version skew) is never retried elsewhere: the
+software disagrees, not the network, and the run fails loudly.
 
 Scenarios answered from a server's federated cache store come back
 ``cached: true``; this backend marks their stats with ``federated: 1``,
@@ -42,12 +42,13 @@ cache files, keeping those byte-identical to a serial run).
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import threading
 import time
 from typing import Callable, Sequence
 
-from repro.api.backends import Backend
+from repro.api.backends import Backend, WorkersLost
 from repro.distrib.protocol import (
     HandshakeRejected,
     ProtocolError,
@@ -59,17 +60,11 @@ from repro.distrib.store import STORE_VERSION, merge_stats
 from repro.obs.bus import active as _obs_active
 from repro.obs.bus import emit as _obs_emit
 from repro.sweep.grid import scenario_payload
-from repro.sweep.resilience import (
-    ATTEMPTS_KEY,
-    ERROR_KEY,
-    ScenarioError,
-    WorkerCrashError,
-    kept_crash,
-)
+from repro.sweep.resilience import ATTEMPTS_KEY, ERROR_KEY, ScenarioError
 from repro.sweep.runner import CACHE_STATS_KEY, OBS_KEY, Execution
 
 #: Environment variable naming the worker fleet:
-#: ``host:port,host:port,...`` — read at :meth:`RemoteBackend.map` time,
+#: ``host:port,host:port,...`` — read at :meth:`RemoteBackend.imap` time,
 #: so ``backend="remote"`` works with a zero-arg registry factory.
 ENDPOINTS_ENV = "REPRO_REMOTE_WORKERS"
 
@@ -185,11 +180,11 @@ class RemoteBackend(Backend):
         return endpoints
 
     # -- the Backend contract --------------------------------------------------
-    def map(self, fn, items, *, workers: int = 1) -> list:
+    def imap(self, fn, items, *, workers: int = 1):
         self._require_sync(fn)
         items = list(items)
         if not items:
-            return []
+            return
         execution = fn if isinstance(fn, Execution) else Execution(fn)
         submit_base = {
             "type": "submit",
@@ -199,7 +194,7 @@ class RemoteBackend(Backend):
         endpoints = self.endpoints()
         observing = _obs_active()
 
-        results: dict[int, dict] = {}
+        landed: set[int] = set()
         dispatch_failures: dict[int, int] = {}
         self.store_stats = {}
         alive = list(endpoints)
@@ -209,29 +204,38 @@ class RemoteBackend(Backend):
         while pending and alive and fatal is None:
             shards = _split(pending, len(alive))
             outcomes: list[dict] = [{} for _ in shards]
+            # The shard threads put (index, values) here as each result
+            # frame arrives, then their slot number once they end.
+            inbox: queue.SimpleQueue = queue.SimpleQueue()
 
             def run_one(slot: int, endpoint: WorkerEndpoint, shard: list):
                 out = outcomes[slot]
+                completed = 0
+
+                def deliver(index: int, values: dict) -> None:
+                    nonlocal completed
+                    completed += 1
+                    inbox.put((index, values))
+
                 t0, p0 = time.time(), time.perf_counter()
                 try:
-                    done, store = self._run_shard(
-                        endpoint, shard, items, submit_base, observing
+                    out["store"] = self._run_shard(
+                        endpoint, shard, items, submit_base, deliver
                     )
-                    out["done"], out["store"] = done, store
                 except _ShardFatal as exc:
                     out["fatal"] = exc
-                    out["done"] = exc.partial  # results that landed first
                 except (OSError, ProtocolError) as exc:
                     # Dead or hung host (timeouts and resets are OSError
                     # subclasses); whatever already streamed back is kept.
                     out["down"] = exc
-                    out["done"] = getattr(exc, "partial", {})
+                finally:
+                    inbox.put(slot)  # however the shard ended
                 if observing:
                     _obs_emit(
                         "remote.shard",
                         endpoint=str(endpoint),
                         items=len(shard),
-                        completed=len(out.get("done", {})),
+                        completed=completed,
                         ok="down" not in out and "fatal" not in out,
                         round=round_no,
                         ts=t0,
@@ -248,17 +252,29 @@ class RemoteBackend(Backend):
             ]
             for thread in threads:
                 thread.start()
+            running = len(threads)
+            while running:
+                got = inbox.get()
+                if not isinstance(got, tuple):
+                    running -= 1  # a shard thread ended
+                    continue
+                index, values = got
+                landed.add(index)
+                # A scenario rescued from a dead host carries its lost
+                # dispatches in the attempt count (the proof recovery
+                # re-ran it, as resumed runs accumulate attempts).
+                values[ATTEMPTS_KEY] += dispatch_failures.get(index, 0)
+                yield index, values
             for thread in threads:
                 thread.join()
 
             survivors = []
             for endpoint, shard, out in zip(alive, shards, outcomes):
-                results.update(out.get("done", {}))
                 merge_stats(self.store_stats, out.get("store"))
                 if "fatal" in out and fatal is None:
                     fatal = out["fatal"]
                 if "down" in out:
-                    rescued = [i for i in shard if i not in results]
+                    rescued = [i for i in shard if i not in landed]
                     for i in rescued:
                         dispatch_failures[i] = dispatch_failures.get(i, 0) + 1
                     if observing:
@@ -272,7 +288,7 @@ class RemoteBackend(Backend):
                 else:
                     survivors.append(endpoint)
             alive = survivors
-            pending = [i for i in pending if i not in results]
+            pending = [i for i in pending if i not in landed]
             round_no += 1
 
         if observing and self.store_stats:
@@ -280,13 +296,10 @@ class RemoteBackend(Backend):
         if fatal is not None:
             raise fatal.cause
         if pending:
-            self._fail_pending(pending, items, results, execution.on_error)
-        # A scenario rescued from a dead host carries its lost dispatches
-        # in the attempt count (the proof recovery re-ran it, mirroring
-        # how resumed runs accumulate attempts across manifests).
-        for i, extra in dispatch_failures.items():
-            _apply_dispatch_failures(results[i], extra)
-        return [results[i] for i in range(len(items))]
+            raise WorkersLost(
+                f"all remote workers failed; {len(pending)} scenario(s) "
+                f"unfinished"
+            )
 
     # -- shard transport -------------------------------------------------------
     def _run_shard(
@@ -295,66 +308,51 @@ class RemoteBackend(Backend):
         shard: list,
         items: list,
         submit_base: dict,
-        observing: bool,
-    ) -> tuple[dict, dict | None]:
+        deliver: Callable[[int, dict], None],
+    ) -> dict | None:
         """Submit one shard and stream its results back.
 
-        Returns ``(index -> values-with-reserved-keys, store counters)``.
+        Hands each result to ``deliver(index, values-with-reserved-keys)``
+        as its frame arrives and returns the server's store counters.
         Host-style failures propagate as :class:`OSError` /
-        :class:`ProtocolError` with the partial results attached
-        (``exc.partial``); non-host failures raise :class:`_ShardFatal`.
+        :class:`ProtocolError`; non-host failures raise
+        :class:`_ShardFatal`.
         """
-        done: dict[int, dict] = {}
-        try:
-            sock = socket.create_connection(
-                (endpoint.host, endpoint.port), timeout=self.connect_timeout
-            )
-        except OSError as exc:
-            exc.partial = done
-            raise
+        sock = socket.create_connection(
+            (endpoint.host, endpoint.port), timeout=self.connect_timeout
+        )
         try:
             sock.settimeout(self.heartbeat_timeout)
             try:
                 client_handshake(sock, cache_version=STORE_VERSION)
-                send_frame(
-                    sock,
-                    {
-                        **submit_base,
-                        "scenarios": [scenario_payload(items[i]) for i in shard],
-                    },
-                )
-                while True:
-                    frame = recv_frame(sock)
-                    if frame is None:
-                        raise ProtocolError(
-                            f"{endpoint} closed the connection mid-shard"
-                        )
-                    kind = frame["type"]
-                    if kind == "heartbeat":
-                        continue
-                    if kind == "result":
-                        index = shard[frame["i"]]
-                        done[index] = self._fold_frame(frame)
-                        if observing:
-                            _obs_emit("backend.item", backend=self.name)
-                        continue
-                    if kind == "done":
-                        return done, frame.get("store")
-                    if kind == "error":
-                        raise _ShardFatal(self._shard_error(frame, items, shard))
-                    raise ProtocolError(
-                        f"unexpected {kind!r} frame from {endpoint}"
-                    )
-            except _ShardFatal as exc:
-                exc.partial = done
-                raise
             except HandshakeRejected as exc:
-                fatal = _ShardFatal(exc)
-                fatal.partial = done
-                raise fatal from exc
-            except (OSError, ProtocolError) as exc:
-                exc.partial = done
-                raise
+                raise _ShardFatal(exc) from exc
+            send_frame(
+                sock,
+                {
+                    **submit_base,
+                    "scenarios": [scenario_payload(items[i]) for i in shard],
+                },
+            )
+            while True:
+                frame = recv_frame(sock)
+                if frame is None:
+                    raise ProtocolError(
+                        f"{endpoint} closed the connection mid-shard"
+                    )
+                kind = frame["type"]
+                if kind == "heartbeat":
+                    continue
+                if kind == "result":
+                    deliver(shard[frame["i"]], self._fold_frame(frame))
+                    continue
+                if kind == "done":
+                    return frame.get("store")
+                if kind == "error":
+                    raise _ShardFatal(self._shard_error(frame, items, shard))
+                raise ProtocolError(
+                    f"unexpected {kind!r} frame from {endpoint}"
+                )
         finally:
             try:
                 sock.close()
@@ -404,33 +402,3 @@ class RemoteBackend(Backend):
             scenario=scenario,
             attempts=error.get("attempts", 1),
         )
-
-    def _fail_pending(
-        self, pending: list, items: list, results: dict, on_error: str
-    ) -> None:
-        """Every host is gone with work unfinished — fail like the
-        process backend's exhausted-pool path does."""
-        pending_scenarios = tuple(items[i] for i in pending)
-        message = (
-            f"all remote workers failed; {len(pending)} scenario(s) "
-            f"unfinished"
-        )
-        if on_error != "keep":
-            raise WorkerCrashError(
-                message,
-                scenario=pending_scenarios[0],
-                pending=pending_scenarios,
-            )
-        for i in pending:
-            results[i] = kept_crash(
-                WorkerCrashError(
-                    message, scenario=items[i], pending=pending_scenarios
-                )
-            )
-
-
-def _apply_dispatch_failures(values: dict, extra: int) -> dict:
-    """Add host-death dispatch failures to a rescued row's attempt count."""
-    if extra:
-        values[ATTEMPTS_KEY] = values.get(ATTEMPTS_KEY, 1) + extra
-    return values

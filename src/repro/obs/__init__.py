@@ -28,7 +28,7 @@ epoch-seconds + ``dur`` seconds):
   ``error``, ``cause``).
 * ``scenario.retry`` — one backoff sleep before a retry.
 * ``scenario.failed`` — a kept failure (``error``, ``attempts``).
-* ``backend.item`` — one item completed at the dispatching backend.
+* ``backend.item`` — one result landed (the runner's tick, any backend).
 * ``backend.shard`` — one process-pool shard dispatch (``items``).
 * ``backend.pool_respawn`` — a crashed pool was respawned
   (``respawns``, ``pending``).

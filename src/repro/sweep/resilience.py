@@ -13,8 +13,8 @@ those — without changing a single byte of what a healthy run computes:
   carrying the failing :class:`~repro.sweep.grid.Scenario` and the
   attempt count: :class:`ScenarioError` (the objective raised),
   :class:`SweepTimeoutError` (the objective overran the policy
-  timeout), :class:`WorkerCrashError` (a pool worker died and the pool
-  could not be recovered);
+  timeout), :class:`WorkerCrashError` (the backend lost its workers
+  with the scenario unfinished);
 * :func:`run_with_policy` — the retry loop the runner wraps around
   objectives, returning either the values dict (with the attempt count
   attached under :data:`ATTEMPTS_KEY`) or, under ``on_error="keep"``, a
@@ -23,7 +23,8 @@ those — without changing a single byte of what a healthy run computes:
   JSON scenario cache (``manifest.json``: grid hash, per-slot status,
   cumulative attempt counts) that lets ``SweepRunner(resume=True)``
   re-execute only the failed-or-missing points of a crashed run; a run
-  killed mid-evaluation cached none of the points it had computed.
+  killed mid-evaluation keeps the cache entry of every point that
+  landed.
 
 Fault injection for tests lives in :mod:`repro.testing.faults`; the
 retry loop consults the active plan so injected faults hit every
@@ -137,14 +138,14 @@ class SweepTimeoutError(SweepError):
 
 
 class WorkerCrashError(SweepError):
-    """A pool worker died mid-shard and the pool could not be recovered.
+    """A backend lost its workers with scenarios unfinished.
 
-    Raised only after the process backend has exhausted its respawn
-    budget — a single worker death is absorbed by respawning the pool
-    and retrying the unfinished shard.  ``scenario`` is the first
-    unfinished point (the crash cannot be attributed more precisely);
-    ``pending`` lists every scenario still unfinished when the pool was
-    given up on.
+    The sweep runner's form of :class:`~repro.api.backends.WorkersLost`:
+    a process pool past its respawn budget (one worker death is
+    absorbed by respawning the pool), or every remote host gone.
+    ``scenario`` is the first unfinished point (the crash cannot be
+    attributed more precisely); ``pending`` lists every scenario still
+    unfinished when the workers were given up on.
     """
 
     def __init__(
@@ -411,13 +412,13 @@ class RunManifest:
 
     One entry per deduplicated grid slot, keyed by the scenario's cache
     key: status (``"ok"`` / ``"failed"``), cumulative attempt count, and
-    the error payload for failures.  The runner writes the file
-    atomically at most twice per run: when evaluation raises (the cache
-    hits stay on record) and when the run ends.  A rewrite per computed
-    point would cost time quadratic in the grid size, so a process
-    killed mid-evaluation leaves the previous manifest, or none, and
-    ``resume=True`` falls back to the cache files, where the killed run
-    wrote none of its points (entries follow evaluation's return).
+    the error payload for failures.  The runner records each point as
+    it lands and writes the file atomically at most twice per run: when
+    evaluation raises (hits and landed points stay on record) and when
+    the run ends.  A rewrite per computed point would cost time
+    quadratic in the grid size, so a process killed mid-evaluation
+    leaves the previous manifest, or none, and ``resume=True`` falls
+    back to the cache files, which hold every point that landed.
     """
 
     def __init__(self, cache_dir, grid_hash: str) -> None:

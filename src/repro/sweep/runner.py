@@ -10,7 +10,9 @@ Objectives with a batched twin in :mod:`repro.perfmodel.batcheval`
 can instead price all cache misses in one whole-grid pass, as the
 runner's ``vectorize`` option decides.  Completed points are
 cached as JSON files keyed by the scenario hash, so re-running a study —
-or extending its grid — only pays for the new points.
+or extending its grid — only pays for the new points.  Each point is
+cached as its result lands, so a run that is killed or raises keeps
+every point it finished (a whole-grid pass lands once it returns).
 
 Evaluators map ``Scenario -> dict`` (JSON-serializable values).  Two are
 built in:
@@ -46,7 +48,6 @@ import contextvars
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -55,6 +56,7 @@ from repro.api.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
+    WorkersLost,
     get_backend,
 )
 from repro.obs.bus import active as _obs_active
@@ -697,9 +699,18 @@ def check_run_option(name: str, value):
     elif name == "on_error":
         if value not in ("raise", "keep"):
             raise ValueError(f"on_error must be 'raise' or 'keep', got {value!r}")
+    elif name == "cache_dir":
+        if value is not None and not isinstance(value, (str, os.PathLike)):
+            raise TypeError(
+                f"cache_dir must be None, a str or an os.PathLike, got {value!r}"
+            )
+    elif name == "vectorize":  # strict bools: a spec's "false" is truthy
+        if value is not None and not isinstance(value, bool):
+            raise TypeError(f"vectorize must be None, True or False, got {value!r}")
     elif name == "resume":
-        return bool(value)
-    elif name not in ("cache_dir", "vectorize"):  # these take any value
+        if not isinstance(value, bool):
+            raise TypeError(f"resume must be True or False, got {value!r}")
+    else:
         raise TypeError(f"unknown run option {name!r}")
     return value
 
@@ -716,8 +727,10 @@ class SweepRunner:
     The evaluator must be a plain callable: a coroutine-function
     objective is rejected here, when the runner is built.  ``process``
     degrades to the in-line serial loop at ``workers=1``, and every
-    backend returns identical values in identical order — only the
-    scheduling differs.
+    backend returns identical values — only the scheduling differs.
+    The runner folds each result as the backend yields it (row, cache
+    entry, manifest record, ``backend.item`` tick), and settles the
+    points of a backend that lost its workers itself.
 
     ``evaluator_max_entries`` bounds every shared context's memo (LRU)
     for grids too large to cache whole.  The bound travels with each
@@ -784,21 +797,22 @@ class SweepRunner:
             )
         # check_run_option's backend check, keeping the backend it builds.
         self._backend = get_backend(backend)
-        # Checked here, not only in Backend.map: the whole-grid path
-        # never reaches a backend's map.
+        # Checked here, not only in Backend.imap: the whole-grid path
+        # never reaches a backend's imap.
         self._backend._require_sync(evaluate)
         self.evaluator_max_entries = check_run_option(
             "evaluator_max_entries", evaluator_max_entries
         )
         self.retry = check_run_option("retry", retry)
         self.on_error = check_run_option("on_error", on_error)
+        self.resume = check_run_option("resume", resume)
         if resume and cache_dir is None:
             raise ValueError("resume=True needs a cache_dir to resume from")
         self.evaluate = evaluate
+        cache_dir = check_run_option("cache_dir", cache_dir)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.backend = backend if isinstance(backend, str) else self._backend.name
-        self.vectorize = vectorize
-        self.resume = check_run_option("resume", resume)
+        self.vectorize = check_run_option("vectorize", vectorize)
         #: The run's observability session, or None (the default — in
         #: which case the runner adds zero overhead beyond one boolean
         #: check per instrumented site and produces byte-identical
@@ -916,7 +930,7 @@ class SweepRunner:
         if batch_evaluator_for(self.evaluate) is None:
             return False  # no batched twin: the backend runs the points
         if self.vectorize is not None:
-            return bool(self.vectorize)
+            return self.vectorize
         # Auto mode: engage only where it cannot change scheduling
         # semantics — the backend would run the points in-line anyway —
         # and only when the batch is big enough that per-scenario cache
@@ -944,40 +958,38 @@ class SweepRunner:
             _obs_emit("batch.pass", scenarios=len(computed))
         return computed
 
-    def _salvage_crash(
-        self, exc: BrokenProcessPool, misses: list[Scenario]
-    ) -> list[dict]:
-        """Fold an unrecoverable pool crash into the failure semantics.
+    def _landed(self, misses: list[Scenario]):
+        """Yield ``(miss index, values)`` once per miss, as each lands.
 
-        The process backend already respawned the pool and retried the
-        unfinished shard up to its budget; by the time the exception
-        reaches the runner it carries ``partial_results`` (index ->
-        values) and ``pending_items``.  ``on_error="keep"`` converts the
-        pending points into :class:`WorkerCrashError` rows and keeps the
-        salvaged values; otherwise the crash propagates through the
-        taxonomy with every pending scenario attached.
+        A whole-grid pass lands all at once, when it returns.  When a
+        backend loses its workers, its unfinished misses propagate as a
+        :class:`WorkerCrashError` or, under ``on_error="keep"``, land
+        as failed rows carrying the backend's message and cause.
         """
-        partial = getattr(exc, "partial_results", None) or {}
-        pending = getattr(exc, "pending_items", None)
-        if pending is None:
-            pending = [i for i in range(len(misses)) if i not in partial]
-        pending_scenarios = tuple(misses[i] for i in pending)
-        if self.on_error != "keep":
-            raise WorkerCrashError(
-                scenario=pending_scenarios[0] if pending_scenarios else None,
-                pending=pending_scenarios,
-                cause=exc,
-            ) from exc
-        computed: list[dict] = []
-        for i, sc in enumerate(misses):
-            if i in partial:
-                computed.append(partial[i])
-                continue
-            crash = WorkerCrashError(
-                scenario=sc, pending=pending_scenarios, cause=exc
-            )
-            computed.append(kept_crash(crash))
-        return computed
+        if self._use_batch_path(misses):
+            yield from enumerate(self._batch_map(misses))
+            return
+        observing = _obs_active()
+        landed: set[int] = set()
+        try:
+            for i, values in self._backend.imap(
+                self._bound_evaluate(), misses, workers=self.workers
+            ):
+                landed.add(i)
+                if observing:
+                    _obs_emit("backend.item", backend=self._backend.name)
+                yield i, values
+        except WorkersLost as lost:
+            unfinished = [i for i in range(len(misses)) if i not in landed]
+            pending = tuple(misses[i] for i in unfinished)
+            for i in unfinished:
+                crash = WorkerCrashError(
+                    str(lost), scenario=misses[i], pending=pending,
+                    cause=lost.__cause__,
+                )
+                if self.on_error != "keep":
+                    raise crash from lost
+                yield i, kept_crash(crash)
 
     def _run(self, scenarios: ScenarioGrid | Iterable[Scenario]) -> list[SweepResult]:
         points = list(scenarios)
@@ -1046,95 +1058,84 @@ class SweepRunner:
                 if row is not None:  # a cache hit
                     manifest.record(keys[slot], "ok", row.attempts)
 
-        if misses:
-            try:
-                if self._use_batch_path(misses):
-                    computed = self._batch_map(misses)
-                else:
-                    computed = self._backend.map(
-                        self._bound_evaluate(), misses, workers=self.workers
-                    )
-            except BaseException as exc:
-                if manifest is not None:
-                    manifest.write()  # completed hits stay on record
-                if isinstance(exc, BrokenProcessPool):
-                    computed = self._salvage_crash(exc, misses)
-                else:
-                    raise
-            evaluator_totals = {
-                "hits": 0, "misses": 0, "evictions": 0, "uninstrumented": 0,
-                "federated": 0,
-            }
-            for sc, slot, vals in zip(misses, miss_slots, computed):
-                sc_stats, sc_attempts, error, blob = pop_reserved(vals)
-                if self.obs is not None and blob is not None:
-                    self.obs.fold(blob)
-                if observing:
-                    if sc_stats is not None and "federated" in sc_stats:
-                        # Answered by a remote worker's federated store:
-                        # any memo delta riding along belongs to the run
-                        # that originally computed it, not this one.
-                        evaluator_totals["federated"] += 1
-                    elif sc_stats is None or "hits" not in sc_stats:
-                        evaluator_totals["uninstrumented"] += 1
+        try:
+            if misses:
+                evaluator_totals = {
+                    "hits": 0, "misses": 0, "evictions": 0,
+                    "uninstrumented": 0, "federated": 0,
+                }
+                for i, vals in self._landed(misses):
+                    sc, slot = misses[i], miss_slots[i]
+                    sc_stats, sc_attempts, error, blob = pop_reserved(vals)
+                    if self.obs is not None and blob is not None:
+                        self.obs.fold(blob)
+                    if observing:
+                        if sc_stats is not None and "federated" in sc_stats:
+                            # Answered by a remote worker's federated
+                            # store: any memo delta riding along belongs
+                            # to the run that originally computed it.
+                            evaluator_totals["federated"] += 1
+                        elif sc_stats is None or "hits" not in sc_stats:
+                            evaluator_totals["uninstrumented"] += 1
+                        else:
+                            evaluator_totals["hits"] += sc_stats.get("hits", 0)
+                            evaluator_totals["misses"] += sc_stats.get("misses", 0)
+                            evaluator_totals["evictions"] += sc_stats.get(
+                                "evictions", 0
+                            )
+                    if prior is not None:
+                        # A resumed point's attempt count is cumulative
+                        # across runs — the proof that resume re-executed
+                        # it rather than recomputing from scratch.
+                        sc_attempts += prior.prior_attempts(keys[slot])
+                    if error is None:
+                        if caching:
+                            # Group-level batch stats never reach the
+                            # cache files — entries stay byte-identical to
+                            # what the memoized path writes.
+                            store_stats = sc_stats
+                            if store_stats is not None and "batch_group" in store_stats:
+                                store_stats = None
+                            elif store_stats is not None and "federated" in store_stats:
+                                # The federated-hit marker is per-run
+                                # accounting; the local cache entry must
+                                # stay byte-identical to a serial run's.
+                                store_stats = {
+                                    k: v
+                                    for k, v in store_stats.items()
+                                    if k != "federated"
+                                } or None
+                            self._cache_store(
+                                sc, vals, store_stats, attempts=sc_attempts
+                            )
+                        if manifest is not None:
+                            manifest.record(keys[slot], "ok", sc_attempts)
                     else:
-                        evaluator_totals["hits"] += sc_stats.get("hits", 0)
-                        evaluator_totals["misses"] += sc_stats.get("misses", 0)
-                        evaluator_totals["evictions"] += sc_stats.get(
-                            "evictions", 0
-                        )
-                if prior is not None:
-                    # A resumed point's attempt count is cumulative
-                    # across runs — the proof that resume re-executed
-                    # it rather than recomputing from scratch.
-                    sc_attempts += prior.prior_attempts(keys[slot])
-                if error is None:
-                    if caching:
-                        # Group-level batch stats never reach the cache
-                        # files — entries stay byte-identical to what
-                        # the memoized path writes.
-                        store_stats = sc_stats
-                        if store_stats is not None and "batch_group" in store_stats:
-                            store_stats = None
-                        elif store_stats is not None and "federated" in store_stats:
-                            # The federated-hit marker is per-run
-                            # accounting; the local cache entry must stay
-                            # byte-identical to one a serial run writes.
-                            store_stats = {
-                                k: v
-                                for k, v in store_stats.items()
-                                if k != "federated"
-                            } or None
-                        self._cache_store(
-                            sc, vals, store_stats, attempts=sc_attempts
-                        )
-                    if manifest is not None:
-                        manifest.record(keys[slot], "ok", sc_attempts)
-                else:
-                    # Failures become result rows, never cache entries:
-                    # a later run (resumed or not) must re-evaluate.
-                    vals = {}
-                    if manifest is not None:
-                        manifest.record(
-                            keys[slot], "failed", sc_attempts, error
-                        )
-                if slot in quarantined:
-                    # Surfaced on the in-memory result only — the fresh
-                    # cache entry describes a healthy recompute.
-                    sc_stats = dict(sc_stats or {})
-                    sc_stats["quarantined"] = 1
-                rows[slot] = SweepResult(
-                    sc, vals, cache_stats=sc_stats, ok=error is None,
-                    error=error, attempts=sc_attempts,
-                )
-            if observing:
-                if not evaluator_totals["federated"]:
-                    # Only remote runs with store hits carry the field,
-                    # so local runs' event streams stay exactly as before.
-                    evaluator_totals.pop("federated")
-                _obs_emit("run.evaluator", **evaluator_totals)
-
-        if manifest is not None:
-            manifest.write()
+                        # Failures become result rows, never cache
+                        # entries: a later run (resumed or not) must
+                        # re-evaluate.
+                        vals = {}
+                        if manifest is not None:
+                            manifest.record(
+                                keys[slot], "failed", sc_attempts, error
+                            )
+                    if slot in quarantined:
+                        # Surfaced on the in-memory result only — the
+                        # fresh cache entry describes a healthy recompute.
+                        sc_stats = dict(sc_stats or {})
+                        sc_stats["quarantined"] = 1
+                    rows[slot] = SweepResult(
+                        sc, vals, cache_stats=sc_stats, ok=error is None,
+                        error=error, attempts=sc_attempts,
+                    )
+                if observing:
+                    if not evaluator_totals["federated"]:
+                        # Only remote runs with store hits carry the
+                        # field, so local runs' event streams stay put.
+                        evaluator_totals.pop("federated")
+                    _obs_emit("run.evaluator", **evaluator_totals)
+        finally:
+            if manifest is not None:
+                manifest.write()  # on a raise too: what landed stays on record
 
         return [rows[slot] for slot in slots]

@@ -16,15 +16,16 @@ from repro.api.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
+    WorkersLost,
     available_backends,
     get_backend,
     register_backend,
     temporary_backend,
     unregister_backend,
 )
-from repro.obs import ObsSession
+from repro.obs import ObsSession, bus
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner, shared_context
-from repro.sweep.runner import scenario_hetero
+from repro.sweep.runner import pop_reserved, scenario_hetero
 
 BACKENDS = ("serial", "process")
 
@@ -110,8 +111,8 @@ class TestRegistry:
         class EchoBackend(Backend):
             name = "echo-test"
 
-            def map(self, fn, items, *, workers=1):
-                return [fn(item) for item in items]
+            def imap(self, fn, items, *, workers=1):
+                return ((i, fn(item)) for i, item in enumerate(items))
 
         register_backend("echo-test", EchoBackend)
         try:
@@ -173,6 +174,56 @@ class TestBackendMap:
         assert backend.map(square, items, workers=workers) == [
             x * x for x in items
         ]
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_imap_yields_every_index_exactly_once(self, name, workers):
+        items = list(range(7))
+        landed = list(get_backend(name).imap(square, items, workers=workers))
+        assert sorted(i for i, _ in landed) == list(range(len(items)))
+        assert [r for _, r in sorted(landed)] == [square(x) for x in items]
+
+    def test_remote_imap_yields_every_index_exactly_once(self, loopback_server):
+        """Remote results come back with the reserved keys reattached;
+        without them, each is the objective's own value."""
+        scenarios = list(EQUIVALENCE_GRID)[:6]
+        landed = list(
+            get_backend("remote").imap(square_scenario, scenarios, workers=2)
+        )
+        assert sorted(i for i, _ in landed) == list(range(len(scenarios)))
+        values = [v for _, v in sorted(landed, key=lambda pair: pair[0])]
+        for v in values:
+            pop_reserved(v)
+        assert values == [square_scenario(sc) for sc in scenarios]
+
+    def test_an_imap_only_backend_runs_a_study_and_ticks_per_point(self):
+        """A third-party backend implements imap alone, may land results
+        in any order, and still gets the runner's one backend.item tick
+        per point and the serial run's bytes."""
+
+        class Reversed(Backend):
+            name = "reversed-test"
+
+            def imap(self, fn, items, *, workers=1):
+                items = list(items)
+                for i in reversed(range(len(items))):
+                    yield i, fn(items[i])
+
+        ticks = []
+
+        def hook(event, fields):
+            if event == "backend.item":
+                ticks.append(fields["backend"])
+
+        study = Study(EQUIVALENCE_GRID, objective="timeline").vectorize(False)
+        with temporary_backend("reversed-test", Reversed):
+            bus.subscribe(hook)
+            try:
+                results = study.backend("reversed-test").run()
+            finally:
+                bus.unsubscribe(hook)
+        assert ticks == ["reversed-test"] * len(EQUIVALENCE_GRID)
+        assert results.to_json() == study.run().to_json()
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_items(self, name):
@@ -273,9 +324,9 @@ class TestBackendEquivalence:
         received = []
 
         class Spy(SerialBackend):
-            def map(self, fn, items, *, workers=1):
+            def imap(self, fn, items, *, workers=1):
                 received.append(fn)
-                return super().map(fn, items, workers=workers)
+                return super().imap(fn, items, workers=workers)
 
         SweepRunner(square_scenario, backend=Spy(), **knobs).run(
             [Scenario(system="timeline", batch=1024, n=2)]
@@ -328,12 +379,15 @@ class TestWorkerDeathAbsorption:
         from concurrent.futures.process import BrokenProcessPool
 
         items = [(i, 3) for i in range(6)]
-        with pytest.raises(BrokenProcessPool) as info:
-            ProcessBackend(max_pool_respawns=0).map(
+        salvaged = {}
+        with pytest.raises(WorkersLost) as info:
+            for i, value in ProcessBackend(max_pool_respawns=0).imap(
                 kill_always, items, workers=2
-            )
-        assert 3 in info.value.pending_items
-        salvaged = info.value.partial_results
+            ):
+                assert i not in salvaged
+                salvaged[i] = value
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert 3 not in salvaged
         assert all(salvaged[i] == items[i][0] * 2 for i in salvaged)
 
     def test_respawn_budget_validation(self):

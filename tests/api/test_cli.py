@@ -158,6 +158,20 @@ def test_study_spec_errors_are_clean_failures(tmp_path, capsys):
     assert main(["study", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("resume", "false"), ("vectorize", "false"), ("cache_dir", 123),
+])
+def test_a_bad_run_option_in_a_spec_file_is_a_clean_failure(
+    name, value, tmp_path, capsys
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"scenarios": [{"system": "timeline", "n": 1}], name: value}
+    ))
+    assert main(["study", str(spec), "--quiet"]) == 2
+    assert f"{name} must be" in capsys.readouterr().err
+
+
 def test_unknown_backend_is_a_clean_failure(capsys):
     assert main(["sweep", "--smoke", "--backend", "fiber"]) == 2
     assert "unknown backend" in capsys.readouterr().err

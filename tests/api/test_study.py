@@ -61,6 +61,27 @@ FLUENT_CHANGES = {
 }
 
 
+#: Values the run-option check refuses, by option; each is a truthy or
+#: falsy stand-in for a real setting, or a path of the wrong type.
+BAD_RUN_OPTIONS = [
+    ("vectorize", "false"),
+    ("vectorize", "no"),
+    ("vectorize", 1),
+    ("resume", "false"),
+    ("resume", None),
+    ("resume", 0),
+    ("cache_dir", 123),
+    ("cache_dir", b"cache"),
+]
+
+#: The fluent method of each option in BAD_RUN_OPTIONS.
+FLUENT_SETTERS = {
+    "vectorize": Study.vectorize,
+    "resume": Study.resume,
+    "cache_dir": Study.cache,
+}
+
+
 class TestStudyBuilder:
     def test_fluent_calls_return_new_studies(self):
         base = Study(GRID)
@@ -100,6 +121,22 @@ class TestStudyBuilder:
         rebuilt = Study.from_spec(spec)
         assert rebuilt.describe() == spec
         assert getattr(rebuilt.runner(), name) == held
+
+    @pytest.mark.parametrize("name, value", BAD_RUN_OPTIONS)
+    def test_a_bad_run_option_fails_when_the_study_or_runner_is_built(
+        self, name, value, tmp_path
+    ):
+        """Only None/True/False vectorize, True/False resume and a None,
+        str or os.PathLike cache_dir get past the build: a truthy string
+        such as "false" must not resume or force the whole-grid pass."""
+        with pytest.raises(TypeError, match=name):
+            SweepRunner(fake_objective, **{"cache_dir": tmp_path, name: value})
+        with pytest.raises(TypeError, match=name):
+            Study(GRID, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            FLUENT_SETTERS[name](Study(GRID), value)
+        with pytest.raises(TypeError, match=name):
+            Study.from_spec({"scenarios": [{"system": "timeline"}], name: value})
 
     def test_a_bad_memo_bound_fails_when_the_study_is_built(self):
         with pytest.raises(ValueError, match="evaluator_max_entries"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,18 @@ SMALL_GRID = ScenarioGrid(
 # shared contexts, so a memo bound set here leaks into no other test.
 def batch_echo(scenario: Scenario) -> dict:
     return {"batch": scenario.batch}
+
+
+#: Set by the test's hook at the run's first ``backend.item`` tick.
+FIRST_TICK = threading.Event()
+
+
+def waits_for_the_first_tick(scenario: Scenario) -> dict:
+    """The first point returns at once; each later one waits for the
+    first tick, which only a result streamed before the shard ends gives."""
+    if (scenario.batch, scenario.n) == (1024, 1):
+        return {"ticked": True}
+    return {"ticked": FIRST_TICK.wait(timeout=10)}
 
 
 POLICY = RetryPolicy(max_attempts=2, backoff=0.25, seed=3)
@@ -237,6 +250,22 @@ class TestEquivalence:
     def test_empty_grid(self, fleet):
         assert fleet.map(lambda x: x, []) == []
 
+    def test_each_result_ticks_as_its_frame_arrives(self, loopback_server):
+        FIRST_TICK.clear()
+
+        def hook(event, fields):
+            if event == "backend.item":
+                FIRST_TICK.set()
+
+        bus.subscribe(hook)
+        try:
+            results = SweepRunner(
+                waits_for_the_first_tick, backend="remote"
+            ).run(SMALL_GRID)
+        finally:
+            bus.unsubscribe(hook)
+        assert [r["ticked"] for r in results] == [True] * len(SMALL_GRID)
+
 
 class TestFederatedStore:
     def test_warm_run_answers_from_the_fleet_store(self, tmp_path):
@@ -377,6 +406,25 @@ class TestResilienceOverTheWire:
         assert all(
             r.error["type"] == "WorkerCrashError" for r in results.failures()
         )
+
+    def test_a_lost_fleets_kept_rows_are_pinned(self):
+        """The runner settles a lost fleet's points: each kept row carries
+        the backend's message, one attempt and no cause."""
+        backend = RemoteBackend(["127.0.0.1:9"], connect_timeout=0.5)
+        results = (
+            Study(SMALL_GRID, objective="timeline")
+            .backend(backend)
+            .keep_going()
+            .run()
+        )
+        assert len(SMALL_GRID) == 4
+        assert [r.error for r in results] == [{
+            "attempts": 1,
+            "cause": None,
+            "message": "all remote workers failed; 4 scenario(s) unfinished",
+            "type": "WorkerCrashError",
+        }] * 4
+        assert [r.attempts for r in results] == [1] * 4
 
     def test_kept_rows_of_a_lost_fleet_are_observed(self):
         """Each row kept after every host is gone emits scenario.failed,

@@ -38,6 +38,7 @@ from repro.sweep.resilience import (
     run_with_policy,
 )
 from repro.testing.faults import Fault, FaultInjected, FaultPlan
+from tests.conftest import run_python
 
 GRID = ScenarioGrid(
     systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
@@ -422,6 +423,34 @@ class TestWorkerDeath:
             if got.ok:
                 assert got.values == want.values
 
+    def test_a_lost_pools_kept_rows_are_pinned(self, tmp_path):
+        """The runner settles a lost pool's unfinished points: each kept
+        row carries the backend's message and its BrokenProcessPool."""
+        plan = plan_of(tmp_path, Fault(kind="kill", match={"batch": 2048}))
+        plan.install()
+        try:
+            results = SweepRunner(
+                fake_evaluate,
+                backend=ProcessBackend(max_pool_respawns=1),
+                workers=2,
+                on_error="keep",
+            ).run(GRID)
+        finally:
+            plan.uninstall()
+        lost = [r for r in results if not r.ok]
+        assert any(r.scenario.batch == 2048 for r in lost)
+        for row in lost:
+            assert row.error == {
+                "attempts": 1,
+                "cause": "BrokenProcessPool",
+                "message": (
+                    f"worker process died; {len(lost)} scenario(s) "
+                    f"unfinished after exhausting pool respawns"
+                ),
+                "type": "WorkerCrashError",
+            }
+            assert row.attempts == 1
+
 
 class TestResume:
     def test_resume_reexecutes_only_the_failed_points(
@@ -508,6 +537,98 @@ class TestResume:
         manifest = RunManifest.load(cache)
         assert manifest is not None
         assert manifest.completed() == len(GRID) - 1
+
+
+#: Eight points, so that a run stopped at its 6th point has 5 landed.
+EIGHT_POINTS = ScenarioGrid(
+    systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
+    batches=(1024, 2048), ns=(1, 2), strategies=("none", "S1"),
+)
+
+#: A cached retry(1) study over EIGHT_POINTS, run in a fresh interpreter:
+#: ``argv[1]`` is the cache, ``argv[2]`` is "resume" or "fresh", and the
+#: objective calls ``os._exit(9)`` at call ``KILL_AT_CALL`` (if set).
+KILLED_STUDY = """
+import json, os, sys
+from repro.api import ScenarioGrid, Study
+from repro.sweep.runner import evaluate_timeline
+
+calls = 0
+
+def objective(scenario):
+    global calls
+    calls += 1
+    if calls == int(os.environ.get("KILL_AT_CALL", "0")):
+        os._exit(9)
+    return evaluate_timeline(scenario)
+
+grid = ScenarioGrid(
+    systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
+    batches=(1024, 2048), ns=(1, 2), strategies=("none", "S1"),
+)
+study = Study(grid, objective=objective).cache(sys.argv[1]).retry(1)
+results = study.resume(sys.argv[2] == "resume").observe().run()
+print(json.dumps({
+    "values": [r.values for r in results],
+    "counters": results.metrics()["metrics"]["counters"],
+}))
+"""
+
+
+def cache_entries(cache) -> list:
+    return [p for p in cache.glob("*.json") if p.name != MANIFEST_NAME]
+
+
+class TestLandedWorkSurvives:
+    """Each result is cached as it lands, so a run that raises or is
+    killed keeps every point it finished, and a resume computes only
+    the rest."""
+
+    def test_a_raising_run_keeps_every_point_that_landed(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        counter = tmp_path / "evals.log"
+        monkeypatch.setenv("RESILIENCE_TEST_COUNTER", str(counter))
+        sixth = list(EIGHT_POINTS)[5]
+        plan = plan_of(tmp_path, Fault(kind="fail", match={
+            "batch": sixth.batch, "n": sixth.n, "strategy": sixth.strategy,
+        }))
+        options = dict(
+            cache_dir=cache, backend="serial", retry=RetryPolicy(max_attempts=1)
+        )
+        with plan.active():
+            with pytest.raises(ScenarioError):
+                SweepRunner(fake_evaluate, **options).run(EIGHT_POINTS)
+        assert len(cache_entries(cache)) == 5
+        manifest = RunManifest.load(cache)
+        assert manifest.completed() == len(manifest.slots) == 5
+
+        counter.write_text("")  # count only the resumed run's work
+        resumed = SweepRunner(fake_evaluate, resume=True, **options).run(
+            EIGHT_POINTS
+        )
+        assert len(counter.read_text().splitlines()) == 3
+        assert [r.cached for r in resumed] == [True] * 5 + [False] * 3
+        baseline = SweepRunner(fake_evaluate, backend="serial").run(EIGHT_POINTS)
+        assert [r.values for r in resumed] == [r.values for r in baseline]
+
+    def test_a_killed_run_keeps_every_point_that_landed(self, tmp_path):
+        cache = tmp_path / "cache"
+        killed = run_python(
+            "-c", KILLED_STUDY, str(cache), "fresh", KILL_AT_CALL="6"
+        )
+        assert killed.returncode == 9, killed.stderr
+        assert len(cache_entries(cache)) == 5
+        assert not (cache / MANIFEST_NAME).exists()
+
+        resumed = run_python("-c", KILLED_STUDY, str(cache), "resume")
+        assert resumed.returncode == 0, resumed.stderr
+        report = json.loads(resumed.stdout)
+        assert report["counters"]["sweep.scenarios.computed"] == 3
+        assert report["counters"]["sweep.cache.disk_hits"] == 5
+        uninterrupted = Study(EIGHT_POINTS, objective="timeline").run()
+        assert report["values"] == [r.values for r in uninterrupted]
 
 
 class TestObjectiveTaxonomy:
