@@ -13,7 +13,7 @@ The paper's usage pattern translates directly::
 
 Studies — evaluating operating points across systems, cluster shapes
 and batch sizes — go through the stable facade :mod:`repro.api`
-(loaded lazily; ``python -m repro`` is the matching CLI)::
+(``python -m repro`` is the matching CLI)::
 
     from repro.api import Study, ScenarioGrid
 
@@ -22,7 +22,9 @@ and batch sizes — go through the stable facade :mod:`repro.api`
 See :mod:`repro.core` for the layer, :mod:`repro.systems` for the
 evaluation system models (FastMoE / FasterMoE / PipeMoE / MPipeMoE),
 :mod:`repro.pipeline` for adaptive pipelining, and :mod:`repro.memory`
-for the reuse strategies and footprint model.
+for the reuse strategies and footprint model.  The layer names and
+:mod:`repro.api` load on first access: numpy comes with the training
+half (:mod:`repro.core`, :mod:`repro.tensor`), not with ``import repro``.
 """
 
 from repro.config import (
@@ -35,8 +37,7 @@ from repro.config import (
     PipelineConfig,
     get_preset,
 )
-from repro.core import MoELayer, MoEOutput, TopKGate, ExpertFFN
-from repro.tensor import Tensor, no_grad
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -58,17 +59,14 @@ __all__ = [
     "get_preset",
 ]
 
-
-def __getattr__(name: str):
-    # The study facade loads lazily: `import repro` stays cheap for
-    # layer-only users, while `repro.api.Study` works without an extra
-    # import statement.
-    if name == "api":
-        import repro.api
-
-        return repro.api
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | {"api"})
+# The numpy layer and the study facade load on first access, so `import
+# repro` stays cheap and `repro.api.Study` needs no extra import.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "api": "repro.api",
+    "MoELayer": "repro.core:MoELayer",
+    "MoEOutput": "repro.core:MoEOutput",
+    "TopKGate": "repro.core:TopKGate",
+    "ExpertFFN": "repro.core:ExpertFFN",
+    "Tensor": "repro.tensor:Tensor",
+    "no_grad": "repro.tensor:no_grad",
+})

@@ -32,9 +32,10 @@ The pieces:
 
 Grid construction (:class:`Scenario`, :class:`ScenarioGrid`,
 :class:`ScenarioList`) and the analysis helpers are re-exported so one
-import serves a whole study.  The heavy submodules load lazily: the
-backend registry is import-cycle-free and always available, while
-:class:`Study`/:class:`ResultSet` resolve on first access.
+import serves a whole study.  The backend registry loads eagerly and
+the rest on first access.  This import and a scalar study load neither
+numpy nor multiprocessing: numpy comes with the training half and the
+whole-grid pass (imported at build under ``vectorize=True``).
 """
 
 from repro.api.backends import (
@@ -48,6 +49,7 @@ from repro.api.backends import (
     temporary_backend,
     unregister_backend,
 )
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     # backends (eager; stdlib-only)
@@ -85,45 +87,27 @@ __all__ = [
     "as_scenarios",
 ]
 
-#: Lazily-resolved exports: importing ``repro.api`` must not import the
-#: sweep/systems stack (repro.sweep.runner imports the backend registry
-#: from here — eager imports would cycle).
-_LAZY = {
-    "RemoteBackend": ("repro.distrib.backend", "RemoteBackend"),
-    "StudyServer": ("repro.distrib.server", "StudyServer"),
-    "CacheStore": ("repro.distrib.store", "CacheStore"),
-    "Study": ("repro.api.study", "Study"),
-    "OBJECTIVES": ("repro.api.study", "OBJECTIVES"),
-    "StudyResult": ("repro.sweep.runner", "SweepResult"),
-    "ResultSet": ("repro.api.result", "ResultSet"),
-    "RetryPolicy": ("repro.sweep.resilience", "RetryPolicy"),
-    "SweepError": ("repro.sweep.resilience", "SweepError"),
-    "ScenarioError": ("repro.sweep.resilience", "ScenarioError"),
-    "SweepTimeoutError": ("repro.sweep.resilience", "SweepTimeoutError"),
-    "WorkerCrashError": ("repro.sweep.resilience", "WorkerCrashError"),
-    "pareto_front": ("repro.api.result", "pareto_front"),
-    "sweep_table": ("repro.api.result", "sweep_table"),
-    "group_by": ("repro.api.result", "group_by"),
-    "Scenario": ("repro.sweep.grid", "Scenario"),
-    "ScenarioGrid": ("repro.sweep.grid", "ScenarioGrid"),
-    "ScenarioList": ("repro.sweep.grid", "ScenarioList"),
-    "as_scenarios": ("repro.sweep.grid", "as_scenarios"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.api' has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+# Lazily-resolved exports: importing ``repro.api`` must not import the
+# sweep/systems stack (repro.sweep.runner imports the backend registry
+# from here — eager imports would cycle).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "RemoteBackend": "repro.distrib.backend:RemoteBackend",
+    "StudyServer": "repro.distrib.server:StudyServer",
+    "CacheStore": "repro.distrib.store:CacheStore",
+    "Study": "repro.api.study:Study",
+    "OBJECTIVES": "repro.api.study:OBJECTIVES",
+    "StudyResult": "repro.sweep.runner:SweepResult",
+    "ResultSet": "repro.api.result:ResultSet",
+    "RetryPolicy": "repro.sweep.resilience:RetryPolicy",
+    "SweepError": "repro.sweep.resilience:SweepError",
+    "ScenarioError": "repro.sweep.resilience:ScenarioError",
+    "SweepTimeoutError": "repro.sweep.resilience:SweepTimeoutError",
+    "WorkerCrashError": "repro.sweep.resilience:WorkerCrashError",
+    "pareto_front": "repro.api.result:pareto_front",
+    "sweep_table": "repro.api.result:sweep_table",
+    "group_by": "repro.api.result:group_by",
+    "Scenario": "repro.sweep.grid:Scenario",
+    "ScenarioGrid": "repro.sweep.grid:ScenarioGrid",
+    "ScenarioList": "repro.sweep.grid:ScenarioList",
+    "as_scenarios": "repro.sweep.grid:as_scenarios",
+})

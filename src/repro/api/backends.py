@@ -51,8 +51,6 @@ import abc
 import contextlib
 import inspect
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs.bus import active as _obs_active
@@ -134,6 +132,9 @@ class ProcessBackend(Backend):
         if workers <= 1 or len(items) <= 1:
             yield from enumerate(map(fn, items))
             return
+        # Loaded here, so a serial run never imports multiprocessing.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         observing = _obs_active()
         pending = list(range(len(items)))
         respawns = 0

@@ -11,16 +11,8 @@ simulated cluster topology, including the degraded point-to-point
 decomposition FasterMoE uses (paper Fig. 5a discussion).
 """
 
-from repro.comm.group import ProcessGroup
-from repro.comm.collectives import (
-    all_to_all,
-    all_to_all_single,
-    all_gather,
-    all_reduce,
-    reduce_scatter,
-    broadcast,
-)
 from repro.comm.cost import NcclCostModel
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "ProcessGroup",
@@ -32,3 +24,14 @@ __all__ = [
     "broadcast",
     "NcclCostModel",
 ]
+
+# The numpy functional half loads on first access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ProcessGroup": "repro.comm.group:ProcessGroup",
+    "all_to_all": "repro.comm.collectives:all_to_all",
+    "all_to_all_single": "repro.comm.collectives:all_to_all_single",
+    "all_gather": "repro.comm.collectives:all_gather",
+    "all_reduce": "repro.comm.collectives:all_reduce",
+    "reduce_scatter": "repro.comm.collectives:reduce_scatter",
+    "broadcast": "repro.comm.collectives:broadcast",
+})

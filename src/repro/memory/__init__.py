@@ -19,8 +19,7 @@ from repro.memory.footprint import (
     memory_saving_ratio,
 )
 from repro.memory.strategies import Strategy, STRATEGIES, strategy_names
-from repro.memory.host_pool import HostBufferPool
-from repro.memory.buffer_pool import SharedBufferPool
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "FootprintModel",
@@ -36,3 +35,9 @@ __all__ = [
     "HostBufferPool",
     "SharedBufferPool",
 ]
+
+# The numpy-backed pools load on first access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "HostBufferPool": "repro.memory.host_pool:HostBufferPool",
+    "SharedBufferPool": "repro.memory.buffer_pool:SharedBufferPool",
+})

@@ -11,8 +11,6 @@
   granularity configuration.
 """
 
-from repro.pipeline.partition import split_capacity, partition_slices, split_by_ranks
-from repro.pipeline.executor import PipelinedMoEMiddle, MiddleContext, reference_middle
 from repro.pipeline.schedule import (
     CompiledTimeline,
     MoEStageCosts,
@@ -23,6 +21,7 @@ from repro.pipeline.schedule import (
     timeline_template,
 )
 from repro.pipeline.granularity import GranularitySearcher, RangeSet
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "split_capacity",
@@ -41,3 +40,13 @@ __all__ = [
     "GranularitySearcher",
     "RangeSet",
 ]
+
+# The numpy partitioner and executor load on first access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "split_capacity": "repro.pipeline.partition:split_capacity",
+    "partition_slices": "repro.pipeline.partition:partition_slices",
+    "split_by_ranks": "repro.pipeline.partition:split_by_ranks",
+    "PipelinedMoEMiddle": "repro.pipeline.executor:PipelinedMoEMiddle",
+    "MiddleContext": "repro.pipeline.executor:MiddleContext",
+    "reference_middle": "repro.pipeline.executor:reference_middle",
+})

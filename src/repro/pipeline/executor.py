@@ -38,11 +38,10 @@ peak can be compared against the Eq. 5/6 bound (Fig. 10).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.experts import ExpertFFN, ExpertGrads
 from repro.memory.buffer_pool import SharedBufferPool
 from repro.memory.host_pool import HostBufferPool
 from repro.memory.strategies import RestoreMethod, Strategy, get_strategy
@@ -50,6 +49,9 @@ from repro.pipeline.partition import partition_slices
 from repro.sim.memory_allocator import CachingAllocator
 from repro.tensor import Tensor
 from repro.tensor.ops import _make
+
+if TYPE_CHECKING:  # repro.core imports this module; annotations only
+    from repro.core.experts import ExpertFFN, ExpertGrads
 
 
 @dataclass

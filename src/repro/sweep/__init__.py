@@ -49,6 +49,7 @@ from repro.sweep.runner import (
     scenario_workload,
     shared_context,
 )
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "AXIS_FIELDS",
@@ -78,20 +79,10 @@ __all__ = [
     "sweep_table",
 ]
 
-#: Defined in repro.api.result; resolved lazily so importing
-#: repro.sweep never pulls the facade in.
-_RELOCATED = ("group_by", "pareto_front", "sweep_table")
-
-
-def __getattr__(name: str):
-    if name in _RELOCATED:
-        from repro.api import result as _result
-
-        value = getattr(_result, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(f"module 'repro.sweep' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_RELOCATED))
+# Defined in repro.api.result; resolved lazily so importing
+# repro.sweep never pulls the facade in.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "group_by": "repro.api.result:group_by",
+    "pareto_front": "repro.api.result:pareto_front",
+    "sweep_table": "repro.api.result:sweep_table",
+})

@@ -418,7 +418,9 @@ class RunManifest:
     the run ends.  A rewrite per computed point would cost time
     quadratic in the grid size, so a process killed mid-evaluation
     leaves the previous manifest, or none, and ``resume=True`` falls
-    back to the cache files, which hold every point that landed.
+    back to the cache files, which hold every point that landed.  The
+    attempts it had in flight are then never counted: a point killed
+    once and finished on resume reads one attempt fewer than it ran.
     """
 
     def __init__(self, cache_dir, grid_hash: str) -> None:

@@ -707,6 +707,8 @@ def check_run_option(name: str, value):
     elif name == "vectorize":  # strict bools: a spec's "false" is truthy
         if value is not None and not isinstance(value, bool):
             raise TypeError(f"vectorize must be None, True or False, got {value!r}")
+        if value:  # import numpy at build, not in the whole-grid pass's run()
+            import numpy  # noqa: F401
     elif name == "resume":
         if not isinstance(value, bool):
             raise TypeError(f"resume must be True or False, got {value!r}")

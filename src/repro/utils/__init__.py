@@ -19,7 +19,7 @@ from repro.utils.units import (
     fmt_bytes,
     fmt_time,
 )
-from repro.utils.seeding import seeded_rng, derive_seed
+from repro.utils.lazy import lazy_exports
 from repro.utils.tables import Table
 
 __all__ = [
@@ -40,3 +40,9 @@ __all__ = [
     "derive_seed",
     "Table",
 ]
+
+# Seeding needs numpy, so it loads on first access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "seeded_rng": "repro.utils.seeding:seeded_rng",
+    "derive_seed": "repro.utils.seeding:derive_seed",
+})

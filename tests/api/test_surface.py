@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import textwrap
 import warnings
 
 import pytest
@@ -12,7 +13,18 @@ import pytest
 from tests.conftest import run_python
 
 
-@pytest.mark.parametrize("module_name", ["repro", "repro.api", "repro.sweep"])
+@pytest.mark.parametrize(
+    "module_name",
+    [
+        "repro",
+        "repro.api",
+        "repro.sweep",
+        "repro.pipeline",
+        "repro.memory",
+        "repro.comm",
+        "repro.utils",
+    ],
+)
 def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     for name in module.__all__:
@@ -89,3 +101,63 @@ def test_importing_the_facade_leaves_asyncio_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_scalar_studies_leave_numpy_and_multiprocessing_unloaded():
+    """Scalar pricing never touches an array or a process pool, so a
+    serial system or timeline study loads neither numpy nor
+    multiprocessing; the numpy layer still resolves on first access."""
+    code = textwrap.dedent("""
+        import sys
+        import repro, repro.api
+        from repro.api import ScenarioGrid, Study
+        systems = ScenarioGrid(systems=("fastmoe", "fastermoe", "pipemoe", "mpipemoe"))
+        timeline = ScenarioGrid(
+            systems=("timeline",), batches=(1024, 2048, 4096, 8192, 16384), ns=(1, 2)
+        )
+        for grid, objective in ((systems, "system"), (timeline, "timeline")):
+            results = Study(grid, objective=objective).backend("serial").run()
+            assert len(results) == len(grid) and all(r.ok for r in results)
+        print(sorted({"numpy", "multiprocessing"} & set(sys.modules)))
+        print(repro.MoELayer.__name__, "numpy" in sys.modules)
+    """)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "MoELayer True"]
+
+
+def test_vectorize_true_imports_numpy_when_the_study_is_built():
+    """The whole-grid pass needs numpy; ``vectorize=True`` imports it at
+    build, so its import stays out of the timed ``run()``."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.api import ScenarioGrid, Study
+        from repro.sweep.runner import SweepRunner, evaluate_timeline
+        grid = ScenarioGrid(systems=("timeline",), ns=(1, 2))
+        Study(grid, objective="timeline").vectorize(None).vectorize(False)
+        SweepRunner(evaluate_timeline, vectorize=False)
+        print("numpy" in sys.modules)
+        Study(grid, objective="timeline").vectorize(True)
+        print("numpy" in sys.modules)
+    """)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    runner = run_python(
+        "-c",
+        "import sys; from repro.sweep.runner import SweepRunner, evaluate_timeline; "
+        "SweepRunner(evaluate_timeline, vectorize=True); print('numpy' in sys.modules)",
+    )
+    assert runner.returncode == 0, runner.stderr
+    assert runner.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize(
+    "module_name", ["repro.pipeline.executor", "repro.core.moe_layer", "repro.train"]
+)
+def test_the_numpy_layer_imports_first_in_a_fresh_interpreter(module_name):
+    """``core.moe_layer`` imports the executor, whose annotations name
+    ``repro.core`` types; whichever a process imports first must not
+    meet the other half-initialized."""
+    proc = run_python("-c", f"import {module_name}")
+    assert proc.returncode == 0, proc.stderr
