@@ -7,15 +7,15 @@ Two measurements, both gated:
    lanes with periodic cross-device barriers — the shape
    ``build_timeline`` produces, scaled to cluster size), runs it through
    both the production :class:`SimEngine` and the
-   :class:`~repro.testing.oracles.ReferenceSimEngine` oracle, and reports wall-clock speedup.  The two
-   engines must agree on the makespan to 1e-9; in full mode the fast
+   ``ReferenceSimEngine`` oracle (``tests/oracles.py``), and reports
+   wall-clock speedup.  The two engines must agree on the makespan to 1e-9; in full mode the fast
    path must be at least 5x faster on the 10k-op DAG.
 
 2. **Selector-loop benchmark** — times ``MPipeMoE.evaluate`` over a
-   batch/n grid twice: once on a
-   :class:`~repro.testing.oracles.ColdEvaluator` (the seed path: fresh
-   stage costs, fresh Op DAG and a fully recorded run for every
-   granularity/strategy probe) and once with the
+   batch/n grid twice: once on a ``ColdEvaluator``
+   (``tests/oracles.py``; the seed path: fresh stage costs, fresh Op
+   DAG and a fully recorded run for every granularity/strategy probe)
+   and once with the
    shared evaluator + compiled-timeline fast path.  Reports must be
    identical; in full mode the fast path must be at least 3x faster.
    Results are appended to ``benchmarks/results/BENCH_evaluate.json`` so
@@ -41,8 +41,11 @@ from repro.hardware.interference import StreamKind
 from repro.sim.engine import Op, SimEngine
 from repro.systems import MPipeMoEModel
 from repro.systems.base import SystemContext
-from repro.testing.oracles import ColdEvaluator, ReferenceSimEngine
 from repro.utils import Table
+
+# The oracles live in the test suite, one directory up.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.oracles import ColdEvaluator, ReferenceSimEngine  # noqa: E402
 
 REQUIRED_SPEEDUP = 5.0
 REQUIRED_EVALUATE_SPEEDUP = 3.0

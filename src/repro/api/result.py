@@ -28,7 +28,6 @@ at the default ``indent=1`` the cache files' template writer,
 from __future__ import annotations
 
 import json
-import os
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -306,18 +305,3 @@ class ResultSet(Sequence):
             for r in self._results
         ]
         return "[\n " + ",\n ".join(rows) + "\n]" if rows else "[]"
-
-    def save_json(
-        self,
-        path: str | os.PathLike,
-        *,
-        indent: int | None = 1,
-        include_cache_stats: bool = False,
-    ) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                self.to_json(
-                    indent=indent, include_cache_stats=include_cache_stats
-                )
-            )
-            fh.write("\n")

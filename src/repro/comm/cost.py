@@ -8,9 +8,9 @@ Prices the two All-to-All flavours the paper contrasts (Fig. 5):
   latency;
 * **point-to-point decomposition** (FasterMoE, split-by-N): each
   partition becomes W-1 pairwise sends; NCCL's fusion is lost, so every
-  pair pays its own latency term and the slowest pair (the lowest
-  bandwidth path — inter-node IB) gates the stage, modelling the
-  heterogeneous-bandwidth straggler effect the paper describes.
+  pair pays its own latency term and the slowest pair gates the stage,
+  modelled as the fused bandwidth divided by :data:`STRAGGLER_FACTOR`
+  (the heterogeneous-bandwidth straggler effect the paper describes).
 """
 
 from __future__ import annotations
@@ -34,25 +34,17 @@ STRAGGLER_FACTOR = 1.5
 class NcclCostModel:
     """Collective timing against a :class:`ClusterTopology`.
 
-    ``bandwidth_scale`` is a uniform derate on every effective link
-    rate (1.0 = nominal) — the what-if knob for collective-level
-    degradation that is not tied to one physical link.  Structural
-    per-link skew (a degraded NVLink or IB uplink) belongs on the
-    topology itself via
-    :class:`~repro.hardware.topology.LinkOverrides`, which these
-    queries follow automatically.
+    Per-link skew (a degraded NVLink or IB uplink) lives on the
+    topology itself via :class:`~repro.hardware.topology.LinkOverrides`,
+    which these queries follow automatically.
     """
 
     topology: ClusterTopology
     world_size: int | None = None  # defaults to the full cluster
-    bandwidth_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        w = self.effective_world
-        if w < 1:
+        if self.effective_world < 1:
             raise ValueError("world_size must be >= 1")
-        if self.bandwidth_scale <= 0:
-            raise ValueError("bandwidth_scale must be positive")
 
     def collective_bandwidth(
         self,
@@ -61,18 +53,15 @@ class NcclCostModel:
     ) -> float:
         """Effective per-GPU collective rate (bytes/s) over ``world_size``.
 
-        Link overrides and the uniform ``bandwidth_scale`` derate are
-        applied.  Every collective below prices against this rate, and
+        Link overrides are applied.  Every collective below prices
+        against this rate, and
         :meth:`~repro.pipeline.schedule.MoEStageCosts.from_rows` resolves
         it once for both All-to-All flavours of a stage.  ``traffic`` is
         the placement-dependent per-rank load view (see
         :meth:`ClusterTopology.alltoall_bandwidth`).
         """
         w = self.effective_world if world_size is None else world_size
-        bw = self.topology.alltoall_bandwidth(w, traffic=traffic)
-        if self.bandwidth_scale != 1.0:
-            bw *= self.bandwidth_scale
-        return bw
+        return self.topology.alltoall_bandwidth(w, traffic=traffic)
 
     @property
     def effective_world(self) -> int:
@@ -104,34 +93,7 @@ class NcclCostModel:
         bw = self.collective_bandwidth(w, traffic=traffic)
         return NCCL_LATENCY + cross / bw
 
-    def allreduce_time(self, nbytes: float) -> float:
-        """Ring all-reduce: 2(W-1)/W of the volume over the slowest link."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        w = self.effective_world
-        if w == 1:
-            return 0.0
-        bw = self.collective_bandwidth(w)
-        return NCCL_LATENCY + 2 * (w - 1) / w * nbytes / bw
-
-    def allgather_time(self, nbytes_per_rank: float) -> float:
-        """Ring all-gather of one rank's ``nbytes_per_rank`` to all ranks."""
-        w = self.effective_world
-        if w == 1:
-            return 0.0
-        bw = self.collective_bandwidth(w)
-        return NCCL_LATENCY + (w - 1) * nbytes_per_rank / bw
-
     # -- point-to-point decomposition (FasterMoE fashion) -------------------------
-    def p2p_time(self, nbytes: float, src: int, dst: int) -> float:
-        """Single pairwise transfer between two global ranks."""
-        if src == dst:
-            return 0.0
-        bw = self.topology.p2p_bandwidth(src, dst)
-        if self.bandwidth_scale != 1.0:
-            bw *= self.bandwidth_scale
-        return P2P_LATENCY + nbytes / bw
-
     def decomposed_alltoall_time(
         self,
         bytes_per_rank: float,

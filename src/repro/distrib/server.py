@@ -128,12 +128,6 @@ class StudyServer:
         self.connections_served = 0
         self.shards_served = 0
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — resolved after :meth:`start` when
-        constructed with ``port=0``."""
-        return (self.host, self.port)
-
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "StudyServer":
         """Bind, start the evaluation thread, and accept in a daemon thread."""

@@ -8,8 +8,8 @@
   model: slowdown factors mu (comm), sigma (comp), eta (memcpy) as a
   function of which other stream types are concurrently active.
 * :mod:`repro.hardware.hetero` — heterogeneous-cluster capability maps:
-  per-rank device specs and rate multipliers, named straggler
-  scenarios, and the per-device rate table the engine consumes.
+  per-rank device specs and rate multipliers (the engine runs at one
+  such profile) and named straggler scenarios.
 """
 
 from repro.hardware.device import DeviceSpec, A100_SXM_40GB, V100_SXM_32GB
@@ -21,7 +21,6 @@ from repro.hardware.interference import (
 )
 from repro.hardware.hetero import (
     DeviceRates,
-    DeviceRateTable,
     HeteroClusterSpec,
     STRAGGLER_KINDS,
     StragglerModel,
@@ -38,7 +37,6 @@ __all__ = [
     "StreamKind",
     "PAPER_INTERFERENCE",
     "DeviceRates",
-    "DeviceRateTable",
     "HeteroClusterSpec",
     "STRAGGLER_KINDS",
     "StragglerModel",

@@ -9,18 +9,14 @@ map for that regime:
 
 * :class:`DeviceRates` — one device's (compute, communication, memcpy)
   rate multipliers relative to nominal (1.0 = full speed, 0.5 = a 2x
-  straggler on that stream);
-* :class:`DeviceRateTable` — per-*simulated-device* multipliers the
-  :class:`~repro.sim.engine.SimEngine` consumes: the engine multiplies
-  every interference slowdown by the op's device entry, so a DAG that
-  spans devices realizes genuinely per-device speeds;
-* :class:`HeteroClusterSpec` — maps each global rank (a
-  :class:`~repro.hardware.topology.GpuId` position) to a possibly
+  straggler on that stream); a :class:`~repro.sim.engine.SimEngine`
+  runs every simulated device at one such profile;
+* :class:`HeteroClusterSpec` — maps each global rank to a possibly
   distinct :class:`~repro.hardware.device.DeviceSpec` plus explicit
   :class:`DeviceRates`, and derives everything the layers above need:
-  the engine rate table, the topology's per-link bandwidth overrides,
-  the bottleneck rates that rescale the Eq. 10 hardware speeds, and a
-  stable hash the memoized evaluator keys on;
+  each rank's (comp, mem) profile, the topology's per-link bandwidth
+  overrides, the bottleneck rates that rescale the Eq. 10 hardware
+  speeds, and a stable hash the memoized evaluator keys on;
 * :class:`StragglerModel` — named skew scenarios (uniform,
   single-slow-gpu, slow-node, degraded-link, seeded random jitter)
   compiled into a :class:`HeteroClusterSpec`.
@@ -36,11 +32,11 @@ the symmetric schedule).  Heterogeneity enters along two distinct paths:
   of every S/R op inflates for everyone) — see :meth:`link_overrides`;
 * **comp/mem** are local: the iteration is gated by the slowest device
   through the loss barrier, so evaluation runs the timeline once per
-  *distinct* (comp, mem) profile (:meth:`sim_profiles`) and takes the
-  worst makespan.
+  *distinct* (comp, mem) profile (:meth:`rank_profiles` through
+  :func:`distinct_profiles`) and takes the worst makespan.
 
 A spec whose every rank composes to unit rates and the default device
-is *degenerate*: ``sim_profiles()`` is empty, ``link_overrides()`` is
+is *degenerate*: it has no distinct profiles, ``link_overrides()`` is
 ``None``, and every consumer collapses to the homogeneous fast path —
 bit-identical to a world without this module.
 """
@@ -104,47 +100,6 @@ def distinct_profiles(profiles) -> tuple[DeviceRates, ...]:
     """
     distinct = tuple(dict.fromkeys(profiles))
     return () if distinct == (UNIT_RATES,) else distinct
-
-
-@dataclass(frozen=True)
-class DeviceRateTable:
-    """Per-simulated-device rate multipliers consumed by the engine.
-
-    ``entries`` maps device indices (the :class:`~repro.sim.engine.Op`
-    ``device`` field) to their :class:`DeviceRates`; devices without an
-    entry run at ``default``.  An *identity* table (every entry and the
-    default unit) is indistinguishable from no table: the engine checks
-    :attr:`is_identity` and collapses to its homogeneous fast path, so
-    degenerate hetero specs stay bit-identical to the seed engine.
-    """
-
-    entries: tuple[tuple[int, DeviceRates], ...] = ()
-    default: DeviceRates = UNIT_RATES
-
-    def __post_init__(self) -> None:
-        lookup: dict[int, tuple[float, float, float]] = {}
-        for device, rates in self.entries:
-            if device < 0:
-                raise ValueError(f"device index must be >= 0, got {device}")
-            if device in lookup:
-                raise ValueError(f"duplicate rate entry for device {device}")
-            lookup[device] = rates.as_tuple()
-        object.__setattr__(self, "_lookup", lookup)
-        object.__setattr__(self, "_default_tuple", self.default.as_tuple())
-
-    @property
-    def is_identity(self) -> bool:
-        return self.default.is_unit and all(r.is_unit for _, r in self.entries)
-
-    def rates_for(self, device: int) -> DeviceRates:
-        for dev, rates in self.entries:
-            if dev == device:
-                return rates
-        return self.default
-
-    def multipliers(self, device: int) -> tuple[float, float, float]:
-        """(comp, comm, mem) multiplier tuple, indexable by kind index."""
-        return self._lookup.get(device, self._default_tuple)
 
 
 #: Named straggler scenarios :class:`StragglerModel` can compile.
@@ -257,29 +212,6 @@ class HeteroClusterSpec:
         return ratio.compose(explicit)
 
     # -- derived views the layers above consume --------------------------------
-    def homogeneous(self, world_size: int | None = None) -> bool:
-        """True when every active rank collapses to the default device."""
-        world = self._check_world(world_size)
-        return all(
-            self.rates_for(r).is_unit
-            and self.device_for(r).memory_bytes == self.default_device.memory_bytes
-            for r in range(world)
-        )
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.homogeneous()
-
-    def rate_table(self, world_size: int | None = None) -> DeviceRateTable:
-        """Engine table mapping simulated device index == global rank."""
-        world = self._check_world(world_size)
-        entries = tuple(
-            (r, self.rates_for(r))
-            for r in range(world)
-            if not self.rates_for(r).is_unit
-        )
-        return DeviceRateTable(entries=entries)
-
     def rank_profiles(self, world_size: int | None = None) -> tuple[DeviceRates, ...]:
         """Each active rank's (comp, mem) profile for the representative sim.
 
@@ -292,11 +224,6 @@ class HeteroClusterSpec:
             DeviceRates(comp=r.comp, mem=r.mem)
             for r in map(self.rates_for, range(world))
         )
-
-    def sim_profiles(self, world_size: int | None = None) -> tuple[DeviceRates, ...]:
-        """Distinct (comp, mem) device profiles for the representative sim
-        (see :func:`distinct_profiles`)."""
-        return distinct_profiles(self.rank_profiles(world_size))
 
     def link_overrides(self, world_size: int | None = None) -> LinkOverrides | None:
         """Per-link bandwidth scales derived from comm multipliers.
@@ -341,11 +268,6 @@ class HeteroClusterSpec:
         """Smallest HBM capacity among active ranks — the OOM gate."""
         world = self._check_world(world_size)
         return min(self.device_for(r).memory_bytes for r in range(world))
-
-    def bottleneck_rank(self, world_size: int | None = None) -> int:
-        """The most degraded active rank (lowest worst-kind multiplier)."""
-        world = self._check_world(world_size)
-        return min(range(world), key=lambda r: min(self.rates_for(r).as_tuple()))
 
     def key(self) -> str:
         """Stable digest of the full spec, for memo/cache keying."""

@@ -51,86 +51,18 @@ class LinkOverrides:
         return self._node.get(node, 1.0)
 
 
-@dataclass(frozen=True)
-class GpuId:
-    """Stable identity of a GPU in the cluster: (node, local index)."""
-
-    node: int
-    local: int
-
-    def global_rank(self, gpus_per_node: int) -> int:
-        return self.node * gpus_per_node + self.local
-
-
 class ClusterTopology:
     """Hierarchical DGX-style topology derived from a :class:`ClusterSpec`.
 
     ``overrides`` scales individual link bandwidths — a degraded NVLink
-    on one GPU or an oversubscribed IB uplink on one node — and every
-    bandwidth query (path, p2p, All-to-All) follows the scaled links.
-    ``overrides=None`` builds the nominal topology through the exact
-    seed code path.
+    on one GPU or an oversubscribed IB uplink on one node — and the
+    All-to-All bandwidth follows the scaled links.  ``overrides=None``
+    builds the nominal topology through the exact seed code path.
     """
 
     def __init__(self, spec: ClusterSpec, overrides: LinkOverrides | None = None) -> None:
         self.spec = spec
         self.overrides = overrides
-
-    def _nvlink(self, rank: int) -> float:
-        """NVLink edge of one GPU (bytes/s)."""
-        bw = self.spec.nvlink_gbps * GBPS
-        if self.overrides is not None:
-            bw *= self.overrides.gpu(rank)
-        return bw
-
-    def _uplink(self, node: int) -> float:
-        """IB uplink of one node's switch (bytes/s)."""
-        bw = self.spec.node_ib_gbitps * GBITPS
-        if self.overrides is not None:
-            bw *= self.overrides.node(node)
-        return bw
-
-    def rank_to_gpu(self, rank: int) -> GpuId:
-        if not 0 <= rank < self.spec.world_size:
-            raise IndexError(f"rank {rank} out of range for world {self.spec.world_size}")
-        return GpuId(rank // self.spec.gpus_per_node, rank % self.spec.gpus_per_node)
-
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        return self.rank_to_gpu(rank_a).node == self.rank_to_gpu(rank_b).node
-
-    # -- bandwidth queries ---------------------------------------------------
-    def path_bandwidth(self, rank_a: int, rank_b: int) -> float:
-        """Min link bandwidth on the path between two GPUs (bytes/s).
-
-        The path climbs both GPUs' NVLink edges to their switches, and
-        also both nodes' IB uplinks when it crosses the fabric.
-        """
-        a, b = self.rank_to_gpu(rank_a), self.rank_to_gpu(rank_b)
-        if rank_a == rank_b:
-            raise ValueError("path bandwidth undefined for a rank with itself")
-        bw = min(self._nvlink(rank_a), self._nvlink(rank_b))
-        if a.node != b.node:
-            bw = min(bw, self._uplink(a.node), self._uplink(b.node))
-        return bw
-
-    def p2p_bandwidth(self, rank_a: int, rank_b: int) -> float:
-        """Point-to-point bandwidth; NVLink intra-node, IB inter-node.
-
-        A single transfer rides one NIC, so inter-node pairs are capped
-        at the per-NIC rate even though the node aggregates several NICs.
-        """
-        if rank_a == rank_b:
-            raise ValueError("p2p bandwidth undefined for a rank with itself")
-        bw = self.path_bandwidth(rank_a, rank_b)
-        if not self.same_node(rank_a, rank_b):
-            nic = self.spec.ib_gbitps * GBITPS
-            if self.overrides is not None:
-                nic *= min(
-                    self.overrides.node(self.rank_to_gpu(rank_a).node),
-                    self.overrides.node(self.rank_to_gpu(rank_b).node),
-                )
-            bw = min(bw, nic)
-        return bw
 
     def alltoall_bandwidth(
         self,
@@ -206,7 +138,3 @@ class ClusterTopology:
                     ib_per_gpu *= t_max / worst
         ib_limited = ib_per_gpu / cross_fraction * spec.nccl_efficiency_inter
         return min(nvlink, ib_limited)
-
-    def bisection_bandwidth(self) -> float:
-        """Aggregate IB bisection bandwidth of the cluster (bytes/s)."""
-        return self.spec.num_nodes * self.spec.node_ib_gbitps * GBITPS / 2

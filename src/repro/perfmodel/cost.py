@@ -149,7 +149,6 @@ class PerfModel:
         spec: MoELayerSpec,
         rates: HardwareRates,
         interference: InterferenceModel | None = None,
-        bytes_per_elem: int | None = None,
         use_paper_q: bool = True,
         workload: WorkloadSpec | None = None,
         world_size: int = 1,
@@ -184,11 +183,10 @@ class PerfModel:
                 )
             rank_rates = tuple(rank_rates)
         self.rank_rates = rank_rates
-        if workload is not None:
-            bytes_per_elem = workload.resolve_bytes(bytes_per_elem)
-        elif bytes_per_elem is None:
-            bytes_per_elem = TIMING_BYTES_PER_ELEM
-        self.bytes_per_elem = bytes_per_elem
+        #: The workload's activation width; half precision without one.
+        self.bytes_per_elem = (
+            TIMING_BYTES_PER_ELEM if workload is None else workload.bytes_per_elem
+        )
         #: Use Table II's tabulated Q (exact paper reproduction, assumes
         #: H = 4M) or the generalized Strategy.workload() for any H/M.
         self.use_paper_q = use_paper_q

@@ -18,8 +18,9 @@ fits); one memo entry holds the makespan and device 0's comp busy time,
 which is all a system report reads, so a report on a point the search
 already priced is a memo hit.  Recorded sims, for trace readers, are
 cached separately.  The uncached seed path — fresh costs, fresh Op DAG,
-recorded run — is :class:`repro.testing.oracles.ColdEvaluator`, the
-oracle the cache-correctness tests compare this class to.
+recorded run — is the test suite's ``ColdEvaluator``
+(``tests/oracles.py``), the oracle the cache-correctness tests compare
+this class to.
 """
 
 from __future__ import annotations

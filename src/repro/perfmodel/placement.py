@@ -36,7 +36,7 @@ Strategies
 ``optimized``
     Placeholder resolved *upstream* by
     :func:`repro.perfmodel.placeopt.optimize_placement` (it needs the
-    hetero rate table and the Eq. 5 memory bounds, which this
+    per-rank hetero rates and the Eq. 5 memory bounds, which this
     dependency-free module cannot see).  Resolving it here is an error.
 
 This module is deliberately stdlib-only so
@@ -159,13 +159,6 @@ class ExpertPlacement:
         return cls(num_experts, world_size, assignment, shadow=(0, shadow_rank))
 
     # -- structure queries ---------------------------------------------------
-    @property
-    def is_contiguous(self) -> bool:
-        """Whether this is the seed sharding (no shadow)."""
-        return self.shadow is None and self.assignment == contiguous_assignment(
-            self.num_experts, self.world_size
-        )
-
     def counts(self) -> tuple[int, ...]:
         """Experts hosted per rank, shadow replica included.
 
@@ -182,13 +175,6 @@ class ExpertPlacement:
     @property
     def max_experts_per_rank(self) -> int:
         return max(self.counts())
-
-    def experts_on(self, rank: int) -> tuple[int, ...]:
-        """Expert indices hosted on ``rank`` (replica listed too)."""
-        out = [e for e, r in enumerate(self.assignment) if r == rank]
-        if self.shadow is not None and self.shadow[1] == rank:
-            out.append(self.shadow[0])
-        return tuple(sorted(out))
 
     # -- load projection -----------------------------------------------------
     def rank_loads(self, per_expert_rows) -> tuple[float, ...]:
@@ -297,7 +283,7 @@ class PlacementSpec:
             raise ValueError(
                 "an 'optimized' placement must be resolved by "
                 "repro.perfmodel.placeopt.optimize_placement (it needs the "
-                "hetero rate table and per-device memory bounds) before it "
+                "per-rank hetero rates and per-device memory bounds) before it "
                 "reaches the pricing layers"
             )
         if self.strategy == "contiguous":

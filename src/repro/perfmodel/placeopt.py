@@ -14,20 +14,18 @@ the slow metal — subject to each device's Eq. 5 memory bound (model
 states for the experts it hosts plus the pipelined activations for the
 rows it receives must fit).
 
-Two searchers share that objective:
+:func:`optimize_placement` searches it: greedy (hottest expert first,
+onto the device where it raises the score least, feasible devices only)
+followed by local-search refinement (single-expert moves and pairwise
+swaps until a sweep finds no improvement).  A candidate re-scores only
+the two ranks it touches; the exactness contract is that every decision
+equals the one a full rescan of all ranks would make, and each call
+checks its result against one full rescan before returning.  The test
+suite's ``exhaustive_placement`` (``tests/oracles.py``) enumerates all
+``W^E`` assignments of the small cases (``E <= 6, W <= 4``) the
+optimizer is pinned to.
 
-* :func:`optimize_placement` — greedy (hottest expert first, onto the
-  device where it raises the score least, feasible devices only)
-  followed by local-search refinement (single-expert moves and pairwise
-  swaps until a sweep finds no improvement).  A candidate re-scores
-  only the two ranks it touches; the exactness contract is that every
-  decision equals the one a full rescan of all ranks would make, and
-  each call checks its result against one full rescan before
-  returning;
-* :func:`exhaustive_placement` — all ``W^E`` assignments, for the small
-  cases the agreement property test sweeps (``E <= 6, W <= 4``).
-
-Both emit an *explicit* :class:`~repro.perfmodel.placement
+It emits an *explicit* :class:`~repro.perfmodel.placement
 .PlacementSpec` — the sweep runner lowers ``placement="optimized"``
 scenarios through :func:`optimize_placement` before any pricing layer
 sees them.
@@ -194,43 +192,6 @@ class PlacementProblem:
         return all(
             self.rank_fits(counts[r], loads[r]) for r in range(self.world_size)
         )
-
-
-def exhaustive_placement(problem: PlacementProblem) -> PlacementSpec:
-    """The true optimum by enumeration — ``W^E`` assignments.
-
-    Small cases only (the agreement test sweeps ``E <= 6, W <= 4``);
-    ties break on the lexicographically smallest assignment so the
-    result is deterministic.  Raises if no assignment is feasible.
-    """
-    e, w = problem.spec.num_experts, problem.world_size
-    if w**e > 2_000_000:
-        raise ValueError(
-            f"exhaustive search over {w}^{e} assignments is intractable; "
-            "use optimize_placement"
-        )
-    best: tuple[int, ...] | None = None
-    best_score = math.inf
-    assignment = [0] * e
-    while True:
-        candidate = tuple(assignment)
-        if problem.feasible(candidate):
-            score = problem.score(candidate)
-            if score < best_score - 1e-12:
-                best, best_score = candidate, score
-        # odometer increment
-        i = e - 1
-        while i >= 0 and assignment[i] == w - 1:
-            assignment[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        assignment[i] += 1
-    if best is None:
-        raise ValueError(
-            "no feasible placement under the per-device memory bound"
-        )
-    return PlacementSpec.explicit(best)
 
 
 def optimize_placement(

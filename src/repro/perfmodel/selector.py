@@ -1,10 +1,10 @@
 """Runtime strategy selection (paper Sec. III-E, validated in Fig. 13).
 
 Evaluates Eq. 10 for every memory-reusing strategy (S1-S4) and picks the
-cheapest one whose footprint fits the device.  "none" is considered only
-when ``allow_none`` and it fits — MPipeMoE with ``memory_reuse=True``
-always reuses, trading the small overhead (Fig. 13's MPipeMoE bar) for
-the Eq. 6 footprint reduction.
+cheapest one whose footprint fits the device.  "none" is never a
+candidate — MPipeMoE with ``memory_reuse=True`` always reuses, trading
+the small overhead (Fig. 13's MPipeMoE bar) for the Eq. 6 footprint
+reduction.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ class StrategySelector:
             return True
         return self.memory_bytes(strategy, batch, n) <= self.device_capacity
 
-    def select(
-        self, batch: int, n: int, allow_none: bool = False
-    ) -> SelectionResult:
+    def select(self, batch: int, n: int) -> SelectionResult:
         """Cheapest feasible strategy by Eq. 10.
 
         Raises ``MemoryError`` when nothing fits — the caller should then
@@ -61,9 +59,7 @@ class StrategySelector:
         costs: dict[str, float] = {}
         best: tuple[Strategy, float] | None = None
         for name, strategy in STRATEGIES.items():
-            if strategy.name == "none" and not allow_none:
-                continue
-            if strategy.reuses_memory and n < 2:
+            if not strategy.reuses_memory or n < 2:
                 continue
             cost = self.perf_model.iteration_cost(strategy, batch, n)
             costs[name] = cost

@@ -132,13 +132,6 @@ class RoutedLoad:
         cold = self.cold_rows if cap is None else min(self.cold_rows, cap)
         return (hot,) + (cold,) * (self.num_experts - 1)
 
-    @property
-    def keep_fraction(self) -> float:
-        """Fraction of routed rows that survive the capacity cut."""
-        if not self.routed_rows:
-            return 1.0
-        return 1.0 - self.overflow_rows / self.routed_rows
-
     # -- per-rank views ------------------------------------------------------
     def effective_placement(self) -> ExpertPlacement:
         """The resolved placement, defaulting to the implicit contiguous map."""
@@ -277,16 +270,6 @@ class WorkloadSpec:
                 f"top_k={k} exceeds num_experts={spec.num_experts}"
             )
         return k
-
-    def is_neutral(self, spec) -> bool:
-        """Whether this spec reproduces the pre-workload defaults exactly."""
-        return (
-            self.resolved_k(spec) == 1
-            and self.bytes_per_elem == DTYPE_BYTES[TIMING_DTYPE]
-            and self.imbalance == 1.0
-            and self.capacity_factor is None
-            and not self.placed
-        )
 
     # -- the load model ------------------------------------------------------
     def load(self, spec, batch: int, world_size: int = 1) -> RoutedLoad:
@@ -429,19 +412,3 @@ class WorkloadSpec:
         int, through integer arithmetic only).
         """
         return self.load(spec, batch, world_size).device_rows
-
-    def resolve_bytes(self, bytes_per_elem: int | None) -> int:
-        """Reconcile an explicit byte-width argument with this spec.
-
-        Call sites that used to take ``bytes_per_elem`` directly keep
-        their parameter for backward compatibility, but a value that
-        contradicts the workload would price comm and memcpy with
-        inconsistent widths — that is rejected loudly.
-        """
-        if bytes_per_elem is not None and bytes_per_elem != self.bytes_per_elem:
-            raise ValueError(
-                f"bytes_per_elem={bytes_per_elem} contradicts the workload's "
-                f"{self.bytes_per_elem}-byte activations; drop the explicit "
-                f"argument or align the WorkloadSpec"
-            )
-        return self.bytes_per_elem

@@ -90,13 +90,6 @@ class RangeSet:
             new_upper = min(new_upper, self._ranges[idx + 1].lower - 1)
         r.lower, r.upper = new_lower, new_upper
 
-    def is_disjoint_sorted(self) -> bool:
-        """Invariant check used by property tests."""
-        for a, b in zip(self._ranges, self._ranges[1:]):
-            if a.upper >= b.lower:
-                return False
-        return all(r.lower <= r.upper for r in self._ranges)
-
     def _lowers(self) -> list[int]:
         return [r.lower for r in self._ranges]
 

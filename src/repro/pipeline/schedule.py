@@ -1,6 +1,6 @@
 """Timing-layer schedule construction (Fig. 4(b) and Fig. 7 timelines).
 
-Builds the Op DAG of one MoE layer's forward(+backward) on a
+Builds the Op DAG of one MoE layer's forward and backward on a
 representative device — all devices run the symmetric schedule, so one
 device's three lanes (comp / comm / mem) determine the iteration time.
 
@@ -13,11 +13,11 @@ be executed in the alternative manner", Sec. III-D); mem-lane offload
 (D) ops follow their producing stage and backward prefetch (H) ops are
 enqueued ahead of need, matching Fig. 7(b)-(d).
 
-The DAG *topology* depends only on ``(n, strategy, include_backward,
-decomposed_comm, sequential)`` — stage costs only scale op works.  The
-builder therefore constructs a cached :class:`TimelineTemplate` per
-topology; :func:`build_timeline` instantiates :class:`Op` objects from
-it, while :func:`compile_timeline` pairs it with a
+The DAG *topology* depends only on ``(n, strategy, decomposed_comm,
+sequential)`` — stage costs only scale op works.  So one cached
+:class:`TimelineTemplate` is built per topology;
+:func:`build_timeline` instantiates :class:`Op` objects from it, while
+:func:`compile_timeline` pairs it with a
 :class:`~repro.sim.engine.CompiledDag` so selector loops can re-price
 the same schedule for thousands of scenarios without building Ops at
 all.
@@ -95,7 +95,6 @@ class MoEStageCosts:
         n: int,
         device: DeviceSpec,
         comm: NcclCostModel,
-        bytes_per_elem: int | None = None,
         gemm_derate: float = 1.0,
         workload: "WorkloadSpec | None" = None,
         rows_override: int | None = None,
@@ -113,10 +112,11 @@ class MoEStageCosts:
         skew, per-expert capacity padding) and every byte term — the
         All-to-Alls, the point-to-point exchange *and* the PCIe offload
         copies — uses the workload's activation width, so a non-default
-        dtype can never price comm and memcpy inconsistently.  A
-        ``bytes_per_elem`` that contradicts the workload is rejected.
-        A neutral workload (or ``None``) reproduces the k=1 /
-        half-precision / uniform pricing bit for bit.
+        dtype can never price comm and memcpy inconsistently.  Without
+        a workload every byte term is half precision
+        (:data:`TIMING_BYTES_PER_ELEM`).  A neutral workload (or
+        ``None``) reproduces the k=1 / half-precision / uniform pricing
+        bit for bit.
 
         ``rows_override`` substitutes a specific rank's row count for
         the workload's bottleneck scalar — the per-rank hetero
@@ -135,7 +135,7 @@ class MoEStageCosts:
             raise ValueError("gemm_derate must be in (0, 1]")
         traffic = None
         if workload is not None:
-            bytes_per_elem = workload.resolve_bytes(bytes_per_elem)
+            bytes_per_elem = workload.bytes_per_elem
             if workload.placed:
                 load = workload.load(spec, batch, comm.effective_world)
                 rows = load.device_rows
@@ -149,10 +149,7 @@ class MoEStageCosts:
         else:
             if rows_override is not None:
                 raise ValueError("rows_override needs a workload")
-            if bytes_per_elem is None:
-                bytes_per_elem = TIMING_BYTES_PER_ELEM
-            elif bytes_per_elem < 0:
-                raise ValueError("bytes_per_elem must be non-negative")
+            bytes_per_elem = TIMING_BYTES_PER_ELEM
             rows = batch
         return cls.from_rows(
             spec, rows, n, device, comm, bytes_per_elem, gemm_derate, traffic
@@ -300,7 +297,6 @@ class TimelineTemplate:
 def _build_template(
     n: int,
     strat: Strategy,
-    include_backward: bool,
     decomposed_comm: bool,
     sequential: bool,
 ) -> TimelineTemplate:
@@ -345,48 +341,47 @@ def _build_template(
     if not sequential:
         _interleave_comm(ops, s_ops, r_ops)
 
-    if include_backward:
-        # --------------------------------------------------------- boundary
-        # The loss/classifier between forward and backward of this layer.
-        boundary_deps = list(r_ops) + d_ops
-        loss = op("loss", StreamKind.COMP, (), boundary_deps, tag="X")
+    # --------------------------------------------------------- boundary
+    # The loss/classifier between forward and backward of this layer.
+    boundary_deps = list(r_ops) + d_ops
+    loss = op("loss", StreamKind.COMP, (), boundary_deps, tag="X")
 
-        # --------------------------------------------------------- backward
-        rb_ops, sb_ops = [], []
-        prev_serial = loss
-        for j in range(n):
-            rb_deps = [loss]
-            if sequential:
-                rb_deps.append(prev_serial)
-            rb_j = op(f"Rb{j}", StreamKind.COMM, [s_field], rb_deps, tag="R")
-            cb_deps = [rb_j]
-            # Restore TDI.
-            if strat.tdi is RestoreMethod.OFFLOAD:
-                cb_deps.append(
-                    op(f"H_tdi{j}", StreamKind.MEM, ["offload_tdi_time"], [loss],
-                       tag="H")
-                )
-            elif strat.tdi is RestoreMethod.RECOMM:
-                cb_deps.append(
-                    op(f"S'_{j}", StreamKind.COMM, [s_field], [loss], tag="S")
-                )
-            # Restore TM.
-            if strat.tm is RestoreMethod.OFFLOAD:
-                cb_deps.append(
-                    op(f"H_tm{j}", StreamKind.MEM, ["offload_tm_time"], [loss],
-                       tag="H")
-                )
-            cb_fields = ["c_bw_time"] + (
-                ["recompute_time"] if strat.tm is RestoreMethod.RECOMPUTE else []
+    # --------------------------------------------------------- backward
+    rb_ops, sb_ops = [], []
+    prev_serial = loss
+    for j in range(n):
+        rb_deps = [loss]
+        if sequential:
+            rb_deps.append(prev_serial)
+        rb_j = op(f"Rb{j}", StreamKind.COMM, [s_field], rb_deps, tag="R")
+        cb_deps = [rb_j]
+        # Restore TDI.
+        if strat.tdi is RestoreMethod.OFFLOAD:
+            cb_deps.append(
+                op(f"H_tdi{j}", StreamKind.MEM, ["offload_tdi_time"], [loss],
+                   tag="H")
             )
-            cb_j = op(f"Cb{j}", StreamKind.COMP, cb_fields, cb_deps, tag="C")
-            sb_j = op(f"Sb{j}", StreamKind.COMM, [s_field], [cb_j], tag="S")
-            rb_ops.append(rb_j)
-            sb_ops.append(sb_j)
-            prev_serial = sb_j
+        elif strat.tdi is RestoreMethod.RECOMM:
+            cb_deps.append(
+                op(f"S'_{j}", StreamKind.COMM, [s_field], [loss], tag="S")
+            )
+        # Restore TM.
+        if strat.tm is RestoreMethod.OFFLOAD:
+            cb_deps.append(
+                op(f"H_tm{j}", StreamKind.MEM, ["offload_tm_time"], [loss],
+                   tag="H")
+            )
+        cb_fields = ["c_bw_time"] + (
+            ["recompute_time"] if strat.tm is RestoreMethod.RECOMPUTE else []
+        )
+        cb_j = op(f"Cb{j}", StreamKind.COMP, cb_fields, cb_deps, tag="C")
+        sb_j = op(f"Sb{j}", StreamKind.COMM, [s_field], [cb_j], tag="S")
+        rb_ops.append(rb_j)
+        sb_ops.append(sb_j)
+        prev_serial = sb_j
 
-        if not sequential:
-            _interleave_comm(ops, rb_ops, sb_ops)
+    if not sequential:
+        _interleave_comm(ops, rb_ops, sb_ops)
 
     index = {id(o): i for i, o in enumerate(ops)}
     deps = tuple(tuple(index[id(d)] for d in o.deps) for o in ops)
@@ -409,7 +404,6 @@ _COMPILED: dict[tuple, "CompiledTimeline"] = {}
 def timeline_template(
     n: int,
     strategy: Strategy | str = "none",
-    include_backward: bool = True,
     decomposed_comm: bool = False,
     sequential: bool = False,
 ) -> TimelineTemplate:
@@ -420,13 +414,11 @@ def timeline_template(
     on the object, so a name and its registered object may each hold an
     (identical) template — a few dozen bytes, not worth unifying.
     """
-    key = (n, strategy, include_backward, decomposed_comm, sequential)
+    key = (n, strategy, decomposed_comm, sequential)
     template = _TEMPLATES.get(key)
     if template is None:
         strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
-        template = _build_template(
-            n, strat, include_backward, decomposed_comm, sequential
-        )
+        template = _build_template(n, strat, decomposed_comm, sequential)
         _TEMPLATES[key] = template
     return template
 
@@ -435,20 +427,17 @@ def build_timeline(
     costs: MoEStageCosts,
     n: int,
     strategy: Strategy | str = "none",
-    include_backward: bool = True,
     device: int = 0,
     decomposed_comm: bool = False,
     sequential: bool = False,
 ) -> list[Op]:
-    """Ops for one layer's forward (and backward) at granularity ``n``.
+    """Ops for one layer's forward and backward at granularity ``n``.
 
     ``sequential=True`` chains every stage (FastMoE / PipeMoE(n=1)
     semantics: no overlap even across lanes).  ``decomposed_comm`` prices
     All-to-Alls with the point-to-point decomposition (FasterMoE).
     """
-    template = timeline_template(
-        n, strategy, include_backward, decomposed_comm, sequential
-    )
+    template = timeline_template(n, strategy, decomposed_comm, sequential)
     return template.instantiate(costs, device=device)
 
 
@@ -476,18 +465,15 @@ class CompiledTimeline:
 def compile_timeline(
     n: int,
     strategy: Strategy | str = "none",
-    include_backward: bool = True,
     device: int = 0,
     decomposed_comm: bool = False,
     sequential: bool = False,
 ) -> CompiledTimeline:
     """Cached compiled form of one ``build_timeline`` topology."""
-    key = (n, strategy, include_backward, decomposed_comm, sequential, device)
+    key = (n, strategy, decomposed_comm, sequential, device)
     compiled = _COMPILED.get(key)
     if compiled is None:
-        template = timeline_template(
-            n, strategy, include_backward, decomposed_comm, sequential
-        )
+        template = timeline_template(n, strategy, decomposed_comm, sequential)
         dag = compile_dag(template.instantiate(_UNIT_COSTS, device=device))
         compiled = CompiledTimeline(template=template, dag=dag)
         _COMPILED[key] = compiled

@@ -6,10 +6,11 @@ expressed in seconds-at-full-speed; while several lanes of one device
 are concurrently busy, each op progresses at the slowed rate given by
 the Fig. 3 :class:`~repro.hardware.interference.InterferenceModel` — a
 fluid (rate-based) simulation integrated between lane-state changes.
-Installing a :class:`~repro.hardware.hetero.DeviceRateTable` further
-scales every rate by the op's device multiplier, which is how
-heterogeneous clusters and straggler devices are simulated; identity
-tables collapse to the homogeneous fast path bit-identically.
+An engine built with a :class:`~repro.hardware.hetero.DeviceRates`
+profile further scales every rate by that profile's multiplier for the
+op's stream kind, which is how heterogeneous clusters and straggler
+devices are simulated; the unit profile leaves every rate bit for bit
+as it is.
 
 The :class:`~repro.sim.memory_allocator.CachingAllocator` mirrors
 PyTorch's caching allocator closely enough to measure peak footprint:

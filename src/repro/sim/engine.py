@@ -50,7 +50,7 @@ over a whole numpy matrix of work vectors for the whole-grid path.
 Both give the loop's floats bit for bit.
 
 The straight-line reference loop the engine is proven against lives
-with the other oracles in :mod:`repro.testing.oracles`.
+with the other oracles in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from repro.hardware.hetero import DeviceRateTable
+from repro.hardware.hetero import UNIT_RATES, DeviceRates
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE, StreamKind
 
 _EPS = 1e-15
@@ -71,18 +71,6 @@ _EPS = 1e-15
 #: with batch cross a few event-order boundaries, so one trace is not
 #: enough; past a handful, extra traces rarely hit.
 SCHEDULES_PER_DAG = 8
-
-
-def _active_rate_table(device_rates: DeviceRateTable | None) -> DeviceRateTable | None:
-    """Collapse identity tables to ``None`` — the homogeneous fast path.
-
-    A degenerate heterogeneous spec (every multiplier 1.0) must run the
-    exact seed code path, bit for bit; dropping the table here is what
-    guarantees it.
-    """
-    if device_rates is not None and device_rates.is_identity:
-        return None
-    return device_rates
 
 
 @dataclass
@@ -155,9 +143,6 @@ class SimResult:
         if self.makespan <= 0:
             return 0.0
         return self.device_busy_time(device, stream) / self.makespan
-
-    def by_tag(self, tag: str) -> list[OpRecord]:
-        return [r for r in self.records if r.tag == tag]
 
 
 class Timing(NamedTuple):
@@ -281,6 +266,18 @@ def compile_dag(ops: Sequence[Op]) -> CompiledDag:
     )
 
 
+def _rate_table(interference: InterferenceModel, rates: DeviceRates) -> list[float]:
+    """Effective rates indexed ``kidx * 8 + active_bitmask``: the
+    slowdown of each kind under each active stream-kind set, times the
+    profile's multiplier for that kind (3 kinds x 8 masks)."""
+    table = []
+    for victim, mult in zip(_KIND_BY_INDEX, rates.as_tuple()):
+        for mask in range(8):
+            active = {kind for i, kind in enumerate(_KIND_BY_INDEX) if mask >> i & 1}
+            table.append(interference.slowdown(victim, active | {victim}) * mult)
+    return table
+
+
 @dataclass(frozen=True)
 class ScheduleTrace:
     """The control flow of one event-loop run, stored flat.
@@ -304,7 +301,7 @@ class ScheduleTrace:
     is its start (a start always re-rates its device, from rate 0);
     old rates and the running set (the guards) follow from the
     replay's own state.  Op indices and rates are shared objects of the
-    DAG and the engine's rate tables, so each slot costs one pointer.
+    DAG and the engine's rate table, so each slot costs one pointer.
     """
 
     num_ops: int
@@ -324,23 +321,23 @@ class SimEngine:
     Between events only the lanes unblocked by the finished op and the
     devices whose active set changed are touched.
 
-    ``device_rates`` makes the engine heterogeneous: the effective rate
-    of an op is the interference slowdown of its (kind, active-set)
-    *times* its device's multiplier for that kind, so a DAG spanning
-    devices realizes per-device speeds (straggler studies).  Identity
-    tables are dropped up front — homogeneous runs execute the exact
-    same arithmetic as before, bit for bit.
+    ``rates`` is the device profile every simulated device runs at: the
+    effective rate of an op is the interference slowdown of its (kind,
+    active-set) *times* the profile's multiplier for that kind, so one
+    engine per profile prices "this device is the straggler" (see
+    :meth:`~repro.systems.base.SystemContext.engine_for`).  A unit
+    profile multiplies by 1.0, which leaves every slowdown bit for bit
+    as it is.
     """
 
     def __init__(
         self,
         interference: InterferenceModel | None = None,
-        device_rates: DeviceRateTable | None = None,
+        rates: DeviceRates = UNIT_RATES,
     ) -> None:
         self.interference = interference or PAPER_INTERFERENCE
-        self.device_rates = _active_rate_table(device_rates)
-        self._flat_rates: list[float] | None = None
-        self._dev_flat: dict[int, list[float]] = {}
+        self.rates = rates
+        self._flat_rates = _rate_table(self.interference, rates)
         # id(dag) -> (dag, device-0 comp-lane mask, MRU traces).  Holding
         # the dag pins its id; lookups still check identity, so a copied
         # engine never prices one DAG with another's traces.
@@ -357,39 +354,6 @@ class SimEngine:
         ``uid`` order for any DAG listed in creation order.
         """
         return self.run_compiled(compile_dag(ops), record=record)
-
-    def _rate_table(self) -> list[float]:
-        """Flat slowdown table indexed ``kidx * 8 + active_bitmask``.
-
-        At most 3 kinds x 8 masks exist; built once per engine since it
-        is a pure function of the interference model.
-        """
-        if self._flat_rates is None:
-            kinds = {0: StreamKind.COMP, 1: StreamKind.COMM, 2: StreamKind.MEM}
-            table = [1.0] * 24
-            for kidx, victim in kinds.items():
-                for mask in range(1, 8):
-                    active = {kinds[i] for i in range(3) if mask & (1 << i)}
-                    table[kidx * 8 + mask] = self.interference.slowdown(
-                        victim, active | {victim}
-                    )
-            self._flat_rates = table
-        return self._flat_rates
-
-    def _flat_rates_for(self, device: int) -> list[float]:
-        """Per-device flat table: base slowdowns x the device multipliers.
-
-        Only consulted when a (non-identity) ``device_rates`` table is
-        installed; built lazily per device and cached for the engine's
-        lifetime, like :meth:`_rate_table`.
-        """
-        table = self._dev_flat.get(device)
-        if table is None:
-            base = self._rate_table()
-            mult = self.device_rates.multipliers(device)
-            table = [base[k * 8 + m] * mult[k] for k in range(3) for m in range(8)]
-            self._dev_flat[device] = table
-        return table
 
     def compiled_makespan(
         self, dag: CompiledDag, works: Sequence[float] | None = None
@@ -505,8 +469,7 @@ class SimEngine:
             works = dag.works
         _check_works(dag, works)
         num = dag.num_ops
-        rates = self._rate_table()
-        device_rates = self.device_rates
+        rates = self._flat_rates
         lane_ops, lane_device, lane_kidx = dag.lane_ops, dag.lane_device, dag.lane_kidx
         op_lane, children, names, tags = dag.op_lane, dag.children, dag.names, dag.tags
         if records is not None:
@@ -588,13 +551,8 @@ class SimEngine:
             if dirty:
                 for device in dirty:
                     mask = dev_mask[device]
-                    rtab = (
-                        rates
-                        if device_rates is None
-                        else self._flat_rates_for(device)
-                    )
                     for i, kidx in dev_running[device]:
-                        new_rate = rtab[kidx * 8 + mask]
+                        new_rate = rates[kidx * 8 + mask]
                         old_rate = rate[i]
                         if new_rate == old_rate:
                             continue  # outstanding heap entry still predicts truth

@@ -34,8 +34,8 @@ in one process — serially, inside one pool worker, or on a
 memoized :class:`~repro.perfmodel.evalcache.Evaluator`: stage costs,
 compiled-timeline makespans and footprints computed for one scenario
 are reused by every later scenario at the same (world size, hetero
-spec).  Timeline scenarios never read the trace, so they are priced
-through the records-free makespan-only mode by default.  The built-in
+spec, memo bound).  Timeline scenarios never read the trace, so they
+are priced through the records-free makespan-only mode by default.  The built-in
 evaluators also report each scenario's evaluator-cache delta, which the
 runner surfaces as :attr:`SweepResult.cache_stats` and persists into
 the JSON cache files.
@@ -131,7 +131,10 @@ def pop_reserved(values: dict) -> tuple:
     )
 
 
-#: Process-wide context pool, keyed by (world size, hetero spec).
+#: Process-wide context pool, keyed by (world size, hetero spec, memo
+#: bound): a run with another bound than an earlier one (``limit_memo``
+#: or :data:`MAX_MEMO_ENTRIES_ENV`) gets its own context, so the bound
+#: and the memo stats never depend on what ran before in the process.
 #: Worker processes each grow their own copy (the pool is never
 #: pickled), which is exactly the intra-process reuse wanted: scenarios
 #: dispatched to one worker share one memoized evaluator per cluster.
@@ -273,10 +276,11 @@ class Execution:
     def _attempts(self, scenario: Scenario) -> dict:
         if self.retry is None:
             return self._bounded(scenario)
-        return run_with_policy(
-            self._bounded, scenario, self.retry, on_error=self.on_error,
-            on_timeout=_drop_context,
-        )
+        with _memo_bound(self.max_entries):  # _drop_context keys on it
+            return run_with_policy(
+                self._bounded, scenario, self.retry, on_error=self.on_error,
+                on_timeout=_drop_context,
+            )
 
     def _bounded(self, scenario: Scenario) -> dict:
         with _memo_bound(self.max_entries):
@@ -286,15 +290,17 @@ class Execution:
 def shared_context(
     world_size: int | None, hetero: HeteroClusterSpec | None = None
 ) -> SystemContext:
-    """The process's shared :class:`SystemContext` for one cluster shape."""
-    key = (world_size, hetero)
+    """The process's shared :class:`SystemContext` for one cluster shape
+    under the active memo bound."""
+    bound = _default_max_entries()
+    key = (world_size, hetero, bound)
     with _POOL_LOCK:
         ctx = _CONTEXTS.get(key)
         if ctx is None:
             ctx = SystemContext(
                 world_size=world_size,
                 hetero=hetero,
-                evaluator_max_entries=_default_max_entries(),
+                evaluator_max_entries=bound,
             )
             # Exact per-scenario stats need evaluation + snapshot to be
             # atomic per context (see _with_cache_stats); in-flight
@@ -318,7 +324,7 @@ def _drop_context(scenario: Scenario) -> None:
     pool, the retry and every later scenario on this cluster start on a
     fresh one instead of queueing behind the orphan.
     """
-    key = (scenario.world_size, scenario_hetero(scenario))
+    key = (scenario.world_size, scenario_hetero(scenario), _default_max_entries())
     with _POOL_LOCK:
         _CONTEXTS.pop(key, None)
 
@@ -740,8 +746,8 @@ class SweepRunner:
     pickled into process-backend workers via the :class:`Execution`), so
     concurrent runners with different bounds coexist; the
     :data:`MAX_MEMO_ENTRIES_ENV` environment variable remains the
-    process-wide fallback.  Contexts created before the run keep their
-    existing bound.
+    process-wide fallback.  The shared context pool keys on the bound,
+    so a bound holds whatever ran earlier in the process.
 
     ``vectorize`` alone selects the whole-grid fast path: evaluators
     with a batched twin (see :mod:`repro.perfmodel.batcheval`) can price

@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 from repro.comm.cost import NcclCostModel
 from repro.config import ClusterSpec, DGX_A100_CLUSTER, MoELayerSpec
 from repro.hardware.device import A100_SXM_40GB, DeviceSpec
-from repro.hardware.hetero import (
-    DeviceRates,
-    DeviceRateTable,
-    HeteroClusterSpec,
-    distinct_profiles,
-)
+from repro.hardware.hetero import DeviceRates, HeteroClusterSpec, distinct_profiles
 from repro.hardware.topology import ClusterTopology
 from repro.memory.footprint import FootprintModel
 from repro.perfmodel.evalcache import Evaluator
@@ -33,12 +28,6 @@ class SystemReport:
     num_partitions: int = 1
     strategy: str = "none"
     comp_utilization: float = 0.0
-
-    def speedup_over(self, other: "SystemReport") -> float:
-        return other.iteration_time / self.iteration_time
-
-    def memory_vs(self, other: "SystemReport") -> float:
-        return self.peak_memory_bytes / other.peak_memory_bytes
 
 
 @dataclass
@@ -104,13 +93,13 @@ class SystemContext:
         """An engine whose every simulated device runs at ``profile``.
 
         The representative-device timeline lives on one simulated
-        device, so a default-only rate table prices "this device is the
+        device, so one profile per engine prices "this device is the
         straggler" exactly; engines are cached per profile so their
-        flat rate tables amortize across the whole study.
+        rate tables and recorded schedules amortize across the study.
         """
         engine = self._profile_engines.get(profile)
         if engine is None:
-            engine = SimEngine(device_rates=DeviceRateTable(default=profile))
+            engine = SimEngine(rates=profile)
             self._profile_engines[profile] = engine
         return engine
 

@@ -47,21 +47,17 @@ class FasterMoEModel(SystemModel):
         self,
         context: SystemContext | None = None,
         fixed_n: int = FASTERMOE_FIXED_N,
-        gemm_derate: float = FASTERMOE_GEMM_DERATE,
-        shadowed_experts: int = SHADOWED_EXPERTS,
     ) -> None:
         super().__init__(context)
         if fixed_n < 1:
             raise ValueError("fixed_n must be >= 1")
         self.fixed_n = fixed_n
-        self.gemm_derate = gemm_derate
-        self.shadowed_experts = shadowed_experts
 
     def shadowing_bytes(self, spec: MoELayerSpec) -> int:
         """Device memory of shadowed expert replicas (params + grads, x2)."""
         fp = self.context.evaluator.footprint(spec)
         per_expert = spec.expert_params * fp.bytes_per_elem
-        return 2 * self.shadowed_experts * per_expert
+        return 2 * SHADOWED_EXPERTS * per_expert
 
     def evaluate(
         self,
@@ -73,7 +69,7 @@ class FasterMoEModel(SystemModel):
         evaluator = self.context.evaluator
         timing = evaluator.timing(
             spec, batch, n, "none",
-            decomposed_comm=True, gemm_derate=self.gemm_derate,
+            decomposed_comm=True, gemm_derate=FASTERMOE_GEMM_DERATE,
             workload=workload,
         )
         memory = evaluator.footprint_bytes(

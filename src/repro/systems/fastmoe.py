@@ -3,7 +3,8 @@
 The paper's characterisation (Sec. V-B): no pipelining — the All-to-All
 and expert computation are synchronous, blocking stages ("Inefficient
 Synchronous Communication", Sec. II-A) — and the GEMMs do not use the
-tensor-core path MPipeMoE's kernels hit, modeled by ``gemm_derate``.
+tensor-core path MPipeMoE's kernels hit, modeled by
+:data:`FASTMOE_GEMM_DERATE`.
 
 Memory is the plain Eq. 1-3 footprint (the Fig. 9 normalisation
 baseline).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from repro.config import MoELayerSpec
 from repro.perfmodel.workload import WorkloadSpec
-from repro.systems.base import SystemContext, SystemModel, SystemReport
+from repro.systems.base import SystemModel, SystemReport
 
 #: Fraction of MPipeMoE's sustained GEMM rate FastMoE achieves (no
 #: tensor-core fusion; Sec. V-C attributes part of PipeMoE(n=1)'s edge
@@ -29,11 +30,6 @@ FASTMOE_GEMM_DERATE = 0.6
 class FastMoEModel(SystemModel):
     name = "FastMoE"
 
-    def __init__(self, context: SystemContext | None = None,
-                 gemm_derate: float = FASTMOE_GEMM_DERATE) -> None:
-        super().__init__(context)
-        self.gemm_derate = gemm_derate
-
     def evaluate(
         self,
         spec: MoELayerSpec,
@@ -43,7 +39,7 @@ class FastMoEModel(SystemModel):
         evaluator = self.context.evaluator
         timing = evaluator.timing(
             spec, batch, 1, "none",
-            sequential=True, gemm_derate=self.gemm_derate, workload=workload,
+            sequential=True, gemm_derate=FASTMOE_GEMM_DERATE, workload=workload,
         )
         memory = evaluator.footprint_bytes(
             spec, batch, pipelined=False, workload=workload

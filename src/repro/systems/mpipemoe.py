@@ -1,17 +1,17 @@
 """MPipeMoE: the full system — adaptive pipeline + adaptive memory reuse.
 
 Granularity comes from Algorithm 1 (shared with PipeMoE); the memory
-reuse strategy comes from the Eq. 10 selector unless pinned via
-``fixed_strategy`` (reproducing Fig. 13's S1-S4 ablations).  The
+reuse strategy comes from simulated trial iterations of S1-S4 (the
+runtime-measurement analogue of Sec. III-E's selection) unless pinned
+via ``fixed_strategy`` (reproducing Fig. 13's S1-S4 ablations).  The
+closed-form Eq. 10 selector is the sweep's ``eq10`` objective.  The
 reported footprint applies the Eq. 5 savings to the pipelined footprint.
 
-Built on a heterogeneous context (``SystemContext(hetero=...)``), both
-selection paths re-run under the skew: simulated trials price every
-(n, strategy) candidate on the straggler's device profiles with the
-link-degraded collectives, and the closed-form Eq. 10 selector sees
-W_comp/W_mem rescaled to the bottleneck device — which is how a slow
-node flips the choice from S1 toward recompute-heavy strategies
-(``benchmarks/bench_straggler_sensitivity.py``).
+Built on a heterogeneous context (``SystemContext(hetero=...)``), the
+trials re-run under the skew: they price every (n, strategy) candidate
+on the straggler's device profiles with the link-degraded collectives,
+which is how a slow node flips the choice from S1 toward
+recompute-heavy strategies (``benchmarks/bench_straggler_sensitivity.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.config import MoELayerSpec
 from repro.memory.strategies import get_strategy
 from repro.perfmodel.workload import WorkloadSpec
 from repro.systems.base import SystemContext, SystemModel, SystemReport
-from repro.systems.pipemoe import DEFAULT_CANDIDATES, PipeMoEModel
+from repro.systems.pipemoe import PipeMoEModel
 
 #: Strategy-search candidates of Sec. III-E (Table II's reuse rows).
 REUSE_STRATEGIES = ("S1", "S2", "S3", "S4")
@@ -34,23 +34,13 @@ class MPipeMoEModel(SystemModel):
         context: SystemContext | None = None,
         fixed_n: int | None = None,
         fixed_strategy: str | None = None,
-        candidates: tuple[int, ...] = DEFAULT_CANDIDATES,
-        sim_selection: bool = True,
     ) -> None:
-        """``sim_selection=True`` picks the strategy by simulated trial
-        iterations (the runtime-measurement analogue); ``False`` uses the
-        closed-form Eq. 10 selector exactly as Sec. III-E describes.  The
-        two agree in the bottleneck regimes; the trial-based choice also
-        captures pipeline ramp effects the closed form ignores.
-        """
         super().__init__(context)
-        self.pipemoe = PipeMoEModel(self.context, fixed_n=fixed_n, candidates=candidates)
+        self.pipemoe = PipeMoEModel(self.context, fixed_n=fixed_n)
         if fixed_strategy is not None:
             get_strategy(fixed_strategy)
-        self.fixed_strategy = fixed_strategy
-        self.sim_selection = sim_selection
-        if fixed_strategy is not None:
             self.name = f"MPipeMoE({fixed_strategy})"
+        self.fixed_strategy = fixed_strategy
 
     def _simulated_strategy(
         self,
@@ -83,13 +73,7 @@ class MPipeMoEModel(SystemModel):
             return "none"
         if self.fixed_strategy is not None:
             return self.fixed_strategy
-        if self.sim_selection:
-            return self._simulated_strategy(spec, batch, n, workload)
-        return (
-            self.context.evaluator.selector(spec, workload)
-            .select(batch, n)
-            .strategy.name
-        )
+        return self._simulated_strategy(spec, batch, n, workload)
 
     def evaluate(
         self,

@@ -29,13 +29,11 @@ class PipeMoEModel(SystemModel):
         self,
         context: SystemContext | None = None,
         fixed_n: int | None = None,
-        candidates: tuple[int, ...] = DEFAULT_CANDIDATES,
     ) -> None:
         super().__init__(context)
         if fixed_n is not None and fixed_n < 1:
             raise ValueError("fixed_n must be >= 1")
         self.fixed_n = fixed_n
-        self.candidates = candidates
         # Keyed (spec name, workload): Algorithm 1's learned B->n ranges
         # are workload-specific — a skewed or k>1 routing shifts them.
         self._searchers: dict[tuple, GranularitySearcher] = {}
@@ -64,7 +62,7 @@ class PipeMoEModel(SystemModel):
                 evaluate=lambda b, n: evaluator.makespan(
                     spec, b, n, "none", workload=workload
                 ),
-                candidates=self.candidates,
+                candidates=DEFAULT_CANDIDATES,
             )
             self._searchers[key] = searcher
         return searcher.configure(batch)

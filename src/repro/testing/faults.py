@@ -2,8 +2,7 @@
 
 A :class:`FaultPlan` scripts failures against named scenarios — *fail
 scenario k on its first j-1 attempts*, *hang for t seconds*, *kill the
-worker process mid-shard* — plus cache-sabotage helpers (*corrupt an
-entry*, *version-skew its scenario payload*).  Faults trigger inside
+worker process mid-shard*.  Faults trigger inside
 the resilience retry loop (:func:`repro.sweep.resilience
 .run_with_policy`), so one plan reaches every backend: the serial loop
 and process-pool workers (which load the plan from the
@@ -198,23 +197,6 @@ class FaultPlan:
                 time.sleep(fault.seconds)
             elif fault.kind == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-
-    # -- cache sabotage --------------------------------------------------------
-    @staticmethod
-    def corrupt_cache_entry(path) -> None:
-        """Truncate a cache entry into undecodable garbage in place."""
-        Path(path).write_text('{"values": garbage')
-
-    @staticmethod
-    def skew_cache_entry(path) -> None:
-        """Version-skew a cache entry: its scenario payload stops
-        round-tripping the current :class:`~repro.sweep.grid.Scenario`
-        fields (as if written by a different library version)."""
-        payload = json.loads(Path(path).read_text())
-        scenario = dict(payload.get("scenario") or {})
-        scenario["retired_axis"] = True  # a field no current Scenario has
-        payload["scenario"] = scenario
-        Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
 
     # -- activation ------------------------------------------------------------
     @contextlib.contextmanager

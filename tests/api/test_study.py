@@ -325,11 +325,6 @@ class TestResultSet:
         )
         assert "cache_stats" in with_stats[0]
 
-    def test_save_json(self, results, tmp_path):
-        path = tmp_path / "out.json"
-        results.save_json(path)
-        assert json.loads(path.read_text()) == json.loads(results.to_json())
-
     def test_cache_stats_aggregate(self):
         results = Study(GRID, objective="timeline").run()
         stats = results.cache_stats()

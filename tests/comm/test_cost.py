@@ -3,7 +3,12 @@ fused-vs-decomposed gap the paper builds on (Fig. 5)."""
 
 import pytest
 
-from repro.comm.cost import NCCL_LATENCY, P2P_LATENCY, NcclCostModel
+from repro.comm.cost import (
+    NCCL_LATENCY,
+    P2P_LATENCY,
+    STRAGGLER_FACTOR,
+    NcclCostModel,
+)
 from repro.config import ClusterSpec, DGX_A100_CLUSTER
 from repro.hardware.topology import ClusterTopology, LinkOverrides
 
@@ -35,6 +40,17 @@ class TestFusedAllToAll:
         with pytest.raises(ValueError):
             NcclCostModel(topo, 8).alltoall_time(-1)
 
+    def test_closed_form(self, topo):
+        # One launch latency, then (W-1)/W of the rank's volume at the
+        # topology's All-to-All rate.
+        nbytes = 1 << 26
+        for world in (2, 8, 12, 64):
+            expected = NCCL_LATENCY + nbytes * (world - 1) / world / (
+                topo.alltoall_bandwidth(world)
+            )
+            got = NcclCostModel(topo, world).alltoall_time(nbytes)
+            assert got == pytest.approx(expected, rel=1e-12), world
+
 
 class TestDecomposedAllToAll:
     def test_decomposed_slower_than_fused(self, topo):
@@ -53,32 +69,42 @@ class TestDecomposedAllToAll:
     def test_world_one_free(self, topo):
         assert NcclCostModel(topo, 1).decomposed_alltoall_time(123) == 0.0
 
+    def test_pays_per_pair_latency_and_the_straggler_factor(self, topo):
+        """W-1 pairwise launches, and the same cross volume at the fused
+        rate divided by STRAGGLER_FACTOR."""
+        nbytes = 1 << 26
+        for world in (2, 8, 64):
+            m = NcclCostModel(topo, world)
+            fused = m.alltoall_time(nbytes) - NCCL_LATENCY
+            latency = (world - 1) * P2P_LATENCY
+            pairwise = m.decomposed_alltoall_time(nbytes) - latency
+            assert pairwise == pytest.approx(STRAGGLER_FACTOR * fused, rel=1e-12)
+
+    def test_negative_bytes_rejected(self, topo):
+        with pytest.raises(ValueError):
+            NcclCostModel(topo, 8).decomposed_alltoall_time(-1)
+
 
 class TestOtherCollectiveCosts:
-    def test_allreduce_vs_allgather_ring_volumes(self, topo):
-        # Ring all-reduce moves 2(W-1)/W * n; all-gather of n/(W-1) per
-        # rank moves n.  Ratio is therefore 2(W-1)/W.
-        m = NcclCostModel(topo, 8)
-        n = 1 << 26
-        ar = m.allreduce_time(n) - NCCL_LATENCY
-        ag = m.allgather_time(n / 7) - NCCL_LATENCY
-        assert ar == pytest.approx(2 * 7 / 8 * ag, rel=1e-6)
-
-    def test_p2p_intra_vs_inter(self, topo):
-        m = NcclCostModel(topo)
-        assert m.p2p_time(1 << 26, 0, 1) < m.p2p_time(1 << 26, 0, 8)
-
-    def test_p2p_self_free(self, topo):
-        assert NcclCostModel(topo).p2p_time(100, 3, 3) == 0.0
-
     def test_effective_world_defaults_to_cluster(self, topo):
         assert NcclCostModel(topo).effective_world == 64
         assert NcclCostModel(topo, 16).effective_world == 16
 
+    def test_collective_bandwidth_defaults_to_effective_world(self, topo):
+        assert NcclCostModel(topo).collective_bandwidth() == (
+            topo.alltoall_bandwidth(64)
+        )
+        m = NcclCostModel(topo, 16)
+        assert m.collective_bandwidth() == topo.alltoall_bandwidth(16)
+        assert m.collective_bandwidth(8) == topo.alltoall_bandwidth(8)
+
+    def test_world_size_validation(self, topo):
+        with pytest.raises(ValueError, match=">= 1"):
+            NcclCostModel(topo, 0)
+
 
 class TestDegradedBandwidth:
-    """Straggler hooks: structural per-link overrides ride the topology;
-    bandwidth_scale is the uniform collective-level what-if derate."""
+    """Straggler hook: structural per-link overrides ride the topology."""
 
     def test_link_overrides_inflate_collective_costs(self, topo):
         degraded = ClusterTopology(
@@ -94,23 +120,55 @@ class TestDegradedBandwidth:
             nominal.decomposed_alltoall_time(nbytes)
         )
 
-    def test_bandwidth_scale_derates_every_query(self, topo):
+    def test_uniform_uplink_derate_scales_both_flavours(self, topo):
+        """Halving every node's uplink doubles the transfer term of the
+        fused and the decomposed All-to-All at 64 GPUs (IB-limited)."""
+        halved = ClusterTopology(
+            DGX_A100_CLUSTER,
+            LinkOverrides(node_scale=tuple((node, 0.5) for node in range(8))),
+        )
         nominal = NcclCostModel(topo, 64)
-        derated = NcclCostModel(topo, 64, bandwidth_scale=0.5)
+        derated = NcclCostModel(halved, 64)
         nbytes = 1 << 26
-        for query in ("alltoall_time", "allreduce_time", "allgather_time"):
-            t0 = getattr(nominal, query)(nbytes) - NCCL_LATENCY
-            t1 = getattr(derated, query)(nbytes) - NCCL_LATENCY
-            assert t1 == pytest.approx(2 * t0, rel=1e-9), query
-        assert derated.p2p_time(nbytes, 0, 8) - P2P_LATENCY == pytest.approx(
-            (nominal.p2p_time(nbytes, 0, 8) - P2P_LATENCY) * 2
+        assert derated.alltoall_time(nbytes) - NCCL_LATENCY == pytest.approx(
+            2 * (nominal.alltoall_time(nbytes) - NCCL_LATENCY), rel=1e-9
+        )
+        latency = 63 * P2P_LATENCY
+        assert derated.decomposed_alltoall_time(nbytes) - latency == (
+            pytest.approx(
+                2 * (nominal.decomposed_alltoall_time(nbytes) - latency),
+                rel=1e-9,
+            )
         )
 
-    def test_unit_scale_is_identical(self, topo):
-        nominal = NcclCostModel(topo, 64)
-        unit = NcclCostModel(topo, 64, bandwidth_scale=1.0)
-        assert unit.alltoall_time(1 << 24) == nominal.alltoall_time(1 << 24)
+    def test_unit_overrides_are_identical(self, topo):
+        unit = ClusterTopology(
+            DGX_A100_CLUSTER,
+            LinkOverrides(gpu_scale=((0, 1.0),), node_scale=((0, 1.0),)),
+        )
+        for world in (8, 64):
+            for query in ("alltoall_time", "decomposed_alltoall_time"):
+                got = getattr(NcclCostModel(unit, world), query)(1 << 24)
+                want = getattr(NcclCostModel(topo, world), query)(1 << 24)
+                assert got == want, (world, query)
 
-    def test_scale_validation(self, topo):
-        with pytest.raises(ValueError, match="bandwidth_scale"):
-            NcclCostModel(topo, 8, bandwidth_scale=0.0)
+    def test_traffic_prices_the_load_a_degraded_link_carries(self, topo):
+        degraded = ClusterTopology(
+            DGX_A100_CLUSTER, LinkOverrides(gpu_scale=((3, 0.5),))
+        )
+        skewed = NcclCostModel(degraded, 8)
+        nominal = NcclCostModel(topo, 8)
+        nbytes = 1 << 26
+        # Gated on the slowest member without a traffic view...
+        assert skewed.alltoall_time(nbytes) > nominal.alltoall_time(nbytes)
+        assert skewed.alltoall_time(nbytes, traffic=(1.0,) * 8) == (
+            skewed.alltoall_time(nbytes)
+        )
+        # ...but a degraded link the placement keeps light costs nothing.
+        light = tuple(0.25 if rank == 3 else 1.0 for rank in range(8))
+        assert skewed.alltoall_time(nbytes, traffic=light) == (
+            nominal.alltoall_time(nbytes)
+        )
+        assert skewed.decomposed_alltoall_time(nbytes, traffic=light) == (
+            nominal.decomposed_alltoall_time(nbytes)
+        )

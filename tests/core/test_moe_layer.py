@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro.systems.base import SystemContext
 from repro.tensor import Tensor, no_grad
-from repro.testing.oracles import ColdEvaluator
+from tests.oracles import ColdEvaluator
 
 from tests.conftest import make_inputs, make_layer, scalar_loss
 

@@ -15,6 +15,7 @@ from repro.distrib.store import STORE_VERSION, CacheStore, merge_stats
 from repro.sweep.grid import Scenario
 from repro.sweep.runner import CACHE_STATS_KEY, SweepRunner
 from repro.testing.faults import Fault, FaultPlan
+from tests.cache_faults import corrupt_cache_entry, skew_cache_entry
 
 
 def scenario(batch=1024, n=1):
@@ -180,7 +181,7 @@ class TestValidation:
         store = CacheStore(tmp_path)
         sc = scenario()
         path = store.put(sc, {"makespan": 1.0})
-        FaultPlan.corrupt_cache_entry(path)
+        corrupt_cache_entry(path)
         assert store.get(sc) is None
         assert not path.exists()
         assert store.stats()["skews"] == 1
@@ -191,7 +192,7 @@ class TestValidation:
         store = CacheStore(tmp_path)
         sc = scenario()
         path = store.put(sc, {"makespan": 1.0})
-        FaultPlan.skew_cache_entry(path)
+        skew_cache_entry(path)
         assert store.get(sc) is None
         assert not path.exists()
         assert store.stats()["skews"] == 1

@@ -1,17 +1,22 @@
-"""Heterogeneous capability maps: specs, rate tables, stragglers."""
+"""Heterogeneous capability maps: specs, rank profiles, stragglers."""
 
 import pytest
 
 from repro.config import ClusterSpec, DGX_A100_CLUSTER
 from repro.hardware.device import A100_SXM_40GB, V100_SXM_32GB
 from repro.hardware.hetero import (
-    DeviceRateTable,
     DeviceRates,
     HeteroClusterSpec,
     STRAGGLER_KINDS,
     StragglerModel,
     UNIT_RATES,
+    distinct_profiles,
 )
+
+
+def sim_profiles(spec, world=None):
+    """The distinct (comp, mem) profiles a context runs the timeline at."""
+    return distinct_profiles(spec.rank_profiles(world))
 
 
 class TestDeviceRates:
@@ -33,42 +38,41 @@ class TestDeviceRates:
         with pytest.raises(ValueError):
             DeviceRates(**kwargs)
 
+    def test_unit_composes_to_the_other_side(self):
+        slow = DeviceRates(comp=0.5)
+        assert UNIT_RATES.compose(slow) is slow
+        # Multipliers above 1.0 (a faster device) compose like any other.
+        assert DeviceRates(comp=2.0).compose(slow).is_unit
 
-class TestDeviceRateTable:
-    def test_identity_detection(self):
-        assert DeviceRateTable().is_identity
-        assert DeviceRateTable(entries=((3, UNIT_RATES),)).is_identity
-        assert not DeviceRateTable(entries=((0, DeviceRates(comp=0.5)),)).is_identity
-        assert not DeviceRateTable(default=DeviceRates(mem=0.5)).is_identity
 
-    def test_lookup_falls_back_to_default(self):
-        table = DeviceRateTable(
-            entries=((1, DeviceRates(comp=0.5)),), default=DeviceRates(comm=0.9)
-        )
-        assert table.multipliers(1) == (0.5, 1.0, 1.0)
-        assert table.multipliers(0) == (1.0, 0.9, 1.0)
-        assert table.rates_for(1) == DeviceRates(comp=0.5)
+class TestDistinctProfiles:
+    def test_first_seen_order(self):
+        slow, slower = DeviceRates(comp=0.5), DeviceRates(comp=0.25)
+        profiles = (slower, UNIT_RATES, slow, slower, UNIT_RATES)
+        assert distinct_profiles(profiles) == (slower, UNIT_RATES, slow)
 
-    def test_duplicate_and_negative_devices_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DeviceRateTable(entries=((0, UNIT_RATES), (0, DeviceRates(comp=0.5))))
-        with pytest.raises(ValueError, match=">= 0"):
-            DeviceRateTable(entries=((-1, UNIT_RATES),))
+    def test_all_unit_collapses_to_empty(self):
+        assert distinct_profiles((UNIT_RATES,) * 4) == ()
+        # Equal by value, not by identity.
+        assert distinct_profiles((DeviceRates(), DeviceRates(1.0, 1.0, 1.0))) == ()
+
+    def test_unit_is_kept_beside_a_slow_profile(self):
+        slow = DeviceRates(mem=0.5)
+        assert distinct_profiles((UNIT_RATES, slow)) == (UNIT_RATES, slow)
 
 
 class TestHeteroClusterSpec:
     def test_degenerate_spec_is_homogeneous(self):
         spec = HeteroClusterSpec()
-        assert spec.is_homogeneous
-        assert spec.sim_profiles() == ()
+        assert sim_profiles(spec) == ()
+        assert set(spec.rank_profiles()) == {UNIT_RATES}
         assert spec.link_overrides() is None
-        assert spec.rate_table().is_identity
         assert spec.bottleneck_rates() == UNIT_RATES
         assert spec.min_memory_bytes() == A100_SXM_40GB.memory_bytes
 
     def test_device_spec_override_becomes_rate_ratio(self):
         spec = HeteroClusterSpec.of(devices={3: V100_SXM_32GB})
-        assert not spec.is_homogeneous
+        assert len(sim_profiles(spec)) == 2
         assert spec.device_for(3) == V100_SXM_32GB
         assert spec.device_for(0) == A100_SXM_40GB
         rates = spec.rates_for(3)
@@ -95,7 +99,7 @@ class TestHeteroClusterSpec:
                 2: DeviceRates(comm=0.25),  # comm-only: unit profile
             }
         )
-        profiles = spec.sim_profiles()
+        profiles = sim_profiles(spec)
         # slow profile + the healthy default, comm stripped to 1.0.
         assert DeviceRates(comp=0.5) in profiles
         assert UNIT_RATES in profiles
@@ -113,9 +117,10 @@ class TestHeteroClusterSpec:
 
     def test_world_limits_active_ranks(self):
         spec = HeteroClusterSpec.of(rates={32: DeviceRates(comp=0.5)})
-        assert spec.sim_profiles(16) == ()  # straggler outside the job
-        assert len(spec.sim_profiles(64)) == 2
-        assert spec.bottleneck_rank(64) == 32
+        assert sim_profiles(spec, 16) == ()  # straggler outside the job
+        assert len(sim_profiles(spec, 64)) == 2
+        assert spec.bottleneck_rates(16) == UNIT_RATES
+        assert spec.bottleneck_rates(64) == DeviceRates(comp=0.5)
 
     def test_key_is_stable_and_sensitive(self):
         a = HeteroClusterSpec.of(rates={0: DeviceRates(comp=0.5)})
@@ -132,6 +137,45 @@ class TestHeteroClusterSpec:
         with pytest.raises(IndexError):
             HeteroClusterSpec().device_for(64)
 
+    def test_duplicate_overrides_rejected(self):
+        with pytest.raises(ValueError, match="duplicate device override for rank 1"):
+            HeteroClusterSpec(
+                device_overrides=((1, V100_SXM_32GB), (1, A100_SXM_40GB))
+            )
+        with pytest.raises(ValueError, match="duplicate rate override for rank 2"):
+            HeteroClusterSpec(
+                rate_overrides=((2, DeviceRates(comp=0.5)), (2, UNIT_RATES))
+            )
+
+    def test_override_order_is_canonical(self):
+        slow, slower = DeviceRates(comp=0.5), DeviceRates(comp=0.25)
+        a = HeteroClusterSpec(rate_overrides=((5, slow), (1, slower)))
+        b = HeteroClusterSpec(rate_overrides=((1, slower), (5, slow)))
+        assert a.rate_overrides == ((1, slower), (5, slow))
+        assert a == b and a.key() == b.key()
+
+    @pytest.mark.parametrize(
+        "query",
+        ["rank_profiles", "link_overrides", "bottleneck_rates", "min_memory_bytes"],
+    )
+    def test_world_size_bounds(self, query):
+        spec = HeteroClusterSpec()
+        for world in (0, 65):
+            with pytest.raises(ValueError, match="world_size must be in"):
+                getattr(spec, query)(world)
+
+    def test_link_overrides_follow_the_active_world(self):
+        spec = HeteroClusterSpec.of(rates={32: DeviceRates(comm=0.5)})
+        assert spec.link_overrides(16) is None  # degraded rank outside the job
+        ov = spec.link_overrides(64)
+        assert ov.gpu(32) == 0.5
+        assert ov.node(4) == 0.5  # rank 32 is node 4's first GPU
+
+    def test_comm_only_rank_reaches_the_bottleneck_not_the_profiles(self):
+        spec = HeteroClusterSpec.of(rates={5: DeviceRates(comm=0.25)})
+        assert set(spec.rank_profiles()) == {UNIT_RATES}
+        assert spec.bottleneck_rates() == DeviceRates(comm=0.25)
+
 
 class TestStragglerModel:
     def test_kind_and_severity_validation(self):
@@ -144,11 +188,10 @@ class TestStragglerModel:
 
     @pytest.mark.parametrize("kind", STRAGGLER_KINDS)
     def test_severity_one_degenerates_to_uniform(self, kind):
-        spec = StragglerModel(kind, severity=1.0).build()
-        assert spec.is_homogeneous
+        assert StragglerModel(kind, severity=1.0).build() == HeteroClusterSpec()
 
     def test_uniform_has_no_overrides(self):
-        assert StragglerModel("uniform", severity=0.5).build().is_homogeneous
+        assert StragglerModel("uniform", severity=0.5).build() == HeteroClusterSpec()
 
     def test_single_slow_gpu_throttles_compute_only(self):
         spec = StragglerModel("single-slow-gpu", severity=0.5, target=7).build()
@@ -165,7 +208,7 @@ class TestStragglerModel:
     def test_degraded_link_throttles_comm_only(self):
         spec = StragglerModel("degraded-link", severity=0.25, target=3).build()
         assert spec.rates_for(3) == DeviceRates(comm=0.25)
-        assert spec.sim_profiles() == ()  # comm-only: no comp/mem profile
+        assert sim_profiles(spec) == ()  # comm-only: no comp/mem profile
         assert spec.link_overrides().gpu(3) == 0.25
 
     def test_random_jitter_is_seeded_and_bounded(self):

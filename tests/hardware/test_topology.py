@@ -12,40 +12,7 @@ def topo():
     return ClusterTopology(DGX_A100_CLUSTER)
 
 
-class TestStructure:
-    def test_gpu_count(self, topo):
-        gpus = {topo.rank_to_gpu(rank) for rank in range(topo.spec.world_size)}
-        assert len(gpus) == 64
-        assert {g.node for g in gpus} == set(range(8))
-        assert {g.local for g in gpus} == set(range(8))
-
-    def test_rank_mapping_roundtrip(self, topo):
-        gid = topo.rank_to_gpu(19)
-        assert (gid.node, gid.local) == (2, 3)
-        assert gid.global_rank(8) == 19
-
-    def test_rank_out_of_range(self, topo):
-        with pytest.raises(IndexError):
-            topo.rank_to_gpu(64)
-
-    def test_same_node(self, topo):
-        assert topo.same_node(0, 7)
-        assert not topo.same_node(7, 8)
-
-
 class TestBandwidths:
-    def test_intra_node_is_nvlink(self, topo):
-        assert topo.p2p_bandwidth(0, 1) == 600 * GBPS
-
-    def test_inter_node_is_ib(self, topo):
-        assert topo.p2p_bandwidth(0, 8) == 200 * GBITPS
-
-    def test_p2p_self_rejected(self, topo):
-        with pytest.raises(ValueError):
-            topo.p2p_bandwidth(3, 3)
-        with pytest.raises(ValueError, match="itself"):
-            topo.path_bandwidth(3, 3)
-
     def test_alltoall_single_node_is_nvlink(self, topo):
         # NVLink line rate discounted by intra-node NCCL efficiency.
         assert topo.alltoall_bandwidth(8) == 600 * GBPS * 0.6
@@ -68,12 +35,39 @@ class TestBandwidths:
         with pytest.raises(ValueError):
             topo.alltoall_bandwidth(65)
 
-    def test_bisection(self, topo):
-        assert topo.bisection_bandwidth() == 8 * 8 * 200 * GBITPS / 2
-
     def test_single_node_cluster(self):
         topo1 = ClusterTopology(ClusterSpec(num_nodes=1, gpus_per_node=4))
         assert topo1.alltoall_bandwidth(4) == 600 * GBPS * 0.6
+
+
+class TestPartialNodeWorlds:
+    """Worlds that do not fill their last node."""
+
+    def test_world_within_one_node_is_nvlink(self, topo):
+        for world in (2, 5, 8):
+            assert topo.alltoall_bandwidth(world) == 600 * GBPS * 0.6
+
+    def test_world_spilling_into_a_second_node(self, topo):
+        # 12 GPUs: node 0's 8 GPUs share its 8x200 Gbit/s NICs, and 4/12
+        # of each GPU's traffic crosses the fabric.
+        expected = (8 * 200 * GBITPS / 8) / (4 / 12) * 0.35
+        assert topo.alltoall_bandwidth(12) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "node, gated, spared", [(1, 9, 8), (2, 17, 16), (7, 57, 56)]
+    )
+    def test_only_participating_nodes_gate(self, topo, node, gated, spared):
+        # A world of `gated` ranks reaches into `node`; `spared` stops
+        # one rank short of it.
+        scaled = ClusterTopology(
+            DGX_A100_CLUSTER, LinkOverrides(node_scale=((node, 0.5),))
+        )
+        assert scaled.alltoall_bandwidth(gated) == pytest.approx(
+            topo.alltoall_bandwidth(gated) * 0.5
+        )
+        assert scaled.alltoall_bandwidth(spared) == topo.alltoall_bandwidth(
+            spared
+        )
 
 
 class TestLinkOverrides:
@@ -87,7 +81,6 @@ class TestLinkOverrides:
         )
         for w in (1, 8, 16, 64):
             assert scaled.alltoall_bandwidth(w) == topo.alltoall_bandwidth(w)
-        assert scaled.p2p_bandwidth(0, 9) == topo.p2p_bandwidth(0, 9)
 
     def test_degraded_gpu_gates_the_collective(self, topo):
         scaled = ClusterTopology(
@@ -110,16 +103,6 @@ class TestLinkOverrides:
         # The intra-node (NVLink) regime is untouched.
         assert scaled.alltoall_bandwidth(8) == topo.alltoall_bandwidth(8)
 
-    def test_p2p_follows_scaled_links(self, topo):
-        scaled = ClusterTopology(
-            DGX_A100_CLUSTER,
-            LinkOverrides(gpu_scale=((1, 0.5),), node_scale=((1, 0.25),)),
-        )
-        assert scaled.p2p_bandwidth(0, 1) == topo.p2p_bandwidth(0, 1) * 0.5
-        # Inter-node pair into node 1: the per-NIC cap scales with the
-        # degraded uplink.
-        assert scaled.p2p_bandwidth(0, 8) == topo.p2p_bandwidth(0, 8) * 0.25
-
     def test_override_validation(self):
         with pytest.raises(ValueError, match="positive"):
             LinkOverrides(gpu_scale=((0, 0.0),))
@@ -127,48 +110,71 @@ class TestLinkOverrides:
             LinkOverrides(node_scale=((0, 0.5), (0, 0.7)))
 
 
-#: (rank_a, rank_b) -> (path_bandwidth, p2p_bandwidth) in bytes/s on a
-#: 2-node x 4-GPU cluster with two degraded NVLinks and one degraded IB
-#: uplink, captured from the networkx shortest-path implementation the
-#: closed form replaced.
-PINNED_2x4 = {
-    (0, 1): (60000000000.0, 60000000000.0),
-    (0, 2): (600000000000.0, 600000000000.0),
-    (0, 3): (600000000000.0, 600000000000.0),
-    (0, 4): (150000000000.0, 18750000000.0),
-    (0, 5): (150000000000.0, 18750000000.0),
-    (0, 6): (120000000000.0, 18750000000.0),
-    (0, 7): (150000000000.0, 18750000000.0),
-    (1, 2): (60000000000.0, 60000000000.0),
-    (1, 3): (60000000000.0, 60000000000.0),
-    (1, 4): (60000000000.0, 18750000000.0),
-    (1, 5): (60000000000.0, 18750000000.0),
-    (1, 6): (60000000000.0, 18750000000.0),
-    (1, 7): (60000000000.0, 18750000000.0),
-    (2, 3): (600000000000.0, 600000000000.0),
-    (2, 4): (150000000000.0, 18750000000.0),
-    (2, 5): (150000000000.0, 18750000000.0),
-    (2, 6): (120000000000.0, 18750000000.0),
-    (2, 7): (150000000000.0, 18750000000.0),
-    (3, 4): (150000000000.0, 18750000000.0),
-    (3, 5): (150000000000.0, 18750000000.0),
-    (3, 6): (120000000000.0, 18750000000.0),
-    (3, 7): (150000000000.0, 18750000000.0),
-    (4, 5): (600000000000.0, 600000000000.0),
-    (4, 6): (120000000000.0, 120000000000.0),
-    (4, 7): (600000000000.0, 600000000000.0),
-    (5, 6): (120000000000.0, 120000000000.0),
-    (5, 7): (600000000000.0, 600000000000.0),
-    (6, 7): (120000000000.0, 120000000000.0),
-}
+class TestTrafficView:
+    """``traffic=``: each rank's finish time scales with its own load
+    over its own link, and the collective ends with the slowest rank."""
 
+    def test_uniform_traffic_is_min_link_gating(self):
+        scaled = ClusterTopology(
+            DGX_A100_CLUSTER,
+            LinkOverrides(gpu_scale=((3, 0.5),), node_scale=((0, 0.5),)),
+        )
+        for world in (8, 16, 64):
+            assert scaled.alltoall_bandwidth(
+                world, traffic=(1.0,) * world
+            ) == scaled.alltoall_bandwidth(world)
 
-def test_closed_form_matches_pinned_table():
-    topo = ClusterTopology(
-        ClusterSpec(num_nodes=2, gpus_per_node=4),
-        LinkOverrides(gpu_scale=((1, 0.1), (6, 0.2)), node_scale=((0, 0.75),)),
+    def test_nominal_links_ignore_traffic(self, topo):
+        skew = tuple(float(rank + 1) for rank in range(64))
+        unit = ClusterTopology(
+            DGX_A100_CLUSTER,
+            LinkOverrides(gpu_scale=((0, 1.0),), node_scale=((0, 1.0),)),
+        )
+        for world in (8, 64):
+            nominal = topo.alltoall_bandwidth(world)
+            assert topo.alltoall_bandwidth(world, traffic=skew[:world]) == nominal
+            assert unit.alltoall_bandwidth(world, traffic=skew[:world]) == nominal
+
+    def test_lightly_loaded_degraded_link_stops_gating(self, topo):
+        scaled = ClusterTopology(
+            DGX_A100_CLUSTER, LinkOverrides(gpu_scale=((3, 0.5),))
+        )
+        # Rank 3 moves a quarter of the busiest rank's volume at half
+        # rate: it finishes at half the busiest rank's time.
+        light = tuple(0.25 if rank == 3 else 1.0 for rank in range(8))
+        assert scaled.alltoall_bandwidth(8, traffic=light) == (
+            topo.alltoall_bandwidth(8)
+        )
+        # At three quarters of the volume it finishes last, 1.5x late.
+        heavy = tuple(0.75 if rank == 3 else 1.0 for rank in range(8))
+        assert scaled.alltoall_bandwidth(8, traffic=heavy) == pytest.approx(
+            topo.alltoall_bandwidth(8) / 1.5
+        )
+
+    def test_node_traffic_gates_the_ib_share(self, topo):
+        scaled = ClusterTopology(
+            DGX_A100_CLUSTER, LinkOverrides(node_scale=((0, 0.5),))
+        )
+        # Node 0's GPUs inject half of every other node's load through
+        # their half-rate uplink: node 0 finishes with the others.
+        half = tuple(0.5 if rank < 8 else 1.0 for rank in range(64))
+        assert scaled.alltoall_bandwidth(64, traffic=half) == (
+            topo.alltoall_bandwidth(64)
+        )
+        full = tuple(1.0 if rank < 8 else 0.5 for rank in range(64))
+        assert scaled.alltoall_bandwidth(64, traffic=full) == pytest.approx(
+            topo.alltoall_bandwidth(64) * 0.5
+        )
+
+    @pytest.mark.parametrize(
+        "traffic, match",
+        [
+            ((1.0,) * 7, "7 entries for world 8"),
+            ((1.0,) * 7 + (-0.5,), ">= 0"),
+            ((0.0,) * 8, "positive maximum"),
+        ],
+        ids=["length", "negative", "all-zero"],
     )
-    for (a, b), (path, p2p) in PINNED_2x4.items():
-        for x, y in ((a, b), (b, a)):
-            assert topo.path_bandwidth(x, y) == path, (x, y)
-            assert topo.p2p_bandwidth(x, y) == p2p, (x, y)
+    def test_traffic_validation(self, topo, traffic, match):
+        with pytest.raises(ValueError, match=match):
+            topo.alltoall_bandwidth(8, traffic=traffic)

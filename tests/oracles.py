@@ -1,8 +1,8 @@
 """Slow, independent twins of the production evaluation path.
 
-Nothing in the library calls these; they exist so tests and
-``benchmarks/bench_sim_engine.py`` can check (and time) the fast path
-against a second computation of the same numbers:
+The library never calls these; tests and
+``benchmarks/bench_sim_engine.py`` import them from here to check (and
+time) the fast path against a second computation of the same numbers:
 
 * :class:`ReferenceSimEngine` — the original straight-line fluid loop:
   rescan every lane and re-rate every running op at every event,
@@ -13,17 +13,23 @@ against a second computation of the same numbers:
   memoized, fresh stage costs, a fresh Op DAG from ``build_timeline``
   and a fully recorded run for every probe.  Install it with
   ``ctx.evaluator = ColdEvaluator(ctx)``; warm results must equal it.
+* :func:`exhaustive_placement` — the true placement optimum by
+  enumeration, which :func:`~repro.perfmodel.placeopt.optimize_placement`
+  must match on every small instance.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.config import MoELayerSpec
-from repro.hardware.hetero import DeviceRateTable
+from repro.hardware.hetero import UNIT_RATES, DeviceRates
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE, StreamKind
 from repro.memory.footprint import FootprintModel
 from repro.perfmodel.evalcache import Evaluator
+from repro.perfmodel.placeopt import PlacementProblem
+from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.selector import StrategySelector
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts, build_timeline
@@ -34,7 +40,6 @@ from repro.sim.engine import (
     OpRecord,
     SimResult,
     Timing,
-    _active_rate_table,
     _validate,
 )
 
@@ -51,16 +56,16 @@ class ReferenceSimEngine:
     """The original fluid loop: full-lane rescan and global re-rating at
     every event.  O(lanes + running) per event — kept as the oracle the
     fast path is proven against and benchmarked over.  Accepts the same
-    per-device ``device_rates`` table so heterogeneous runs can be
-    cross-checked against it too."""
+    ``rates`` profile so heterogeneous runs can be cross-checked against
+    it too."""
 
     def __init__(
         self,
         interference: InterferenceModel | None = None,
-        device_rates: DeviceRateTable | None = None,
+        rates: DeviceRates = UNIT_RATES,
     ) -> None:
         self.interference = interference or PAPER_INTERFERENCE
-        self.device_rates = _active_rate_table(device_rates)
+        self.rates = rates
 
     def makespan(self, ops: Sequence[Op]) -> float:
         """API parity with :meth:`SimEngine.makespan` (full run, no shortcut)."""
@@ -154,15 +159,12 @@ class ReferenceSimEngine:
         active_by_device: dict[int, set[StreamKind]] = {}
         for op in running:
             active_by_device.setdefault(op.device, set()).add(op.stream)
-        rates = {
+        mult = self.rates.as_tuple()
+        return {
             op: self.interference.slowdown(op.stream, active_by_device[op.device])
+            * mult[_KIND_INDEX[op.stream]]
             for op in running
         }
-        if self.device_rates is not None:
-            for op in rates:
-                mult = self.device_rates.multipliers(op.device)
-                rates[op] *= mult[_KIND_INDEX[op.stream]]
-        return rates
 
 
 class ColdEvaluator(Evaluator):
@@ -245,3 +247,40 @@ class ColdEvaluator(Evaluator):
         self, spec: MoELayerSpec, workload: WorkloadSpec | None = None
     ) -> StrategySelector:
         return self.build_selector(spec, workload)
+
+
+def exhaustive_placement(problem: PlacementProblem) -> PlacementSpec:
+    """The true optimum by enumeration — ``W^E`` assignments.
+
+    Small cases only (the agreement test sweeps ``E <= 6, W <= 4``);
+    ties break on the lexicographically smallest assignment so the
+    result is deterministic.  Raises if no assignment is feasible.
+    """
+    e, w = problem.spec.num_experts, problem.world_size
+    if w**e > 2_000_000:
+        raise ValueError(
+            f"exhaustive search over {w}^{e} assignments is intractable; "
+            "use optimize_placement"
+        )
+    best: tuple[int, ...] | None = None
+    best_score = math.inf
+    assignment = [0] * e
+    while True:
+        candidate = tuple(assignment)
+        if problem.feasible(candidate):
+            score = problem.score(candidate)
+            if score < best_score - 1e-12:
+                best, best_score = candidate, score
+        # odometer increment
+        i = e - 1
+        while i >= 0 and assignment[i] == w - 1:
+            assignment[i] = 0
+            i -= 1
+        if i < 0:
+            break
+        assignment[i] += 1
+    if best is None:
+        raise ValueError(
+            "no feasible placement under the per-device memory bound"
+        )
+    return PlacementSpec.explicit(best)

@@ -12,9 +12,9 @@ import pytest
 
 from repro.config import MOE_GPT3_XL, get_preset
 from repro.hardware.hetero import StragglerModel
-from repro.perfmodel.evalcache import Evaluator
+from repro.perfmodel.evalcache import Evaluator, _gating
 from repro.pipeline.schedule import MoEStageCosts, build_timeline
-from repro.sim.engine import SimEngine
+from repro.sim.engine import SimEngine, Timing
 from repro.systems import (
     FastMoEModel,
     FasterMoEModel,
@@ -22,7 +22,7 @@ from repro.systems import (
     PipeMoEModel,
 )
 from repro.systems.base import SystemContext
-from repro.testing.oracles import ColdEvaluator
+from tests.oracles import ColdEvaluator
 
 WORLD = 16
 BATCHES = (4096, 16384)
@@ -36,6 +36,18 @@ def make_context(enabled: bool, **kwargs) -> SystemContext:
     return ctx
 
 
+class Eq10Pick:
+    """The sweep's ``eq10`` route at n=4 behind a system model's
+    ``evaluate``: the closed-form Eq. 10 selection of the context's
+    (memoized or cold) selector."""
+
+    def __init__(self, ctx: SystemContext) -> None:
+        self.context = ctx
+
+    def evaluate(self, spec, batch):
+        return self.context.evaluator.selector(spec).select(batch, 4)
+
+
 SYSTEM_FACTORIES = {
     "fastmoe": lambda ctx: FastMoEModel(ctx),
     "fastermoe": lambda ctx: FasterMoEModel(ctx),
@@ -43,7 +55,7 @@ SYSTEM_FACTORIES = {
     "pipemoe_n1": lambda ctx: PipeMoEModel(ctx, fixed_n=1),
     "mpipemoe": lambda ctx: MPipeMoEModel(ctx),
     "mpipemoe_S2": lambda ctx: MPipeMoEModel(ctx, fixed_n=4, fixed_strategy="S2"),
-    "mpipemoe_eq10": lambda ctx: MPipeMoEModel(ctx, fixed_n=4, sim_selection=False),
+    "mpipemoe_eq10": lambda ctx: Eq10Pick(ctx),
 }
 
 
@@ -168,11 +180,9 @@ class TestBuildingBlocks:
         spec = get_preset("GPT-XL")
         first = ctx.evaluator.selector(spec)
         assert ctx.evaluator.selector(spec) is first
-        cold = MPipeMoEModel(
-            make_context(enabled=False), fixed_n=4, sim_selection=False
-        )
-        warm_pick = first.select(8192, 4).strategy.name
-        assert warm_pick == cold.choose_strategy(spec, 8192, 4)
+        cold = make_context(enabled=False).evaluator.selector(spec)
+        assert cold is not first
+        assert first.select(8192, 4) == cold.select(8192, 4)
 
     def test_clear_resets_memo(self):
         ctx = make_context(enabled=True)
@@ -307,3 +317,27 @@ class TestCacheInfo:
         assert info["evictions"] == 0
         assert info["max_entries"] is None
         assert info["makespan_misses"] == ctx.evaluator.stats.makespan_misses
+
+
+class _StubEngine:
+    """An engine whose replay returns one fixed :class:`Timing`."""
+
+    def __init__(self, timing: Timing) -> None:
+        self._timing = timing
+
+    def timing(self, dag, works) -> Timing:
+        return self._timing
+
+
+def test_gating_keeps_the_first_worst_run():
+    """Two runs tie on the worst makespan and differ on comp busy time:
+    the first one gates (``max()``'s order), so a report's utilization
+    never depends on which tied profile came last."""
+    first, tied = Timing(2.0, 1.0), Timing(2.0, 1.5)
+    runs = [
+        (_StubEngine(Timing(1.0, 0.5)), None),
+        (_StubEngine(first), None),
+        (_StubEngine(tied), None),
+    ]
+    assert _gating(None, runs) == (1, first)
+    assert _gating(None, runs[::-1]) == (0, tied)

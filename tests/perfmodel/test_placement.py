@@ -53,8 +53,6 @@ class TestExpertPlacement:
         # The replica stores a full expert copy: Eq. 1 must see it.
         assert p.counts() == (2, 3)
         assert p.max_experts_per_rank == 3
-        assert p.experts_on(0) == (0, 1)
-        assert p.experts_on(1) == (0, 2, 3)
 
     def test_rank_loads_conserve_rows(self):
         p = ExpertPlacement(5, 3, (0, 2, 2, 1, 0))
@@ -82,11 +80,6 @@ class TestExpertPlacement:
     def test_shadowed_needs_two_ranks(self):
         with pytest.raises(ValueError, match="two ranks"):
             ExpertPlacement.shadowed(4, 1)
-
-    def test_is_contiguous(self):
-        assert ExpertPlacement.contiguous(8, 4).is_contiguous
-        assert not ExpertPlacement.round_robin(8, 4).is_contiguous
-        assert not ExpertPlacement.shadowed(8, 4).is_contiguous
 
 
 class TestPlacementSpec:

@@ -18,15 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MOE_GPT3_S
-from repro.perfmodel.placeopt import (
-    PlacementProblem,
-    exhaustive_placement,
-    optimize_placement,
-)
+from repro.perfmodel.placeopt import PlacementProblem, optimize_placement
 from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.workload import WorkloadSpec
 from repro.sweep import runner as runner_mod
 from repro.sweep.grid import Scenario
+from tests.oracles import exhaustive_placement
 
 BATCH = 4096
 

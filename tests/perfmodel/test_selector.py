@@ -36,12 +36,6 @@ class TestSelection:
         assert res.strategy.name != "none"
         assert "none" not in res.costs
 
-    def test_allow_none_includes_baseline(self):
-        res = make_selector().select(8192, 4, allow_none=True)
-        assert "none" in res.costs
-        # none is never slower than the reuse strategies in pure Eq. 10.
-        assert res.strategy.name == "none"
-
     def test_memory_constraint_changes_choice(self):
         """When 'none' does not fit, a reuse strategy must be selected."""
         sel = make_selector()
@@ -49,7 +43,7 @@ class TestSelection:
         reuse_bytes = sel.memory_bytes(STRATEGIES["S4"], 16384, 8)
         assert reuse_bytes < none_bytes
         tight = make_selector(capacity=(none_bytes + reuse_bytes) // 2)
-        res = tight.select(16384, 8, allow_none=True)
+        res = tight.select(16384, 8)
         assert res.strategy.reuses_memory
 
     def test_nothing_fits_raises(self):
@@ -61,8 +55,6 @@ class TestSelection:
         sel = make_selector()
         with pytest.raises(MemoryError):
             sel.select(8192, 1)  # no reuse strategy valid at n=1
-        res = sel.select(8192, 1, allow_none=True)
-        assert res.strategy.name == "none"
 
     def test_memory_bytes_without_footprint(self):
         topo = ClusterTopology(DGX_A100_CLUSTER)

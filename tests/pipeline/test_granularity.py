@@ -5,6 +5,15 @@ import pytest
 from repro.pipeline.granularity import GranularitySearcher, RangeSet
 
 
+def is_disjoint_sorted(ranges: RangeSet) -> bool:
+    """RangeSet's invariant: sorted by lower bound, pairwise disjoint,
+    and no range upside down."""
+    spans = list(ranges)
+    return all(a[1] < b[0] for a, b in zip(spans, spans[1:])) and all(
+        lower <= upper for lower, upper, _ in spans
+    )
+
+
 def step_cost(batch, n):
     """Synthetic cost whose argmin over n grows with batch (monotone)."""
     optimal = 1 if batch < 1000 else 2 if batch < 4000 else 4 if batch < 16000 else 8
@@ -33,7 +42,7 @@ class TestRangeSet:
         rs.insert(100, 2)
         rs.insert(500, 4)
         rs.extend(450, 2)  # would overlap n=4's lower bound region
-        assert rs.is_disjoint_sorted()
+        assert is_disjoint_sorted(rs)
         assert rs.find(500) == 4
 
     def test_double_insert_same_b_rejected(self):
@@ -90,7 +99,7 @@ class TestSearcher:
         s = GranularitySearcher(step_cost, candidates=(1, 2, 4, 8))
         for b in (100, 500, 1500, 2500, 5000, 10000, 20000, 40000, 800, 3500):
             s.configure(b)
-            assert s.ranges.is_disjoint_sorted()
+            assert is_disjoint_sorted(s.ranges)
 
     def test_all_candidates_tried_regardless_of_divisibility(self):
         # The layer pads capacity, so n need not divide B.

@@ -62,10 +62,15 @@ class TestStageCosts:
             costs_for(comm=comm, gemm_derate=0.0)
 
 
+def forward(ops):
+    """The forward half of a timeline: every op listed before ``loss``."""
+    return ops[: [o.name for o in ops].index("loss")]
+
+
 class TestTimelineStructure:
     def test_forward_op_counts(self, comm):
         c = costs_for(comm=comm, n=4)
-        ops = build_timeline(c, 4, strategy="none", include_backward=False)
+        ops = forward(build_timeline(c, 4, strategy="none"))
         tags = [o.tag for o in ops]
         assert tags.count("S") == 4 and tags.count("C") == 4 and tags.count("R") == 4
 
@@ -85,7 +90,7 @@ class TestTimelineStructure:
 
     def test_comm_lane_alternates_s_r(self, comm):
         c = costs_for(comm=comm, n=4)
-        ops = build_timeline(c, 4, strategy="none", include_backward=False)
+        ops = forward(build_timeline(c, 4, strategy="none"))
         comm_ops = [o.name for o in ops if o.stream == StreamKind.COMM]
         assert comm_ops == ["S0", "S1", "R0", "S2", "R1", "S3", "R2", "R3"]
 
@@ -117,9 +122,11 @@ class TestTimelineBehaviour:
 
     def test_backward_included_increases_makespan(self, comm):
         c = costs_for(comm=comm, n=2)
-        fw = timeline_makespan(build_timeline(c, 2, include_backward=False)).makespan
-        fwbw = timeline_makespan(build_timeline(c, 2)).makespan
-        assert fwbw > 1.5 * fw
+        res = timeline_makespan(build_timeline(c, 2))
+        # The zero-work loss op waits on every forward op; every
+        # backward op waits on it.
+        fw = next(r.end for r in res.records if r.name == "loss")
+        assert res.makespan > 1.5 * fw
 
     def test_strategy_overhead_ordering_when_comm_bound(self, comm):
         """At 64 GPUs communication dominates; S2 (extra comm + PCIe)

@@ -28,7 +28,7 @@ from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts, build_timeline, compile_timeline
 from repro.sim.engine import SimEngine, compile_dag
 from repro.systems.base import SystemContext
-from repro.testing.oracles import ColdEvaluator
+from tests.oracles import ColdEvaluator
 
 #: (E, W) geometries: divisible, E % W != 0, and W > E.
 GEOMETRIES = ((8, 4), (8, 3), (5, 3), (3, 8), (64, 64))

@@ -18,6 +18,7 @@ from repro.pipeline.granularity import GranularitySearcher, RangeSet
 from repro.sim.memory_allocator import CachingAllocator
 from repro.tensor import Tensor
 from repro.tensor import functional as F
+from tests.pipeline.test_granularity import is_disjoint_sorted
 
 # ---------------------------------------------------------------- collectives
 
@@ -199,7 +200,7 @@ def test_algorithm1_equals_exhaustive_under_monotone_cost(queries, thresholds):
         got = searcher.configure(b)
         best = min(candidates, key=lambda n: cost(b, n))
         assert cost(b, got) == cost(b, best)
-        assert searcher.ranges.is_disjoint_sorted()
+        assert is_disjoint_sorted(searcher.ranges)
 
 
 @given(
@@ -219,7 +220,7 @@ def test_rangeset_stays_disjoint_sorted(inserts):
             rs.insert(b, n)
         else:
             rs.extend(b, n)
-        assert rs.is_disjoint_sorted()
+        assert is_disjoint_sorted(rs)
 
 
 # -------------------------------------------------------------------- tensor

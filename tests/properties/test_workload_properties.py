@@ -18,7 +18,7 @@ from repro.perfmodel.cost import HardwareRates, PerfModel
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts
 from repro.systems.base import SystemContext
-from repro.testing.oracles import ColdEvaluator
+from tests.oracles import ColdEvaluator
 
 BATCHES = (1024, 4096, 16384, 16383)  # include a non-divisible point
 KS = (2, 4)

@@ -176,7 +176,7 @@ class TestMakespanMode:
         ).makespan
 
     def test_reference_makespan_parity(self):
-        from repro.testing.oracles import ReferenceSimEngine
+        from tests.oracles import ReferenceSimEngine
 
         got = ReferenceSimEngine().makespan(_pipeline_dag())
         assert got == pytest.approx(SimEngine().makespan(_pipeline_dag()), rel=1e-9)
@@ -254,7 +254,3 @@ class TestResultQueries:
         res = self._result()
         assert res.utilization(0, COMP) == pytest.approx(1.0)
         assert res.utilization(0, COMM) == pytest.approx(1.0 / 3.0)
-
-    def test_by_tag(self):
-        res = self._result()
-        assert [r.name for r in res.by_tag("S")] == ["c"]

@@ -3,7 +3,7 @@
 ``run``, ``run_compiled``, ``compiled_makespan`` and
 ``record_compiled_schedule`` all drive the one event loop, so on random
 layered DAGs — one to four devices, every stream kind, zero-work barrier
-ops, identity and skewed per-device rate tables — they must agree to the
+ops, the unit rate profile and skewed ones — they must agree to the
 last bit, and replaying the recorded schedule must reproduce the same
 float.  The cached replay entry ``timing``, warmed on one work vector,
 must price a second one like the loop, whether it replays or records
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.hetero import DeviceRates, DeviceRateTable
+from repro.hardware.hetero import UNIT_RATES, DeviceRates
 from repro.hardware.interference import PAPER_INTERFERENCE, StreamKind
 from repro.sim.engine import (
     SCHEDULES_PER_DAG,
@@ -28,18 +28,16 @@ from repro.sim.engine import (
     compile_dag,
     replay_schedule,
 )
-from repro.testing.oracles import ReferenceSimEngine
+from tests.oracles import ReferenceSimEngine
 
 #: 0.0 makes a zero-work barrier op.
 WORKS = (0.0, 0.25, 0.5, 1.0, 1.75, 3.0)
 
-RATE_TABLES = (
-    None,
-    DeviceRateTable(),  # identity: collapses to the homogeneous path
-    DeviceRateTable(
-        entries=((0, DeviceRates(comp=0.5)), (1, DeviceRates(comm=0.7, mem=0.9)))
-    ),
-    DeviceRateTable(default=DeviceRates(comp=0.8, comm=0.6, mem=0.9)),
+RATE_PROFILES = (
+    UNIT_RATES,
+    DeviceRates(comp=0.5),
+    DeviceRates(comm=0.7, mem=0.9),
+    DeviceRates(comp=0.8, comm=0.6, mem=0.9),
 )
 
 
@@ -92,9 +90,9 @@ def comp_busy(sim) -> float:
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(ops=layered_dags(), table=st.sampled_from(RATE_TABLES), data=st.data())
-def test_entry_points_agree(ops, table, data):
-    engine = SimEngine(device_rates=table)
+@given(ops=layered_dags(), profile=st.sampled_from(RATE_PROFILES), data=st.data())
+def test_entry_points_agree(ops, profile, data):
+    engine = SimEngine(rates=profile)
     dag = compile_dag(ops)
 
     recorded = engine.run(ops)
@@ -106,7 +104,7 @@ def test_entry_points_agree(ops, table, data):
     assert bits(engine.compiled_makespan(dag)) == bits(recorded.makespan)
     assert bits(float(spans[0])) == bits(recorded.makespan)
 
-    reference = ReferenceSimEngine(device_rates=table).run(ops)
+    reference = ReferenceSimEngine(rates=profile).run(ops)
     assert recorded.makespan == pytest.approx(reference.makespan, rel=1e-9)
 
     # The cached entry: warm it on the first vector, then price a second

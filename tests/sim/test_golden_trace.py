@@ -16,7 +16,7 @@ import pytest
 from repro.hardware.interference import InterferenceModel
 from repro.pipeline.schedule import build_timeline, compile_timeline
 from repro.sim.engine import SimEngine, compile_dag
-from repro.testing.oracles import ReferenceSimEngine
+from tests.oracles import ReferenceSimEngine
 
 from .golden_dags import GOLDEN_COSTS, exact_dag, interference_timeline
 

@@ -1,27 +1,26 @@
-"""Per-device engine rates, and the degenerate-hetero fast path.
+"""Engine rate profiles, and the degenerate-hetero fast path.
 
 Two contracts:
 
-* an *identity* rate table (the engine view of a ``HeteroClusterSpec``
-  with all-identical devices) must be byte-identical to the homogeneous
+* the *unit* profile (what a ``HeteroClusterSpec`` with all-identical
+  devices gives every rank) must be byte-identical to the homogeneous
   engine — same golden traces, same makespans — across all four modes
   (recorded, records-free, compiled, reference);
-* a non-identity table slows exactly the streams of exactly the devices
-  it names, in every mode, and the fast path still agrees with the
-  reference engine.
+* any other profile slows exactly the stream kinds it names, in every
+  mode, and the fast path still agrees with the reference engine.
 """
 
 import pytest
 
 from repro.hardware.hetero import (
-    DeviceRateTable,
+    UNIT_RATES,
     DeviceRates,
     HeteroClusterSpec,
     StragglerModel,
 )
 from repro.hardware.interference import InterferenceModel, StreamKind
 from repro.sim.engine import Op, SimEngine, compile_dag
-from repro.testing.oracles import ColdEvaluator, ReferenceSimEngine
+from tests.oracles import ColdEvaluator, ReferenceSimEngine
 
 from .golden_dags import exact_dag, interference_timeline
 from .test_golden_trace import (
@@ -33,29 +32,35 @@ from .test_golden_trace import (
     trace_of,
 )
 
-#: The engine rate table of a HeteroClusterSpec whose devices are all
-#: identical — what SystemContext would install for a degenerate spec.
-DEGENERATE_TABLE = HeteroClusterSpec().rate_table()
+#: The profile every rank of a HeteroClusterSpec with all-identical
+#: devices runs at — what SystemContext would install for a degenerate
+#: spec.
+DEGENERATE_PROFILE = HeteroClusterSpec().rank_profiles()[0]
 
 
 class TestDegenerateHeteroFastPath:
     """All-identical devices => byte-identical to the homogeneous engine."""
 
-    def test_identity_table_is_dropped(self):
-        assert DEGENERATE_TABLE.is_identity
-        assert SimEngine(device_rates=DEGENERATE_TABLE).device_rates is None
-        assert ReferenceSimEngine(device_rates=DEGENERATE_TABLE).device_rates is None
+    def test_degenerate_spec_runs_at_the_unit_profile(self):
+        assert set(HeteroClusterSpec().rank_profiles()) == {UNIT_RATES}
+        assert DEGENERATE_PROFILE.is_unit
+        assert SimEngine().rates == ReferenceSimEngine().rates == UNIT_RATES
+        for interference in (NO_INTERFERENCE, None):
+            assert (
+                SimEngine(interference, DEGENERATE_PROFILE)._flat_rates
+                == SimEngine(interference)._flat_rates
+            )
 
     def test_recorded_mode_golden_traces(self):
-        res = SimEngine(NO_INTERFERENCE, DEGENERATE_TABLE).run(exact_dag())
+        res = SimEngine(NO_INTERFERENCE, DEGENERATE_PROFILE).run(exact_dag())
         assert res.makespan == EXACT_MAKESPAN
         assert trace_of(res) == EXACT_GOLDEN
-        res = SimEngine(device_rates=DEGENERATE_TABLE).run(interference_timeline())
+        res = SimEngine(rates=DEGENERATE_PROFILE).run(interference_timeline())
         assert res.makespan == SimEngine().run(interference_timeline()).makespan
         assert trace_of(res) == trace_of(SimEngine().run(interference_timeline()))
 
     def test_reference_mode_golden_trace(self):
-        res = ReferenceSimEngine(NO_INTERFERENCE, DEGENERATE_TABLE).run(exact_dag())
+        res = ReferenceSimEngine(NO_INTERFERENCE, DEGENERATE_PROFILE).run(exact_dag())
         assert res.makespan == EXACT_MAKESPAN
         assert trace_of(res) == EXACT_GOLDEN
 
@@ -67,8 +72,8 @@ class TestDegenerateHeteroFastPath:
         ):
             plain_fast = SimEngine(interference)
             plain_ref = ReferenceSimEngine(interference)
-            hetero_fast = SimEngine(interference, DEGENERATE_TABLE)
-            hetero_ref = ReferenceSimEngine(interference, DEGENERATE_TABLE)
+            hetero_fast = SimEngine(interference, DEGENERATE_PROFILE)
+            hetero_ref = ReferenceSimEngine(interference, DEGENERATE_PROFILE)
             assert (
                 hetero_fast.run(build()).makespan
                 == plain_fast.run(build()).makespan
@@ -95,42 +100,54 @@ def two_device_chain():
     return [a, b]
 
 
-STRAGGLER_TABLE = DeviceRateTable(entries=((1, DeviceRates(comp=0.5)),))
-
-
 class TestPerDeviceRates:
     def test_straggler_device_runs_at_its_multiplier(self):
-        res = SimEngine(NO_INTERFERENCE, STRAGGLER_TABLE).run(two_device_chain())
-        got = trace_of(res)
-        assert got[("a", 0)] == (0.0, 1.0)  # healthy device unaffected
-        assert got[("b", 1)] == (0.0, 2.0)  # 0.5x comp => twice the time
+        """A straggler rank's profile from its spec slows the comp ops it
+        runs; a healthy rank's profile leaves them at nominal time."""
+        spec = StragglerModel("single-slow-gpu", severity=0.5, target=1).build()
+        straggler, healthy = spec.rank_profiles()[1], spec.rank_profiles()[0]
+        res = SimEngine(NO_INTERFERENCE, straggler).run(two_device_chain())
+        assert trace_of(res)[("b", 1)] == (0.0, 2.0)  # 0.5x comp => twice
         assert res.makespan == 2.0
+        res = SimEngine(NO_INTERFERENCE, healthy).run(two_device_chain())
+        assert trace_of(res)[("b", 1)] == (0.0, 1.0)
+        assert res.makespan == 1.0
+
+    def test_faster_than_nominal_profile_shortens_ops(self):
+        fast = DeviceRates(comp=2.0, mem=4.0)
+        ops = [
+            Op("comp", 0, StreamKind.COMP, 1.0),
+            Op("copy", 0, StreamKind.MEM, 1.0),
+        ]
+        for engine in (SimEngine, ReferenceSimEngine):
+            got = trace_of(engine(NO_INTERFERENCE, fast).run(ops))
+            assert got[("comp", 0)] == (0.0, 0.5), engine
+            assert got[("copy", 0)] == (0.0, 0.25), engine
 
     def test_kind_selectivity(self):
-        """Only the throttled stream kind of the throttled device slows."""
-        table = DeviceRateTable(entries=((0, DeviceRates(comm=0.25)),))
+        """Only the throttled stream kind slows, on every device."""
         ops = [
             Op("comp", 0, StreamKind.COMP, 1.0),
             Op("comm", 0, StreamKind.COMM, 1.0),
             Op("comm1", 1, StreamKind.COMM, 1.0),
         ]
-        got = trace_of(SimEngine(NO_INTERFERENCE, table).run(ops))
+        got = trace_of(SimEngine(NO_INTERFERENCE, DeviceRates(comm=0.25)).run(ops))
         assert got[("comp", 0)] == (0.0, 1.0)
         assert got[("comm", 0)] == (0.0, 4.0)
-        assert got[("comm1", 1)] == (0.0, 1.0)
+        assert got[("comm1", 1)] == (0.0, 4.0)
 
     def test_default_profile_applies_to_every_device(self):
-        table = DeviceRateTable(default=DeviceRates(comp=0.5))
-        res = SimEngine(NO_INTERFERENCE, table).run(two_device_chain())
+        res = SimEngine(NO_INTERFERENCE, DeviceRates(comp=0.5)).run(two_device_chain())
         assert res.makespan == 2.0
         assert trace_of(res)[("a", 0)] == (0.0, 2.0)
+        assert trace_of(res)[("b", 1)] == (0.0, 2.0)
 
     def test_all_modes_agree_under_hetero_rates(self):
         """recorded == records-free == compiled == reference with skew,
         on the full interference timeline running on a slowed device."""
-        table = DeviceRateTable(default=DeviceRates(comp=0.5, mem=0.8))
-        fast = SimEngine(device_rates=table)
-        ref = ReferenceSimEngine(device_rates=table)
+        profile = DeviceRates(comp=0.5, mem=0.8)
+        fast = SimEngine(rates=profile)
+        ref = ReferenceSimEngine(rates=profile)
         ops = interference_timeline
         recorded = fast.run(ops()).makespan
         assert fast.run(ops(), record=False).makespan == recorded
@@ -140,14 +157,13 @@ class TestPerDeviceRates:
         assert recorded > SimEngine().run(ops()).makespan
 
     def test_interference_composes_with_device_multiplier(self):
-        """Rate = interference slowdown x device multiplier."""
+        """Rate = interference slowdown x profile multiplier."""
         interference = InterferenceModel()
-        table = DeviceRateTable(entries=((0, DeviceRates(comm=0.5)),))
         ops = [
             Op("comp", 0, StreamKind.COMP, 1.0),
             Op("comm", 0, StreamKind.COMM, 0.72),
         ]
-        got = trace_of(SimEngine(interference, table).run(ops))
+        got = trace_of(SimEngine(interference, DeviceRates(comm=0.5)).run(ops))
         # comm runs at mu_comp * 0.5 = 0.36 while comp is active; comp
         # finishes at ~1.0 (sigma=0.96 slowdown -> 1/0.96), after which
         # comm continues at 0.5.
@@ -162,13 +178,9 @@ class TestPerDeviceRates:
 
         rng = random.Random(13)
         kinds = list(StreamKind)
-        table = DeviceRateTable(
-            entries=(
-                (0, DeviceRates(comp=0.5)),
-                (1, DeviceRates(comm=0.7, mem=0.9)),
-            ),
-        )
+        profiles = (DeviceRates(comp=0.5), DeviceRates(comm=0.7, mem=0.9))
         for trial in range(4):
+            profile = profiles[trial % 2]
             ops, layers = [], []
             for layer in range(4):
                 row = []
@@ -190,8 +202,8 @@ class TestPerDeviceRates:
                     )
                 ops += row
                 layers.append(row)
-            fast = SimEngine(device_rates=table).run(ops)
-            ref = ReferenceSimEngine(device_rates=table).run(ops)
+            fast = SimEngine(rates=profile).run(ops)
+            ref = ReferenceSimEngine(rates=profile).run(ops)
             assert fast.makespan == pytest.approx(ref.makespan, rel=1e-9)
             ref_trace = trace_of(ref)
             for key, (start, end) in trace_of(fast).items():

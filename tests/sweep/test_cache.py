@@ -16,6 +16,7 @@ from repro.api import Study
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner
 from repro.sweep.runner import CACHE_STATS_KEY
 from repro.testing.faults import FaultPlan
+from tests.cache_faults import corrupt_cache_entry, skew_cache_entry
 
 GRID = ScenarioGrid(
     systems=("timeline",), specs=("GPT-S",), world_sizes=(8,),
@@ -37,7 +38,7 @@ def seeded_runner(cache_dir) -> SweepRunner:
 def test_undecodable_entry_is_quarantined_and_recomputed(tmp_path):
     runner = seeded_runner(tmp_path)
     victim = runner.cache_path(GRID.scenarios()[0])
-    FaultPlan.corrupt_cache_entry(victim)
+    corrupt_cache_entry(victim)
     fresh = SweepRunner(fake_evaluate, cache_dir=tmp_path, backend="serial")
     results = fresh.run(GRID)
     assert fresh.quarantined == 1
@@ -65,7 +66,7 @@ def test_version_skewed_entry_is_a_quarantined_miss(tmp_path):
     served under a colliding key — it is quarantined and recomputed."""
     runner = seeded_runner(tmp_path)
     victim = runner.cache_path(GRID.scenarios()[0])
-    FaultPlan.skew_cache_entry(victim)
+    skew_cache_entry(victim)
     assert "retired_axis" in json.loads(victim.read_text())["scenario"]
     fresh = SweepRunner(fake_evaluate, cache_dir=tmp_path, backend="serial")
     results = fresh.run(GRID)
@@ -92,7 +93,7 @@ def test_mismatched_scenario_payload_is_quarantined(tmp_path):
 def test_quarantine_count_reaches_the_result_stats(tmp_path):
     runner = seeded_runner(tmp_path)
     for sc in GRID.scenarios():
-        FaultPlan.corrupt_cache_entry(runner.cache_path(sc))
+        corrupt_cache_entry(runner.cache_path(sc))
     results = Study(
         GRID, objective=fake_evaluate, cache_dir=tmp_path
     ).run()
@@ -107,7 +108,7 @@ def test_quarantine_marker_is_not_persisted_into_the_fresh_entry(tmp_path):
     """The ``quarantined`` stat describes *this* run's recovery, not the
     recomputed entry: a later run must load a clean hit."""
     runner = seeded_runner(tmp_path)
-    FaultPlan.corrupt_cache_entry(runner.cache_path(GRID.scenarios()[0]))
+    corrupt_cache_entry(runner.cache_path(GRID.scenarios()[0]))
     SweepRunner(fake_evaluate, cache_dir=tmp_path, backend="serial").run(GRID)
     rerun = Study(GRID, objective=fake_evaluate, cache_dir=tmp_path).run()
     assert rerun.cache_stats()["quarantined"] == 0

@@ -173,6 +173,26 @@ class TestScenario:
         assert "@" not in plain.label()
 
 
+    def test_hand_built_scenarios_reject_non_json_values(self):
+        """A numpy scalar in a hand-built scenario used to run, then fail
+        at to_json() with "Object of type int64 is not JSON serializable"."""
+        import numpy as np
+
+        with pytest.raises(ValueError, match="'batch'.*numpy.int64"):
+            Scenario(system="mpipemoe", batch=np.int64(2048))
+        with pytest.raises(ValueError, match="'decomposed_comm'.*numpy.bool"):
+            Scenario(decomposed_comm=np.bool_(True))
+        with pytest.raises(ValueError, match="'straggler'.*tuple"):
+            Scenario(straggler=("single-slow-gpu",))
+        # Subclasses of the JSON scalars pass, as on grid axes.
+        scenario = Scenario(
+            system="timeline", spec="GPT-S", world_size=8, batch=1024, n=2,
+            straggler="single-slow-gpu", severity=np.float64(0.5),
+        )
+        (row,) = json.loads(Study([scenario], objective="timeline").run().to_json())
+        assert row["scenario"]["severity"] == 0.5
+
+
 class TestScenarioGrid:
     @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
     def test_non_finite_capacity_factor_fails_at_build(self, factor):
@@ -605,8 +625,34 @@ class TestHeteroScenarios:
         runner = SweepRunner(evaluate_timeline, evaluator_max_entries=8)
         runner.run([Scenario(system="timeline", spec="GPT-S", world_size=8,
                              batch=1024, n=2)])
-        ctx = runner_mod.shared_context(8)
+        ctx = runner_mod._CONTEXTS[(8, None, 8)]
         assert ctx.evaluator.max_entries == 8
+        # Outside the run the unbounded default applies: another context.
+        assert runner_mod.shared_context(8).evaluator.max_entries is None
+
+    @pytest.mark.parametrize("bounded_first", [False, True])
+    def test_memo_bound_holds_whatever_ran_before(self, monkeypatch, bounded_first):
+        """A bounded and an unbounded run on one cluster, in either
+        order in one process: each evaluates under its own bound."""
+        from repro.sweep import runner as runner_mod
+
+        monkeypatch.delenv(runner_mod.MAX_MEMO_ENTRIES_ENV, raising=False)
+        monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
+        grid = [
+            Scenario(system="timeline", spec="GPT-S", world_size=8,
+                     batch=batch, n=2)
+            for batch in (512, 1024, 2048, 4096)
+        ]
+        runners = {
+            None: SweepRunner(evaluate_timeline),
+            2: SweepRunner(evaluate_timeline, evaluator_max_entries=2),
+        }
+        order = (2, None) if bounded_first else (None, 2)
+        for bound in order:
+            rows = runners[bound].run(grid)
+            assert {r.cache_stats["max_entries"] for r in rows} == {bound}
+            evictions = sum(r.cache_stats["evictions"] for r in rows)
+            assert (evictions > 0) == (bound is not None)
 
     def test_memo_bound_env_var_does_not_leak_past_the_run(self, monkeypatch):
         """A bounded runner must not silently cap later 'unbounded'
@@ -627,12 +673,13 @@ class TestHeteroScenarios:
     def test_context_pool_is_bounded(self, monkeypatch):
         from repro.sweep import runner as runner_mod
 
+        monkeypatch.delenv(runner_mod.MAX_MEMO_ENTRIES_ENV, raising=False)
         monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
         monkeypatch.setattr(runner_mod, "MAX_SHARED_CONTEXTS", 2)
         for world in (2, 4, 8):
             runner_mod.shared_context(world)
         assert len(runner_mod._CONTEXTS) == 2
-        assert (8, None) in runner_mod._CONTEXTS  # newest kept
+        assert (8, None, None) in runner_mod._CONTEXTS  # newest kept
 
     def test_cache_stats_survive_the_disk_cache(self, tmp_path):
         runner = SweepRunner(evaluate_timeline, cache_dir=tmp_path / "cache")
@@ -758,7 +805,7 @@ class TestConcurrentMemoBounds:
             runner = SweepRunner(evaluate_timeline, evaluator_max_entries=7)
             runner.run([Scenario(system="timeline", spec="GPT-S",
                                  world_size=4, batch=1024, n=2)])
-            ctx = runner_mod._CONTEXTS[(4, None)]
+            ctx = runner_mod._CONTEXTS[(4, None, 7)]
             assert ctx.evaluator.max_entries == 7
         finally:
             with runner_mod._POOL_LOCK:

@@ -17,7 +17,12 @@ import pytest
 
 from repro.config import MOE_GPT3_XL, get_preset
 from repro.hardware.device import A100_SXM_40GB, V100_SXM_32GB
-from repro.hardware.hetero import DeviceRates, HeteroClusterSpec, StragglerModel
+from repro.hardware.hetero import (
+    DeviceRates,
+    HeteroClusterSpec,
+    StragglerModel,
+    distinct_profiles,
+)
 from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.workload import WorkloadSpec
 from repro.systems import (
@@ -27,7 +32,8 @@ from repro.systems import (
     PipeMoEModel,
 )
 from repro.systems.base import SystemContext
-from repro.testing.oracles import ColdEvaluator
+from tests.oracles import ColdEvaluator
+from tests.perfmodel.test_evalcache import Eq10Pick
 
 WORLD = 64
 SPEC = get_preset("GPT-XL")
@@ -46,7 +52,7 @@ SYSTEM_FACTORIES = (
     lambda ctx: FasterMoEModel(ctx),
     lambda ctx: PipeMoEModel(ctx),
     lambda ctx: MPipeMoEModel(ctx),
-    lambda ctx: MPipeMoEModel(ctx, fixed_n=4, sim_selection=False),
+    lambda ctx: Eq10Pick(ctx),
 )
 
 
@@ -142,7 +148,7 @@ class TestMixedDevicePool:
         assert others == {DeviceRates()}
         assert ctx.rank_rates == mixed.rank_profiles(16)
         # The device profiles are the rank profiles, first seen first.
-        assert ctx.sim_profiles == mixed.sim_profiles(16) == (
+        assert ctx.sim_profiles == distinct_profiles(mixed.rank_profiles(16)) == (
             DeviceRates(),
             ctx.rank_rates[5],
             DeviceRates(comp=0.5),

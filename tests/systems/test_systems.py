@@ -83,13 +83,13 @@ class TestPipeMoE:
         for spec in (MOE_GPT3_S, MOE_BERT_L, MOE_GPT3_XL):
             fast = FastMoEModel(ctx).evaluate(spec, 16384)
             pipe = PipeMoEModel(ctx).evaluate(spec, 16384)
-            assert pipe.speedup_over(fast) > 1.0
+            assert pipe.iteration_time < fast.iteration_time
 
     def test_speedup_over_fastermoe(self, ctx):
         for spec in (MOE_GPT3_S, MOE_GPT3_XL):
             faster = FasterMoEModel(ctx).evaluate(spec, 16384)
             pipe = PipeMoEModel(ctx).evaluate(spec, 16384)
-            assert pipe.speedup_over(faster) > 1.0
+            assert pipe.iteration_time < faster.iteration_time
 
 
 class TestMPipeMoE:
@@ -98,7 +98,7 @@ class TestMPipeMoE:
         for spec in (MOE_GPT3_S, MOE_BERT_L, MOE_GPT3_XL):
             fast = FastMoEModel(ctx).evaluate(spec, 16384)
             mpipe = MPipeMoEModel(ctx).evaluate(spec, 16384)
-            assert mpipe.memory_vs(fast) < 1.0
+            assert mpipe.peak_memory_bytes < fast.peak_memory_bytes
 
     def test_memory_reduction_vs_fastermoe_larger(self, ctx):
         """The paper reports a larger reduction vs FasterMoE (47% vs 40%)."""
@@ -106,13 +106,17 @@ class TestMPipeMoE:
         faster = FasterMoEModel(ctx).evaluate(spec, 16384)
         fast = FastMoEModel(ctx).evaluate(spec, 16384)
         mpipe = MPipeMoEModel(ctx).evaluate(spec, 16384)
-        assert mpipe.memory_vs(faster) < mpipe.memory_vs(fast)
+        assert (
+            mpipe.peak_memory_bytes / faster.peak_memory_bytes
+            < mpipe.peak_memory_bytes / fast.peak_memory_bytes
+        )
 
     def test_still_faster_than_baselines(self, ctx):
         """Fig. 9 polyline: speedup survives the reuse overhead."""
         spec = MOE_GPT3_XL
         mpipe = MPipeMoEModel(ctx).evaluate(spec, 16384)
-        assert mpipe.speedup_over(FastMoEModel(ctx).evaluate(spec, 16384)) > 1.0
+        fast = FastMoEModel(ctx).evaluate(spec, 16384)
+        assert mpipe.iteration_time < fast.iteration_time
 
     def test_slower_than_pure_pipemoe(self, ctx):
         """Sec. V-G: MPipeMoE is second to PipeMoE in pure speed."""
