@@ -34,7 +34,6 @@ from repro.config import (
     MOE_BERT_L,
     MOE_GPT3_S,
     MOE_GPT3_XL,
-    PipelineConfig,
     get_preset,
 )
 from repro.utils.lazy import lazy_exports
@@ -51,7 +50,6 @@ __all__ = [
     "no_grad",
     "MoELayerSpec",
     "ClusterSpec",
-    "PipelineConfig",
     "MOE_GPT3_S",
     "MOE_GPT3_XL",
     "MOE_BERT_L",

@@ -76,13 +76,6 @@ class Backend(abc.ABC):
         """Yield ``(index, fn(items[index]))`` once per item, as each
         result lands (see the module's determinism contract)."""
 
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any], *, workers: int = 1
-    ) -> list[Any]:
-        """Return ``[fn(item) for item in items]`` (order preserved)."""
-        landed = dict(self.imap(fn, items, workers=workers))
-        return [landed[i] for i in range(len(landed))]
-
     def _require_sync(self, fn: Callable) -> None:
         """Reject coroutine-function evaluators loudly — silently
         returning coroutine objects that never run is never right."""

@@ -153,11 +153,6 @@ class ResultSet(Sequence):
         """The evaluated scenarios, in result order (grid-compatible)."""
         return [r.scenario for r in self._results]
 
-    def column(self, column: str | Getter) -> list:
-        """One column of values across all results."""
-        get = _getter(column)
-        return [get(r) for r in self._results]
-
     def table(
         self,
         columns: Sequence[str | tuple[str, str | Getter]] | None = None,

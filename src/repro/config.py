@@ -20,7 +20,7 @@ varying number of tokens to each expert).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 BYTES_PER_ELEM = 4  # fp32 accounting, matching the paper's byte-free formulas x4
 
@@ -99,38 +99,6 @@ def get_preset(name: str) -> MoELayerSpec:
         raise KeyError(
             f"unknown model preset {name!r}; available: {sorted(set(PRESETS))}"
         ) from None
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Runtime knobs of the MPipeMoE layer (the paper's Python API flags).
-
-    ``pipeline=True, memory_reuse=True`` corresponds to the snippet in
-    Sec. IV-C.  ``num_partitions=None`` enables the adaptive granularity
-    search (Algorithm 1); a concrete integer pins n (PipeMoE(n=...) in the
-    evaluation).  ``strategy=None`` enables the Eq. 10 performance-model
-    selector; a concrete name in {"none","S1","S2","S3","S4"} pins it.
-    """
-
-    pipeline: bool = True
-    memory_reuse: bool = True
-    num_partitions: int | None = None
-    strategy: str | None = None
-    candidate_partitions: tuple[int, ...] = (1, 2, 4, 8, 16)
-
-    def __post_init__(self) -> None:
-        if self.num_partitions is not None and self.num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        if self.strategy is not None and self.strategy not in (
-            "none",
-            "S1",
-            "S2",
-            "S3",
-            "S4",
-        ):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if any(c < 1 for c in self.candidate_partitions):
-            raise ValueError("candidate partitions must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from repro.core.experts import ExpertFFN
 from repro.core.gating import TopKGate, GateDecision
 from repro.core.dispatch import DispatchPlan, plan_dispatch, dispatch_tokens, combine_tokens
 from repro.core.moe_layer import MoELayer, MoEOutput
-from repro.core.block import MoETransformerBlock
 
 __all__ = [
     "ExpertFFN",
@@ -27,5 +26,4 @@ __all__ = [
     "combine_tokens",
     "MoELayer",
     "MoEOutput",
-    "MoETransformerBlock",
 ]

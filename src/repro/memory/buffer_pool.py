@@ -82,9 +82,6 @@ class SharedBufferPool:
             raise IndexError("partition must be non-negative")
         return ring.slots[partition % len(ring.slots)]
 
-    def num_slots(self, role: str) -> int:
-        return len(self._ring(role).slots)
-
     def release_all(self) -> None:
         """Free every ring (end of backward pass)."""
         if self.allocator is not None:

@@ -53,10 +53,6 @@ class HostBufferPool:
             return arr
         return arr.copy()
 
-    def discard(self, key: object) -> None:
-        arr = self._store.pop(key)
-        self.bytes_used -= arr.nbytes
-
     def clear(self) -> None:
         self._store.clear()
         self.bytes_used = 0

@@ -65,7 +65,7 @@ from repro.obs.bus import (
     subscribe,
     unsubscribe,
 )
-from repro.obs.log import REPRO_LOG_ENV, configure_logging, get_logger
+from repro.obs.log import REPRO_LOG_ENV, configure_logging
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.session import (
     RUN_REPORT_NAME,
@@ -90,7 +90,6 @@ __all__ = [
     "active",
     "configure_logging",
     "emit",
-    "get_logger",
     "label_of",
     "pop_collector",
     "push_collector",

@@ -53,12 +53,6 @@ _EVENT_LEVELS = {
 _configured = False
 
 
-def get_logger(name: str = "") -> logging.Logger:
-    """A logger under the ``repro`` hierarchy (``get_logger("sweep")``
-    -> ``repro.sweep``); the bare root with no argument."""
-    return logging.getLogger(f"repro.{name}" if name else "repro")
-
-
 def _compact(fields: dict) -> str:
     parts = []
     for key in sorted(fields):

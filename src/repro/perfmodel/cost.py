@@ -191,15 +191,6 @@ class PerfModel:
         #: H = 4M) or the generalized Strategy.workload() for any H/M.
         self.use_paper_q = use_paper_q
 
-    # -- Eq. 7-9 ------------------------------------------------------------
-    def v_comp(self, b: int) -> float:
-        return stage_volumes(self.spec, b, self.bytes_per_elem)[0]
-
-    def v_comm(self, b: int) -> float:
-        return stage_volumes(self.spec, b, self.bytes_per_elem)[1]
-
-    v_mem = v_comm  # Eq. 9: one TDI copy moves an All-to-All's bytes
-
     # -- Eq. 10 --------------------------------------------------------------
     def stage_cost(
         self,

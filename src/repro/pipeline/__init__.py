@@ -1,7 +1,7 @@
 """Adaptive pipeline parallelism (paper Sec. III-B/C).
 
-* :mod:`repro.pipeline.partition` — micro-batch partitioning: split-by-B
-  (MPipeMoE, Fig. 5b) and split-by-N (FasterMoE, Fig. 5a).
+* :mod:`repro.pipeline.partition` — micro-batch partitioning along the
+  token axis: split-by-B (MPipeMoE, Fig. 5b).
 * :mod:`repro.pipeline.executor` — functional pipelined execution of the
   S -> C -> R middle section with memory-reuse strategies and explicit
   backward (restoration via offload / re-communication / recompute).
@@ -21,15 +21,14 @@ from repro.pipeline.schedule import (
     timeline_template,
 )
 from repro.pipeline.granularity import GranularitySearcher, RangeSet
+from repro.pipeline.partition import partition_slices, split_capacity
 from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "split_capacity",
     "partition_slices",
-    "split_by_ranks",
     "PipelinedMoEMiddle",
     "MiddleContext",
-    "reference_middle",
     "CompiledTimeline",
     "MoEStageCosts",
     "TimelineTemplate",
@@ -41,12 +40,8 @@ __all__ = [
     "RangeSet",
 ]
 
-# The numpy partitioner and executor load on first access.
+# The numpy executor loads on first access.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "split_capacity": "repro.pipeline.partition:split_capacity",
-    "partition_slices": "repro.pipeline.partition:partition_slices",
-    "split_by_ranks": "repro.pipeline.partition:split_by_ranks",
     "PipelinedMoEMiddle": "repro.pipeline.executor:PipelinedMoEMiddle",
     "MiddleContext": "repro.pipeline.executor:MiddleContext",
-    "reference_middle": "repro.pipeline.executor:reference_middle",
 })

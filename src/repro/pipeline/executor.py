@@ -372,11 +372,3 @@ def middle_autograd(ti_all: Tensor, engine: PipelinedMoEMiddle) -> Tensor:
         return (dti, *param_grads)
 
     return _make(out_data, (ti_all, *params), backward)
-
-
-def reference_middle(
-    ti_all: np.ndarray, experts: Sequence[Sequence[ExpertFFN]]
-) -> np.ndarray:
-    """Sequential (n=1, no reuse) forward of the middle — test oracle."""
-    engine = PipelinedMoEMiddle(experts, num_partitions=1, strategy="none")
-    return engine.forward(ti_all)

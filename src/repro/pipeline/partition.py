@@ -1,15 +1,13 @@
-"""Micro-batch partitioning (paper Fig. 5).
+"""Micro-batch partitioning (paper Fig. 5b).
 
 MPipeMoE splits the dispatch buffer along the *token* (capacity) axis —
 every partition still spans all destination ranks, so each partition is
-one fused fine-grained All-to-All (Fig. 5b).  FasterMoE splits along the
-*rank* axis, decomposing the All-to-All into point-to-point exchanges
-(Fig. 5a); we implement it for the baseline.
+one fused fine-grained All-to-All.  FasterMoE's split along the rank
+axis (Fig. 5a) is priced, not executed: :mod:`repro.comm.cost` charges
+its point-to-point decomposition.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def split_capacity(capacity: int, n: int) -> int:
@@ -36,17 +34,3 @@ def partition_slices(capacity: int, n: int) -> list[slice]:
     """Slices along the capacity axis for the n micro-batches (split-by-B)."""
     chunk = split_capacity(capacity, n)
     return [slice(j * chunk, (j + 1) * chunk) for j in range(n)]
-
-
-def split_by_ranks(world_size: int, n: int) -> list[np.ndarray]:
-    """FasterMoE fashion: partition the destination-rank axis into n groups.
-
-    Each group's exchange degenerates into point-to-point sends (the
-    partition only involves a subset of peers), which is why FasterMoE
-    cannot use fused NCCL All-to-All (paper Sec. III-B).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > world_size:
-        raise ValueError(f"cannot split {world_size} ranks into {n} groups")
-    return [g for g in np.array_split(np.arange(world_size), n)]

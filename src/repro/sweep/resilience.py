@@ -466,9 +466,6 @@ class RunManifest:
             entry["error"] = error
         self.slots[key] = entry
 
-    def completed(self) -> int:
-        return sum(1 for e in self.slots.values() if e.get("status") == "ok")
-
     def failed(self) -> list[str]:
         return [
             k for k, e in sorted(self.slots.items())

@@ -347,32 +347,3 @@ def scatter_rows(
         return g_src, g_w
 
     return _make(out, (src, w), backward_weighted)
-
-
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis with affine parameters.
-
-    The transformer pre-norm applied before the MoE layer in the paper's
-    host models (BERT/GPT blocks).  Backward uses the standard fused
-    formula dx = (g - mean(g) - xhat * mean(g * xhat)) / std.
-    """
-    x = a.data
-    mean_x = x.mean(axis=-1, keepdims=True)
-    var_x = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var_x + eps)
-    xhat = (x - mean_x) * inv_std
-    out = xhat * gamma.data + beta.data
-
-    def backward(g):
-        d = x.shape[-1]
-        g_xhat = g * gamma.data
-        dx = (
-            g_xhat
-            - g_xhat.mean(axis=-1, keepdims=True)
-            - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv_std
-        dgamma = _unbroadcast(g * xhat, gamma.data.shape)
-        dbeta = _unbroadcast(g, beta.data.shape)
-        return dx, dgamma, dbeta
-
-    return _make(out, (a, gamma, beta), backward)

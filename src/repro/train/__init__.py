@@ -4,13 +4,12 @@ generating random tokens"), and a multi-rank training loop over the
 MoE layer.
 """
 
-from repro.train.optimizer import Adam, SGD, Optimizer
+from repro.train.optimizer import Adam, Optimizer
 from repro.train.data import SyntheticTokenDataset
 from repro.train.trainer import Trainer, TrainStepResult
 
 __all__ = [
     "Adam",
-    "SGD",
     "Optimizer",
     "SyntheticTokenDataset",
     "Trainer",

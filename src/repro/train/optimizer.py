@@ -7,7 +7,7 @@ parameter, which together with the parameter and its gradient is the
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -40,37 +40,6 @@ class Optimizer:
         """Total elements of params + grads + optimizer state."""
         n = sum(p.size for p in self.params)
         return n * (2 + self.state_elems_per_param_elem())
-
-
-class SGD(Optimizer):
-    """Plain SGD with optional momentum."""
-
-    def __init__(
-        self, params: Iterable[Tensor], lr: float = 1e-2, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = (
-            [np.zeros_like(p.data) for p in self.params] if momentum else None
-        )
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            update = p.grad
-            if self._velocity is not None:
-                self._velocity[i] = self.momentum * self._velocity[i] + update
-                update = self._velocity[i]
-            p.data -= self.lr * update
-
-    def state_elems_per_param_elem(self) -> int:
-        return 1 if self.momentum else 0
 
 
 class Adam(Optimizer):

@@ -14,10 +14,7 @@ from repro.utils.units import (
     GBPS,
     GBITPS,
     TFLOPS,
-    US,
-    MS,
     fmt_bytes,
-    fmt_time,
 )
 from repro.utils.lazy import lazy_exports
 from repro.utils.tables import Table
@@ -32,10 +29,7 @@ __all__ = [
     "GBPS",
     "GBITPS",
     "TFLOPS",
-    "US",
-    "MS",
     "fmt_bytes",
-    "fmt_time",
     "seeded_rng",
     "derive_seed",
     "Table",

@@ -25,10 +25,6 @@ GBITPS = GB / 8  # 1 Gbit/s in bytes/s
 # Compute: floating point operations per second.
 TFLOPS = 1e12
 
-# Time: seconds.
-US = 1e-6
-MS = 1e-3
-
 
 def fmt_bytes(n: float) -> str:
     """Format a byte count with a binary suffix, e.g. ``fmt_bytes(2**21) == '2.00 MiB'``."""
@@ -37,12 +33,3 @@ def fmt_bytes(n: float) -> str:
         if abs(n) >= factor:
             return f"{n / factor:.2f} {unit}"
     return f"{n:.0f} B"
-
-
-def fmt_time(seconds: float) -> str:
-    """Format a duration, choosing s / ms / us to keep 3 significant digits."""
-    if seconds >= 1.0:
-        return f"{seconds:.3f} s"
-    if seconds >= 1e-3:
-        return f"{seconds / MS:.3f} ms"
-    return f"{seconds / US:.1f} us"

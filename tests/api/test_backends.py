@@ -168,15 +168,6 @@ class TestRegistry:
 class TestBackendMap:
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_map_matches_serial_semantics(self, name, workers):
-        backend = get_backend(name)
-        items = list(range(7))
-        assert backend.map(square, items, workers=workers) == [
-            x * x for x in items
-        ]
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 3])
     def test_imap_yields_every_index_exactly_once(self, name, workers):
         items = list(range(7))
         landed = list(get_backend(name).imap(square, items, workers=workers))
@@ -227,7 +218,7 @@ class TestBackendMap:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_items(self, name):
-        assert get_backend(name).map(square, [], workers=2) == []
+        assert list(get_backend(name).imap(square, [], workers=2)) == []
 
     @pytest.mark.parametrize("name", available_backends())
     def test_sync_backends_reject_async_evaluators(self, name):
@@ -235,11 +226,11 @@ class TestBackendMap:
             return x
 
         with pytest.raises(TypeError, match="coroutine function"):
-            get_backend(name).map(probe, [1], workers=2)
+            list(get_backend(name).imap(probe, [1], workers=2))
 
     @pytest.mark.parametrize("name", available_backends())
     def test_runner_rejects_async_objectives_when_built(self, name):
-        """The whole-grid path never reaches ``Backend.map``, so the
+        """The whole-grid path never reaches ``Backend.imap``, so the
         check runs when the runner is built, for every backend."""
 
         async def probe(scenario):
@@ -371,8 +362,8 @@ class TestWorkerDeathAbsorption:
     def test_pool_respawn_retries_only_the_unfinished_shard(self, tmp_path):
         counter = tmp_path / "attempts"
         items = [(i, str(counter), 3) for i in range(6)]
-        results = ProcessBackend().map(kill_once, items, workers=2)
-        assert results == [i * 2 for i in range(6)]
+        landed = sorted(ProcessBackend().imap(kill_once, items, workers=2))
+        assert landed == [(i, i * 2) for i in range(6)]
         assert counter.read_text() == "xx"  # killed once, retried once
 
     def test_exhausted_respawns_carry_the_salvaged_results(self, tmp_path):

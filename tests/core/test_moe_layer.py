@@ -35,6 +35,40 @@ class TestConstruction:
     def test_parameters_require_grad(self):
         assert all(p.requires_grad for p in make_layer().parameters())
 
+    def test_defaults_are_the_paper_flags(self):
+        """Sec. IV-C's snippet: pipelining and memory reuse on, n and
+        the strategy left to Algorithm 1 and the Eq. 10 selector."""
+        layer = repro.MoELayer(d_model=8, d_hidden=16, num_experts=4, world_size=2)
+        assert layer.pipeline and layer.memory_reuse
+        assert layer.fixed_partitions is None and layer.fixed_strategy is None
+        assert layer.candidate_partitions == (1, 2, 4, 8)
+
+    def test_num_partitions_validated(self):
+        with pytest.raises(ValueError, match="num_partitions"):
+            make_layer(num_partitions=0)
+
+    def test_candidates_sorted_and_capacity_multiple_covers_them(self):
+        layer = make_layer(candidate_partitions=(4, 1, 4, 2), num_partitions=3)
+        assert layer.candidate_partitions == (1, 2, 4)
+        assert layer.capacity_multiple == 12  # lcm(1, 2, 4, 3)
+
+    def test_seed_determines_every_parameter(self):
+        a, b, c = make_layer(seed=3), make_layer(seed=3), make_layer(seed=4)
+        for p, q in zip(a.parameters(), b.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+        assert any(
+            not np.array_equal(p.data, q.data)
+            for p, q in zip(a.parameters(), c.parameters())
+        )
+
+    def test_experts_are_initialised_independently(self):
+        layer = make_layer()
+        weights = [e.w1.data for row in layer.experts for e in row]
+        assert len(weights) == 8
+        for i, w in enumerate(weights):
+            for other in weights[i + 1:]:
+                assert not np.allclose(w, other)
+
 
 class TestConfigure:
     def test_pinned_everything(self):
@@ -162,6 +196,43 @@ class TestForward:
         out = layer.forward([x])
         scalar_loss(out.outputs).backward()
         assert x.grad is not None
+
+    def test_zero_grad_clears_every_parameter(self):
+        layer = make_layer(memory_reuse=True, num_partitions=2, strategy="S4")
+        out = layer.forward(make_inputs(layer))
+        scalar_loss(out.outputs, out.aux_loss).backward()
+        layer.zero_grad()
+        assert all(p.grad is None for p in layer.parameters())
+
+    def test_dropped_tokens_get_zero_outputs(self):
+        """A token over its expert's capacity skips the middle section:
+        through the exchanges and the reuse ring its row stays zero."""
+        layer = make_layer(capacity_factor=0.25, candidate_partitions=(1, 2),
+                           memory_reuse=True, num_partitions=2, strategy="S4")
+        out = layer.forward(make_inputs(layer, batch=32))
+        assert out.dropped_tokens > 0
+        for plan, o in zip(out.plans, out.outputs):
+            kept = set(plan.token_ids.tolist())
+            dropped = [t for t in range(32) if t not in kept]
+            assert len(dropped) == plan.dropped
+            np.testing.assert_array_equal(o.data[dropped], 0.0)
+            assert np.all(np.any(o.data[sorted(kept)] != 0.0, axis=1))
+
+    def test_drops_do_not_depend_on_the_granularity(self):
+        """Capacity is padded to every candidate n, so the same tokens
+        drop and the outputs agree whichever n runs."""
+        runs = []
+        for n in (1, 2, 4):
+            layer = make_layer(capacity_factor=0.25,
+                               candidate_partitions=(1, 2, 4), num_partitions=n)
+            runs.append(layer.forward(make_inputs(layer, batch=32)))
+        first = runs[0]
+        assert first.dropped_tokens > 0
+        for out in runs[1:]:
+            assert out.capacity == first.capacity
+            assert out.dropped_tokens == first.dropped_tokens
+            for got, want in zip(out.outputs, first.outputs):
+                np.testing.assert_allclose(got.data, want.data, atol=1e-12)
 
     def test_top_k2_runs(self):
         layer = make_layer(top_k=2, memory_reuse=False)

@@ -248,7 +248,7 @@ class TestEquivalence:
         assert remote == serial
 
     def test_empty_grid(self, fleet):
-        assert fleet.map(lambda x: x, []) == []
+        assert list(fleet.imap(lambda x: x, [])) == []
 
     def test_each_result_ticks_as_its_frame_arrives(self, loopback_server):
         FIRST_TICK.clear()

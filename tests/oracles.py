@@ -16,6 +16,9 @@ time) the fast path against a second computation of the same numbers:
 * :func:`exhaustive_placement` — the true placement optimum by
   enumeration, which :func:`~repro.perfmodel.placeopt.optimize_placement`
   must match on every small instance.
+* :func:`reference_middle` — the sequential (n=1, no reuse) forward of
+  the MoE middle section, which every pipelined and memory-reusing
+  :class:`~repro.pipeline.executor.PipelinedMoEMiddle` must reproduce.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.config import MoELayerSpec
+from repro.core.experts import ExpertFFN
 from repro.hardware.hetero import UNIT_RATES, DeviceRates
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE, StreamKind
 from repro.memory.footprint import FootprintModel
@@ -32,6 +38,7 @@ from repro.perfmodel.placeopt import PlacementProblem
 from repro.perfmodel.placement import PlacementSpec
 from repro.perfmodel.selector import StrategySelector
 from repro.perfmodel.workload import WorkloadSpec
+from repro.pipeline.executor import PipelinedMoEMiddle
 from repro.pipeline.schedule import MoEStageCosts, build_timeline
 from repro.sim.engine import (
     _EPS,
@@ -284,3 +291,11 @@ def exhaustive_placement(problem: PlacementProblem) -> PlacementSpec:
             "no feasible placement under the per-device memory bound"
         )
     return PlacementSpec.explicit(best)
+
+
+def reference_middle(
+    ti_all: np.ndarray, experts: Sequence[Sequence[ExpertFFN]]
+) -> np.ndarray:
+    """Sequential (n=1, no reuse) forward of the middle section."""
+    engine = PipelinedMoEMiddle(experts, num_partitions=1, strategy="none")
+    return engine.forward(ti_all)

@@ -7,7 +7,13 @@ from repro.config import DGX_A100_CLUSTER, MOE_GPT3_XL, MoELayerSpec
 from repro.hardware.device import A100_SXM_40GB
 from repro.hardware.topology import ClusterTopology
 from repro.memory.strategies import STRATEGIES
-from repro.perfmodel.cost import HardwareRates, PerfModel, StageCost
+from repro.perfmodel.cost import (
+    HardwareRates,
+    PerfModel,
+    StageCost,
+    stage_stream_times,
+)
+from repro.pipeline.schedule import stage_volumes
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +46,18 @@ class TestHardwareRates:
 
 class TestVolumes:
     def test_eq7_v_comp(self, model):
-        assert model.v_comp(1024) == 2.0 * 1024 * 2048 * 8192
+        v_comp, _ = stage_volumes(MOE_GPT3_XL, 1024, model.bytes_per_elem)
+        assert v_comp == 2.0 * 1024 * 2048 * 8192
 
     def test_eq8_eq9_equal_volumes(self, model):
-        # v_comm and v_mem are both b*M elements (Eq. 8, 9).
-        assert model.v_comm(512) == model.v_mem(512)
-        assert model.v_comm(512) == 512 * 2048 * 2
+        # The comm and mem streams both move b*M elements (Eq. 8, 9).
+        _, v_bytes = stage_volumes(MOE_GPT3_XL, 512, model.bytes_per_elem)
+        assert v_bytes == 512 * 2048 * 2
+        unit = HardwareRates(1.0, 1.0, 1.0)
+        _, comm, mem = stage_stream_times(
+            MOE_GPT3_XL, unit, (0, 1, 1), 512, model.bytes_per_elem, 1.0, 1.0, 1.0
+        )
+        assert comm == mem == v_bytes
 
 
 class TestStageCost:

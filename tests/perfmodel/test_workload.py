@@ -31,6 +31,7 @@ from repro.pipeline.schedule import (
     TIMING_BYTES_PER_ELEM,
     build_timeline,
     compile_timeline,
+    stage_volumes,
 )
 from repro.sim.engine import SimEngine
 from repro.systems import FastMoEModel, FasterMoEModel, MPipeMoEModel, PipeMoEModel
@@ -370,7 +371,8 @@ class TestByteWidthConsistency:
         rates = HardwareRates.from_cluster(DEVICE, comm_model())
         model = PerfModel(SPEC, rates, workload=WorkloadSpec.for_dtype("fp32"))
         assert model.bytes_per_elem == 4
-        assert model.v_comm(512) == 512 * SPEC.d_model * 4
+        _, v_bytes = stage_volumes(SPEC, 512, model.bytes_per_elem)
+        assert v_bytes == 512 * SPEC.d_model * 4
         assert PerfModel(SPEC, rates).bytes_per_elem == TIMING_BYTES_PER_ELEM
 
     def test_wider_dtype_slows_comm_bound_points(self):

@@ -10,10 +10,11 @@ from repro.pipeline.executor import (
     MiddleContext,
     PipelinedMoEMiddle,
     middle_autograd,
-    reference_middle,
 )
 from repro.sim.memory_allocator import CachingAllocator
 from repro.tensor import Tensor
+from tests.memory.test_buffer_pool import distinct_slots
+from tests.oracles import reference_middle
 
 W, EPER, C, M, H = 3, 2, 8, 5, 7
 
@@ -78,6 +79,105 @@ class TestForwardEquivalence:
         np.testing.assert_allclose(out[src, dst, e], y[src], atol=1e-12)
 
 
+def tagged_experts(world=W, dtype=np.float64, tag=lambda r, e: 0.0):
+    """Experts computing ``y = x + tag(r, e)`` exactly: identity weights
+    (``H >= M``), the identity activation and the tag as ``b2``.  With
+    the default zero tag the middle section reduces to its two
+    exchanges; a non-zero tag names the expert a token went through."""
+    rows = []
+    for r in range(world):
+        row = []
+        for e in range(EPER):
+            expert = ExpertFFN(M, H, activation="identity", dtype=dtype)
+            expert.w1.data[...] = np.eye(M, H)
+            expert.w2.data[...] = np.eye(H, M)
+            expert.b2.data[...] = tag(r, e)
+            row.append(expert)
+        rows.append(row)
+    return rows
+
+
+class TestExchanges:
+    """The S and R All-to-Alls are exact array permutations: what S
+    sends from rank src to expert e of rank dst, R returns to src in
+    the same slot, for every granularity and reuse strategy."""
+
+    @pytest.mark.parametrize("n,strategy", [(1, "none"), (2, "S1"), (4, "S4")])
+    def test_round_trip_through_identity_experts_is_identity(self, ti, n, strategy):
+        out, _, _ = run_engine(tagged_experts(), ti, n, strategy)
+        np.testing.assert_array_equal(out, ti)
+
+    @pytest.mark.parametrize("n,strategy", [(1, "none"), (4, "S3")])
+    def test_each_token_visits_its_addressed_expert(self, ti, n, strategy):
+        def tag(r, e):
+            return float(1 + r * EPER + e)
+
+        out, _, _ = run_engine(tagged_experts(tag=tag), ti, n, strategy)
+        for dst in range(W):
+            for e in range(EPER):
+                np.testing.assert_array_equal(
+                    out[:, dst, e], ti[:, dst, e] + tag(dst, e)
+                )
+
+    @pytest.mark.parametrize("n,strategy", [(1, "none"), (4, "S1"), (4, "S4")])
+    def test_backward_through_identity_experts_is_identity(
+        self, ti, rng, n, strategy
+    ):
+        """dS and dR are the inverse permutations, whichever way the
+        strategy restores TDI (kept, offloaded or re-communicated)."""
+        dto = rng.standard_normal(ti.shape)
+        _, dti, _ = run_engine(tagged_experts(), ti, n, strategy, dto=dto)
+        np.testing.assert_array_equal(dti, dto)
+
+    @pytest.mark.parametrize("n,strategy", [(1, "none"), (4, "S4")])
+    def test_a_token_reaches_only_its_own_output_slot(
+        self, experts, ti, n, strategy
+    ):
+        out, _, _ = run_engine(experts, ti, n, strategy)
+        src, dst, e, slot = 2, 0, 1, 5
+        bumped = ti.copy()
+        bumped[src, dst, e, slot] += 1.0
+        out_bumped, _, _ = run_engine(experts, bumped, n, strategy)
+        changed = np.argwhere(np.any(out != out_bumped, axis=-1))
+        assert changed.tolist() == [[src, dst, e, slot]]
+
+    def test_world_one_exchanges_are_local(self, rng):
+        experts = [[ExpertFFN(M, H, seed=e) for e in range(EPER)]]
+        ti = rng.standard_normal((1, 1, EPER, C, M))
+        out, _, _ = run_engine(experts, ti, 2, "none")
+        for e in range(EPER):
+            y = experts[0][e].forward_np(ti[0, 0, e])[0]
+            np.testing.assert_allclose(out[0, 0, e], y, atol=1e-12)
+
+    def test_output_is_a_fresh_array(self, experts, ti, rng):
+        """Forward leaves its input untouched, and the result does not
+        alias the ring slots that a later call overwrites."""
+        before = ti.copy()
+        eng = PipelinedMoEMiddle(experts, 4, "S4", host_pool=HostBufferPool())
+        out = eng.forward(ti)
+        np.testing.assert_array_equal(ti, before)
+        assert not np.shares_memory(out, ti)
+        kept = out.copy()
+        eng.discard_context()
+        eng.forward(rng.standard_normal(ti.shape))
+        eng.discard_context()
+        np.testing.assert_array_equal(out, kept)
+
+    def test_dtype_preserved_through_the_ring_slots(self, ti, rng):
+        experts = [
+            [ExpertFFN(M, H, seed=r * 10 + e, dtype=np.float32)
+             for e in range(EPER)]
+            for r in range(W)
+        ]
+        ti32 = ti.astype(np.float32)
+        dto = rng.standard_normal(ti.shape).astype(np.float32)
+        out, dti, _ = run_engine(experts, ti32, 4, "S4", dto=dto)
+        assert out.dtype == np.float32 and dti.dtype == np.float32
+        np.testing.assert_allclose(
+            out, reference_middle(ti32.copy(), experts), rtol=1e-6, atol=1e-6
+        )
+
+
 class TestBackwardEquivalence:
     @pytest.mark.parametrize(
         "n,strategy",
@@ -131,8 +231,8 @@ class TestReuseActuallyOverwrites:
         pool = eng._pools[0]
         # Partition 0 and 2 share the same physical tdi slot.
         assert pool.get("tdi", 0) is pool.get("tdi", 2)
-        assert pool.num_slots("tdi") == 2
-        assert pool.num_slots("tm") == 1
+        assert distinct_slots(pool, "tdi") == 2
+        assert distinct_slots(pool, "tm") == 1
         eng.discard_context()
 
     def test_host_pool_cleared_after_backward(self, experts, ti, rng):
@@ -231,3 +331,21 @@ class TestInputValidation:
         rows = [[ExpertFFN(M, H)], [ExpertFFN(M, H)], []]
         with pytest.raises(ValueError, match="same number"):
             PipelinedMoEMiddle(rows, 1, "none")
+
+    def test_experts_per_rank_mismatch(self, experts, rng):
+        eng = PipelinedMoEMiddle(experts, 1, "none")
+        with pytest.raises(ValueError, match="experts/rank"):
+            eng.forward(rng.standard_normal((W, W, EPER + 1, C, M)))
+
+    def test_d_model_mismatch(self, experts, rng):
+        eng = PipelinedMoEMiddle(experts, 1, "none")
+        with pytest.raises(ValueError, match="d_model"):
+            eng.forward(rng.standard_normal((W, W, EPER, C, M + 1)))
+
+    def test_num_partitions_below_one(self, experts):
+        with pytest.raises(ValueError, match="num_partitions"):
+            PipelinedMoEMiddle(experts, 0, "none")
+
+    def test_no_ranks_rejected(self):
+        with pytest.raises(ValueError, match="at least one rank"):
+            PipelinedMoEMiddle([], 1, "none")

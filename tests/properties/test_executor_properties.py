@@ -24,8 +24,9 @@ from repro.config import MoELayerSpec
 from repro.core.experts import ExpertFFN
 from repro.memory.footprint import reuse_savings_elems
 from repro.memory.host_pool import HostBufferPool
-from repro.pipeline.executor import PipelinedMoEMiddle, reference_middle
+from repro.pipeline.executor import PipelinedMoEMiddle
 from repro.sim.memory_allocator import CachingAllocator
+from tests.oracles import reference_middle
 
 REUSE_STRATEGIES = ("S1", "S2", "S3", "S4")
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.comm import ProcessGroup, all_to_all_single, all_reduce
 from repro.config import MoELayerSpec
 from repro.core.dispatch import plan_dispatch, positions_within_expert
 from repro.core.gating import GateDecision
@@ -19,41 +18,6 @@ from repro.sim.memory_allocator import CachingAllocator
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from tests.pipeline.test_granularity import is_disjoint_sorted
-
-# ---------------------------------------------------------------- collectives
-
-
-@given(
-    world=st.integers(1, 6),
-    chunk=st.integers(1, 5),
-    feat=st.integers(1, 4),
-    seed=st.integers(0, 2**16),
-)
-@settings(max_examples=40, deadline=None)
-def test_alltoall_is_involution(world, chunk, feat, seed):
-    group = ProcessGroup(world)
-    rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal((world, chunk, feat)) for _ in range(world)]
-    back = all_to_all_single(group, all_to_all_single(group, inputs))
-    for a, b in zip(inputs, back):
-        np.testing.assert_array_equal(a, b)
-
-
-@given(
-    world=st.integers(1, 6),
-    n=st.integers(1, 12),
-    seed=st.integers(0, 2**16),
-)
-@settings(max_examples=30, deadline=None)
-def test_allreduce_invariant_under_rank_permutation(world, n, seed):
-    group = ProcessGroup(world)
-    rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal(n) for _ in range(world)]
-    ref = all_reduce(group, inputs)[0]
-    perm = rng.permutation(world)
-    out = all_reduce(group, [inputs[i] for i in perm])[0]
-    np.testing.assert_allclose(ref, out, atol=1e-12)
-
 
 # ------------------------------------------------------------------- dispatch
 

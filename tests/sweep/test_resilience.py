@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import Study
 from repro.api.backends import ProcessBackend
+from repro.obs import pop_collector, push_collector
 from repro.sweep import (
     RetryPolicy,
     Scenario,
@@ -104,6 +105,11 @@ FaultInjected('injected fault')",
 
 def plan_of(tmp_path, *faults) -> FaultPlan:
     return FaultPlan(faults, tmp_path / "faults")
+
+
+def completed(manifest: RunManifest) -> int:
+    """How many of the manifest's slots finished ``ok``."""
+    return sum(entry["status"] == "ok" for entry in manifest.slots.values())
 
 
 class TestRetryPolicy:
@@ -468,7 +474,7 @@ class TestResume:
         assert [r.scenario.batch for r in first if not r.ok] == [4096]
         manifest = RunManifest.load(cache)
         assert manifest is not None
-        assert manifest.completed() == len(GRID) - 1
+        assert completed(manifest) == len(GRID) - 1
         assert len(manifest.failed()) == 1
 
         counter.write_text("")  # reset: count only the resumed run's work
@@ -536,7 +542,7 @@ class TestResume:
                 ).run(GRID)
         manifest = RunManifest.load(cache)
         assert manifest is not None
-        assert manifest.completed() == len(GRID) - 1
+        assert completed(manifest) == len(GRID) - 1
 
 
 #: Eight points, so that a run stopped at its 6th point has 5 landed.
@@ -602,7 +608,7 @@ class TestLandedWorkSurvives:
                 SweepRunner(fake_evaluate, **options).run(EIGHT_POINTS)
         assert len(cache_entries(cache)) == 5
         manifest = RunManifest.load(cache)
-        assert manifest.completed() == len(manifest.slots) == 5
+        assert completed(manifest) == len(manifest.slots) == 5
 
         counter.write_text("")  # count only the resumed run's work
         resumed = SweepRunner(fake_evaluate, resume=True, **options).run(
@@ -684,11 +690,21 @@ class TestBatchedFallback:
         for values in baseline:
             values.pop("_evaluator_cache", None)
 
-        def boom(np, group, out):
+        def boom(np, group):
             raise RuntimeError("batched pricing bug")
 
         monkeypatch.setattr(batcheval, "_price_timeline_group", boom)
-        out = batcheval.batch_evaluate_timeline(list(GRID))
+        events: list = []
+        token = push_collector(events)
+        try:
+            out = batcheval.batch_evaluate_timeline(list(GRID))
+        finally:
+            pop_collector(token)
+        # The stub's own error triggers the fallback, not a call that
+        # does not fit its signature.
+        fallbacks = [fields for event, fields in events if event == "batch.fallback"]
+        assert fallbacks
+        assert {fields["error"] for fields in fallbacks} == {"RuntimeError"}
         stats = [values.pop("_evaluator_cache") for values in out]
         assert out == baseline
         # The degraded rows stay attributable: each keeps its scalar memo

@@ -1,5 +1,7 @@
 """Model/cluster configuration and Table III presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -9,7 +11,6 @@ from repro.config import (
     MOE_GPT3_S,
     MOE_GPT3_XL,
     MoELayerSpec,
-    PipelineConfig,
     get_preset,
 )
 
@@ -54,6 +55,18 @@ class TestMoELayerSpec:
         with pytest.raises(ValueError):
             MoELayerSpec("t", d_model=4, d_hidden=8, activation="tanh")
 
+    def test_expert_count_and_top_k_lower_bounds(self):
+        with pytest.raises(ValueError, match="num_experts"):
+            MoELayerSpec("t", d_model=4, d_hidden=8, num_experts=0)
+        with pytest.raises(ValueError, match="top_k"):
+            MoELayerSpec("t", d_model=4, d_hidden=8, top_k=0)
+
+    def test_presets_are_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            MOE_GPT3_XL.top_k = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DGX_A100_CLUSTER.num_nodes = 1
+
     def test_with_override(self):
         spec = MOE_GPT3_S.with_(top_k=2)
         assert spec.top_k == 2
@@ -66,6 +79,15 @@ class TestClusterSpec:
         assert DGX_A100_CLUSTER.gpus_per_node == 8
         assert DGX_A100_CLUSTER.world_size == 64
         assert DGX_A100_CLUSTER.ib_gbitps == 200.0
+
+    def test_node_ib_aggregates_every_nic(self):
+        """Sec. V-A1's "1,600 Gbps InfiniBand" is 8 HDR NICs per node."""
+        assert DGX_A100_CLUSTER.node_ib_gbitps == 1600.0
+        assert ClusterSpec(ib_nics_per_node=1).node_ib_gbitps == 200.0
+
+    def test_with_world_size_one_full_node(self):
+        c = DGX_A100_CLUSTER.with_world_size(8)
+        assert (c.num_nodes, c.gpus_per_node) == (1, 8)
 
     def test_with_world_size_small(self):
         c = DGX_A100_CLUSTER.with_world_size(4)
@@ -82,18 +104,3 @@ class TestClusterSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterSpec(num_nodes=0)
-
-
-class TestPipelineConfig:
-    def test_defaults_are_paper_flags(self):
-        cfg = PipelineConfig()
-        assert cfg.pipeline and cfg.memory_reuse
-        assert cfg.num_partitions is None and cfg.strategy is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(num_partitions=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(strategy="S9")
-        with pytest.raises(ValueError):
-            PipelineConfig(candidate_partitions=(0, 2))
