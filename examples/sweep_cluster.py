@@ -11,7 +11,7 @@ every scale).
 Re-running is nearly free: completed scenarios are cached under
 ``--cache-dir`` keyed by scenario hash, so extending the grids only
 evaluates the new points.  The same study runs unchanged on any
-registered backend — results are byte-identical by contract.
+backend — results are byte-identical by contract.
 
 Run:  PYTHONPATH=src python examples/sweep_cluster.py [--workers 4]
 """

@@ -23,16 +23,16 @@ The pieces:
   ``.group_by()``, ``.cache_stats()``, ``.to_json()``; each row is a
   ``StudyResult``, the public name of
   :class:`~repro.sweep.runner.SweepResult`.
-* :mod:`repro.api.backends` — the execution-backend registry
-  (``serial`` / ``process`` / ``remote``), third-party extensible via
-  :func:`register_backend` / :func:`unregister_backend` /
-  :func:`temporary_backend`.  Whole-grid numpy pricing is the
-  ``vectorize`` run option (:meth:`Study.vectorize`), not a backend.
+* :mod:`repro.api.backends` — the execution backends, by name
+  (``serial`` / ``process`` / ``remote``); a custom backend is a
+  :class:`Backend` instance, passed wherever a name is.  Whole-grid
+  numpy pricing is the ``vectorize`` run option
+  (:meth:`Study.vectorize`), not a backend.
 * ``python -m repro`` — the CLI over all of it (:mod:`repro.api.cli`).
 
 Grid construction (:class:`Scenario`, :class:`ScenarioGrid`,
 :class:`ScenarioList`) and the analysis helpers are re-exported so one
-import serves a whole study.  The backend registry loads eagerly and
+import serves a whole study.  The backends load eagerly and
 the rest on first access.  This import and a scalar study load neither
 numpy nor multiprocessing: numpy comes with the training half and the
 whole-grid pass (imported at build under ``vectorize=True``).
@@ -45,9 +45,6 @@ from repro.api.backends import (
     WorkersLost,
     available_backends,
     get_backend,
-    register_backend,
-    temporary_backend,
-    unregister_backend,
 )
 from repro.utils.lazy import lazy_exports
 
@@ -57,9 +54,6 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "WorkersLost",
-    "register_backend",
-    "unregister_backend",
-    "temporary_backend",
     "get_backend",
     "available_backends",
     # distributed execution (lazy; see repro.distrib)
@@ -88,7 +82,7 @@ __all__ = [
 ]
 
 # Lazily-resolved exports: importing ``repro.api`` must not import the
-# sweep/systems stack (repro.sweep.runner imports the backend registry
+# sweep/systems stack (repro.sweep.runner imports the backends
 # from here — eager imports would cycle).
 __getattr__, __dir__ = lazy_exports(__name__, {
     "RemoteBackend": "repro.distrib.backend:RemoteBackend",

@@ -2,7 +2,7 @@
 
 A :class:`Backend` evaluates a function over work items, yielding
 ``(index, result)`` as each result lands (:meth:`Backend.imap`, its one
-method).  Three implementations ship registered under well-known names:
+method).  Three implementations ship, selectable by name:
 
 * ``serial`` — in-process loop; the reference semantics.
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`;
@@ -19,13 +19,10 @@ every evaluator is a plain callable (coroutine functions are rejected).
 Whole-grid numpy pricing is no backend either: the sweep runner takes
 that pass in place of ``Backend.imap`` when its ``vectorize`` option says.
 
-Third-party backends plug in through :func:`register_backend` (usable
-as a decorator, undone by :func:`unregister_backend` or scoped with
-:func:`temporary_backend`) and are then selectable by name everywhere a
-backend is accepted — ``Study.backend("mybackend")``, ``SweepRunner(backend=...)``,
-and the ``python -m repro`` CLI.  Every call site also accepts a
-:class:`Backend` *instance* directly, so configured backends need no
-registration at all.
+The names are a fixed table (:func:`available_backends`).  A custom
+backend is a :class:`Backend` instance, which every call site accepts
+in place of a name — ``Study.backend(MyBackend())``,
+``SweepRunner(backend=...)``.
 
 This module is deliberately free of ``repro`` imports — with one
 carve-out: :mod:`repro.obs.bus`, which itself imports nothing outside
@@ -48,7 +45,6 @@ stay visible to the caller).
 from __future__ import annotations
 
 import abc
-import contextlib
 import inspect
 import time
 from typing import Any, Callable, Iterator, Sequence
@@ -66,7 +62,7 @@ class WorkersLost(Exception):
 class Backend(abc.ABC):
     """Execution strategy: evaluate a function over work items."""
 
-    #: Registry name; instances constructed directly may leave it as-is.
+    #: The name run reports and events carry.
     name: str = "backend"
 
     @abc.abstractmethod
@@ -177,93 +173,29 @@ class ProcessBackend(Backend):
                 )
 
 
+def _remote_backend() -> Backend:
+    # Imported lazily: repro.distrib sits on top of the whole evaluation
+    # stack, and this module must stay repro-import-free at import time.
+    from repro.distrib.backend import RemoteBackend
+
+    return RemoteBackend()
+
+
 #: name -> zero-arg factory returning a fresh Backend.
-_REGISTRY: dict[str, Callable[[], Backend]] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], Backend] | None = None,
-    *,
-    overwrite: bool = False,
-):
-    """Register a backend factory under ``name``.
-
-    ``factory`` is any zero-arg callable returning a :class:`Backend`
-    (typically the class itself).  Usable as a decorator::
-
-        @register_backend("dask")
-        class DaskBackend(Backend): ...
-
-    Re-registering an existing name raises unless ``overwrite=True``.
-    """
-    if factory is None:  # decorator form
-        def decorate(factory):
-            register_backend(name, factory, overwrite=overwrite)
-            return factory
-
-        return decorate
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered; pass overwrite=True "
-            f"to replace it"
-        )
-    if not callable(factory):
-        raise TypeError(f"backend factory for {name!r} is not callable: {factory!r}")
-    _REGISTRY[name] = factory
-    return factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend factory.
-
-    The cleanup half of :func:`register_backend`, so tests (and plugins
-    being unloaded) do not leak throwaway backends into the registry for
-    the rest of the process.  Unknown names raise — silently "removing"
-    a backend that was never there usually means a typo upstream.
-    """
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"backend {name!r} is not registered; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
-    del _REGISTRY[name]
-
-
-@contextlib.contextmanager
-def temporary_backend(
-    name: str, factory: Callable[[], Backend], *, overwrite: bool = False
-):
-    """Register a backend for the duration of a ``with`` block.
-
-    On exit the registry is restored exactly: a fresh name is removed,
-    and a name taken over with ``overwrite=True`` gets its previous
-    factory back.  This is the leak-proof way for tests and short-lived
-    tools to plug in throwaway backends::
-
-        with temporary_backend("instrumented", MyBackend):
-            Study(grid).backend("instrumented").run()
-    """
-    previous = _REGISTRY.get(name)
-    register_backend(name, factory, overwrite=overwrite)
-    try:
-        yield factory
-    finally:
-        if previous is None:
-            _REGISTRY.pop(name, None)
-        else:
-            _REGISTRY[name] = previous
+_REGISTRY: dict[str, Callable[[], Backend]] = {
+    "serial": SerialBackend,
+    "process": ProcessBackend,
+    "remote": _remote_backend,
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """The backend names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
 def get_backend(spec: "str | Backend") -> Backend:
-    """Resolve a backend by registry name, or pass an instance through."""
+    """Resolve a backend by name, or pass an instance through."""
     if isinstance(spec, Backend):
         return spec
     if isinstance(spec, str):
@@ -273,27 +205,8 @@ def get_backend(spec: "str | Backend") -> Backend:
                 f"unknown backend {spec!r}; registered backends: "
                 f"{', '.join(available_backends())}"
             )
-        backend = factory()
-        if not isinstance(backend, Backend):
-            raise TypeError(
-                f"factory for backend {spec!r} returned {type(backend).__name__}, "
-                f"not a Backend"
-            )
-        return backend
+        return factory()
     raise TypeError(
         f"backend must be a registered name or a Backend instance, "
         f"got {type(spec).__name__}"
     )
-
-
-def _remote_backend() -> Backend:
-    # Imported lazily: repro.distrib sits on top of the whole evaluation
-    # stack, and this module must stay repro-import-free at import time.
-    from repro.distrib.backend import RemoteBackend
-
-    return RemoteBackend()
-
-
-register_backend("serial", SerialBackend)
-register_backend("process", ProcessBackend)
-register_backend("remote", _remote_backend)

@@ -6,7 +6,7 @@ a :class:`~repro.sweep.grid.ScenarioList`, or any iterable of
 scenarios), *how* to price each point (an objective — ``"system"``,
 ``"timeline"``, ``"eq10"``, or a user callable), *where* it runs (an execution
 backend from :mod:`repro.api.backends` plus a worker count), and the
-caching policy (on-disk scenario cache, evaluator-memo bound).
+caching policy (the on-disk scenario cache).
 
 Builders are immutable: every fluent call returns a new study, so one
 base study can fan out over backends or clusters without aliasing::
@@ -77,7 +77,6 @@ RUN_OPTIONS = {
     "backend": "serial",
     "workers": 1,
     "cache_dir": None,
-    "evaluator_max_entries": None,
     "vectorize": None,
     "retry": None,
     "on_error": "raise",
@@ -131,7 +130,8 @@ class Study:
         return self._clone(_objective=objective)
 
     def backend(self, backend: "str | Backend") -> "Study":
-        """Select the execution backend by registry name or instance."""
+        """Select the execution backend: a built-in name or a
+        :class:`~repro.api.backends.Backend` instance."""
         return self._with("backend", backend)
 
     def workers(self, workers: int) -> "Study":
@@ -140,10 +140,6 @@ class Study:
     def cache(self, cache_dir) -> "Study":
         """Cache completed scenarios as JSON under ``cache_dir``."""
         return self._with("cache_dir", cache_dir)
-
-    def limit_memo(self, max_entries: int | None) -> "Study":
-        """Bound every shared evaluator memo (LRU) for oversized grids."""
-        return self._with("evaluator_max_entries", max_entries)
 
     def vectorize(self, vectorize: bool | None = True) -> "Study":
         """Control the whole-grid fast path (see
@@ -297,7 +293,7 @@ class Study:
 
     def describe(self) -> dict:
         """JSON-able spec of this study (round-trips via :meth:`from_spec`
-        when the objective is named and the backend is registered)."""
+        when the objective and the backend are named)."""
         objective = (
             self._objective
             if isinstance(self._objective, str)

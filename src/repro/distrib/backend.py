@@ -1,17 +1,17 @@
 """The ``remote`` execution backend: shard a grid across study servers.
 
-:class:`RemoteBackend` plugs into the :mod:`repro.api.backends`
-registry, so ``Study(...).backend("remote")`` (or ``--backend remote``
-on the CLI) fans a sweep out across the ``python -m repro serve``
-workers named by :data:`ENDPOINTS_ENV` — without the runner, the study
-facade, or the caller changing at all.
+:class:`RemoteBackend` is the ``remote`` name of
+:mod:`repro.api.backends`, so ``Study(...).backend("remote")`` (or
+``--backend remote`` on the CLI) fans a sweep out across the
+``python -m repro serve`` workers named by :data:`ENDPOINTS_ENV` —
+without the runner, the study facade, or the caller changing at all.
 
 How it honors the backend contract (every index yielded once, with
 ``fn(items[index])``) over a JSON wire: the ``fn`` the runner hands every
 backend is the bare objective or a :class:`~repro.sweep.runner
-.Execution` (memo bound / retry policy / observation).  This backend
-ships the execution's :meth:`~repro.sweep.runner.Execution
-.submit_fields` plus the scenario dicts in a ``submit`` frame, and the
+.Execution` (retry policy / observation).  This backend ships the
+execution's :meth:`~repro.sweep.runner.Execution.submit_fields` plus
+the scenario dicts in a ``submit`` frame, and the
 server rebuilds the identical execution around the same objective —
 resolved by registry name or imported by qualified name, the
 process-backend pickle contract.  Results stream back one frame per

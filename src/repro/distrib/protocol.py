@@ -14,8 +14,9 @@ frame type     meaning
 ``reject``     server -> client: version skew or malformed handshake; the
                connection is closed after this frame
 ``submit``     client -> server: one shard — objective spec, the execution
-               fields (``retry`` policy, ``on_error``, ``max_entries`` memo
-               bound, ``observed``, ``run_t0``), scenario dicts
+               fields (``retry`` policy, ``on_error``, ``observed``,
+               ``run_t0``; the server ignores any other, such as the
+               ``max_entries`` older clients send), scenario dicts
 ``result``     server -> client: one evaluated scenario (``i`` = shard index,
                physical ``values``; the runner's reserved keys travel as
                separate ``stats`` / ``attempts`` / ``error`` / ``obs``

@@ -13,12 +13,12 @@ running more ``repro serve`` processes and listing them all in
 
 Execution fidelity is the whole point: a submitted shard is evaluated
 through the *same* :class:`~repro.sweep.runner.Execution` the client's
-:class:`~repro.sweep.runner.SweepRunner` would run locally — the memo
-bound in scope, the retry policy and keep-going semantics, and the
-observation sidecar when the client is observing — rebuilt from the
-submit frame, so a remote run computes byte-identical values to the
-serial reference and the client's fold loop, caching, manifest, and
-metrics all work unchanged on the streamed frames.
+:class:`~repro.sweep.runner.SweepRunner` would run locally — the retry
+policy and keep-going semantics, and the observation sidecar when the
+client is observing — rebuilt from the submit frame, so a remote run
+computes byte-identical values to the serial reference and the
+client's fold loop, caching, manifest, and metrics all work unchanged
+on the streamed frames.
 
 When constructed with a :class:`~repro.distrib.store.CacheStore`, the
 server consults it before computing (answered scenarios come back

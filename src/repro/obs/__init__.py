@@ -36,8 +36,8 @@ epoch-seconds + ``dur`` seconds):
   ``misses``, ``quarantined``).
 * ``cache.quarantine`` — one cache entry moved to ``*.corrupt``.
 * ``run.evaluator`` — run-wide evaluator-memo totals (``hits``,
-  ``misses``, ``evictions``, ``uninstrumented``, plus ``federated``
-  on remote runs answered partly by a worker's shared store).
+  ``misses``, ``uninstrumented``, plus ``federated`` on remote runs
+  answered partly by a worker's shared store).
 * ``remote.shard`` — one remote-backend shard dispatch (``endpoint``,
   ``items``, ``completed``, ``ok``, ``round``).
 * ``remote.host_down`` — a remote worker died or went silent

@@ -36,7 +36,7 @@ metric                                source
 ``sweep.cache.disk_hits`` /           per-run cache resolution
 ``.disk_misses`` / ``.quarantined``   (``cache.resolved``)
 ``sweep.evaluator.hits`` /            run-wide evaluator-memo totals folded
-``.misses`` / ``.evictions``          from per-scenario deltas
+``.misses``                           from per-scenario deltas
 ``sweep.evaluator.uninstrumented``    computed rows reporting no delta
 ``sweep.faults_injected``             ``fault.injected`` events
 ``batch.groups`` / ``batch.scenarios``  vectorized template groups priced
@@ -395,7 +395,6 @@ class ObsSession:
         elif event == "run.evaluator":
             reg.inc("sweep.evaluator.hits", fields.get("hits", 0))
             reg.inc("sweep.evaluator.misses", fields.get("misses", 0))
-            reg.inc("sweep.evaluator.evictions", fields.get("evictions", 0))
             reg.inc(
                 "sweep.evaluator.uninstrumented",
                 fields.get("uninstrumented", 0),

@@ -26,7 +26,6 @@ this class to.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -56,64 +55,6 @@ class EvalStats:
     footprint_hits: int = 0
     footprint_misses: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
-
-
-class _LruMemo:
-    """A memo dict with an optional entry cap and LRU eviction.
-
-    Unbounded (``max_entries=None``) it is a plain insertion-ordered
-    dict — zero overhead over the previous implementation.  Bounded, a
-    hit refreshes recency and an insert past the cap evicts the least
-    recently used entry, so very large sweep grids cannot grow the
-    evaluator's memory without limit.
-    """
-
-    __slots__ = ("max_entries", "evictions", "_data")
-
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        value = self._data.get(key)
-        if value is not None and self.max_entries is not None:
-            try:
-                self._data.move_to_end(key)
-            except KeyError:
-                # Evicted by another thread sharing this evaluator (user
-                # threads may share a context); the value in hand stands.
-                pass
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        data = self._data
-        data[key] = value
-        if self.max_entries is not None:
-            try:
-                data.move_to_end(key)
-            except KeyError:
-                data[key] = value  # lost a concurrent-eviction race: re-add
-            while len(data) > self.max_entries:
-                try:
-                    data.popitem(last=False)
-                except KeyError:
-                    break  # another thread already drained the overflow
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def clear(self) -> None:
-        self._data.clear()
-
 
 def _gating(dag, runs) -> tuple[int, Timing]:
     """Index and replayed timing of the run that gates the iteration:
@@ -140,10 +81,9 @@ class Evaluator:
     top-k / dtype / gating-skew settings without cross-talk.  The hetero hash makes keys globally
     unambiguous even if memo contents are ever compared or merged
     across contexts (and it is what the sweep's on-disk scenario cache
-    inherits through the scenario fields).
-
-    ``max_entries`` bounds each memo table with LRU eviction;
-    ``None`` (the default) keeps the original unbounded behaviour.
+    inherits through the scenario fields).  The memo tables are plain
+    dicts that grow for the evaluator's lifetime; the sweep's context
+    pool bounds how many evaluators a process keeps.
 
     Heterogeneous contexts evaluate each timeline once per distinct
     device profile (the straggler and its healthy peers) and return the
@@ -153,21 +93,16 @@ class Evaluator:
     """
 
     context: "SystemContext"
-    max_entries: int | None = None
     stats: EvalStats = field(default_factory=EvalStats)
 
     def __post_init__(self) -> None:
         self._comm = None
-        self._costs = _LruMemo(self.max_entries)
-        self._makespans = _LruMemo(self.max_entries)
-        self._sims = _LruMemo(self.max_entries)
-        # Keyed (spec, workload): one model per routing workload.  These
-        # ride the same LRU bound as the other memos — a grid sweeping
-        # many workloads grows them one entry per distinct workload, so
-        # leaving them as plain dicts silently defeated ``max_entries``.
-        self._footprints = _LruMemo(self.max_entries)
-        self._footprint_bytes = _LruMemo(self.max_entries)
-        self._selectors = _LruMemo(self.max_entries)
+        self._costs: dict = {}
+        self._makespans: dict = {}
+        self._sims: dict = {}
+        self._footprints: dict = {}  # keyed (spec, workload)
+        self._footprint_bytes: dict = {}
+        self._selectors: dict = {}  # keyed (spec, workload)
         self._memos = (
             self._costs, self._makespans, self._sims,
             self._footprint_bytes, self._footprints, self._selectors,
@@ -464,41 +399,32 @@ class Evaluator:
         )
 
     def cache_info(self) -> dict:
-        """Counters plus live entry counts, JSON-ready.
+        """Counters plus live entry counts, JSON-ready: the
+        :meth:`cache_delta` since the evaluator was built.
 
         The sweep runner persists the per-scenario :meth:`cache_delta`
         of these counters next to the scenario's values, making cache
         efficacy visible per study.
         """
-        info = self.stats.as_dict()
-        info["entries"] = sum(len(m) for m in self._memos)
-        info["evictions"] = sum(m.evictions for m in self._memos)
-        info["max_entries"] = self.max_entries
-        return info
+        return self.cache_delta((0,) * len(vars(self.stats)))
 
     def counters(self) -> tuple[int, ...]:
-        """The :class:`EvalStats` hit/miss pairs and the evictions: the
-        cheap snapshot the sweep runner takes around each scenario."""
-        return (*vars(self.stats).values(), sum(m.evictions for m in self._memos))
+        """The :class:`EvalStats` hit/miss pairs: the cheap snapshot the
+        sweep runner takes around each scenario."""
+        return tuple(vars(self.stats).values())
 
     def cache_delta(self, before: tuple[int, ...]) -> dict:
         """The :meth:`counters` accrued since ``before``, by name, then
-        their ``hits`` and ``misses`` totals and the live ``entries``
-        and ``max_entries`` of :meth:`cache_info`."""
-        counts = [now - then for now, then in zip(self.counters(), before)]
-        delta = dict(zip((*vars(self.stats), "evictions"), counts))
-        delta["hits"] = sum(counts[:-1:2])
-        delta["misses"] = sum(counts[1:-1:2])
-        delta["entries"] = sum(map(len, self._memos))
-        delta["max_entries"] = self.max_entries
-        return delta
+        their ``hits`` and ``misses`` totals and the live ``entries``.
 
-    def clear(self) -> None:
-        """Drop every memo (stats are kept)."""
-        self._comm = None
-        self._costs.clear()
-        self._makespans.clear()
-        self._sims.clear()
-        self._footprints.clear()
-        self._footprint_bytes.clear()
-        self._selectors.clear()
+        ``evictions`` (always 0) and ``max_entries`` (always None) stay
+        in the dict because every cache file and store entry holds them.
+        """
+        counts = [now - then for now, then in zip(self.counters(), before)]
+        delta = dict(zip(vars(self.stats), counts))
+        delta["evictions"] = 0
+        delta["hits"] = sum(counts[::2])
+        delta["misses"] = sum(counts[1::2])
+        delta["entries"] = sum(map(len, self._memos))
+        delta["max_entries"] = None
+        return delta

@@ -16,7 +16,7 @@ prefer ``Study``/``ResultSet`` for new code::
 
 The legacy surface (``SweepRunner``, the module-level evaluators, and
 the analysis helpers) remains fully supported; ``SweepRunner`` executes
-on the same :mod:`repro.api.backends` registry the facade uses.  The
+on the same :mod:`repro.api.backends` backends the facade uses.  The
 analysis helpers (``pareto_front``/``sweep_table``/``group_by``) live
 in :mod:`repro.api.result` and resolve lazily here.
 """

@@ -2,10 +2,11 @@
 
 :class:`SweepRunner` takes any iterable of :class:`Scenario` (usually a
 :class:`ScenarioGrid`), evaluates each point with a module-level
-evaluator function through a backend from the
-:mod:`repro.api.backends` registry (serial / process / remote, or any
-registered third-party backend), and returns :class:`SweepResult`
-objects in scenario order regardless of worker count or backend.
+evaluator function through a :mod:`repro.api.backends` backend
+(``serial`` / ``process`` / ``remote`` by name, or any
+:class:`~repro.api.backends.Backend` instance), and returns
+:class:`SweepResult` objects in scenario order regardless of worker
+count or backend.
 Objectives with a batched twin in :mod:`repro.perfmodel.batcheval`
 can instead price all cache misses in one whole-grid pass, as the
 runner's ``vectorize`` option decides.  Completed points are
@@ -34,8 +35,8 @@ in one process — serially, inside one pool worker, or on a
 memoized :class:`~repro.perfmodel.evalcache.Evaluator`: stage costs,
 compiled-timeline makespans and footprints computed for one scenario
 are reused by every later scenario at the same (world size, hetero
-spec, memo bound).  Timeline scenarios never read the trace, so they
-are priced through the records-free makespan-only mode by default.  The built-in
+spec).  Timeline scenarios never read the trace, so they are priced
+through the records-free makespan-only mode by default.  The built-in
 evaluators also report each scenario's evaluator-cache delta, which the
 runner surfaces as :attr:`SweepResult.cache_stats` and persists into
 the JSON cache files.
@@ -43,8 +44,6 @@ the JSON cache files.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import os
 import threading
 import time
@@ -131,10 +130,7 @@ def pop_reserved(values: dict) -> tuple:
     )
 
 
-#: Process-wide context pool, keyed by (world size, hetero spec, memo
-#: bound): a run with another bound than an earlier one (``limit_memo``
-#: or :data:`MAX_MEMO_ENTRIES_ENV`) gets its own context, so the bound
-#: and the memo stats never depend on what ran before in the process.
+#: Process-wide context pool, keyed by (world size, hetero spec).
 #: Worker processes each grow their own copy (the pool is never
 #: pickled), which is exactly the intra-process reuse wanted: scenarios
 #: dispatched to one worker share one memoized evaluator per cluster.
@@ -147,57 +143,18 @@ _POOL_LOCK = threading.Lock()
 #: rebuilt (cold memo) if their cluster shape comes around again.
 MAX_SHARED_CONTEXTS = 64
 
-#: Environment knob bounding every shared context's evaluator memo
-#: (``SystemContext(evaluator_max_entries=...)``).  A per-run
-#: ``SweepRunner(evaluator_max_entries=...)`` overrides it through a
-#: :class:`~contextvars.ContextVar` scoped to each evaluation, so
-#: concurrent runners with different bounds never see each other's
-#: value (the env var used to be mutated for the duration of the run,
-#: which raced).  Unset = unbounded.
-MAX_MEMO_ENTRIES_ENV = "REPRO_SWEEP_MAX_MEMO_ENTRIES"
-
 #: Below this many cache-miss scenarios, auto mode keeps the memoized
 #: per-scenario path: small grids gain little wall-clock from a batched
 #: pass and would lose their per-scenario cache stats for nothing.
 #: Explicit ``vectorize=True`` ignores it.
 VECTORIZE_MIN_POINTS = 64
 
-#: Sentinel distinguishing "no per-run bound set" from an explicit bound.
-_UNSET = object()
-
-#: The active runner's memo bound; set around each evaluation (and
-#: around whole batched passes) instead of mutating process state.
-_MEMO_BOUND: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_sweep_memo_bound", default=_UNSET
-)
-
-
-def _default_max_entries() -> int | None:
-    bound = _MEMO_BOUND.get()
-    if bound is not _UNSET:
-        return bound
-    raw = os.environ.get(MAX_MEMO_ENTRIES_ENV)
-    return int(raw) if raw else None
-
-
-@contextlib.contextmanager
-def _memo_bound(bound: int | None):
-    """Scope a per-run memo bound to the evaluations inside the block."""
-    token = None if bound is None else _MEMO_BOUND.set(bound)
-    try:
-        yield
-    finally:
-        if token is not None:
-            _MEMO_BOUND.reset(token)
-
 
 @dataclass(frozen=True)
 class Execution:
     """How a run evaluates each scenario, as one picklable object.
 
-    Layers, innermost first: the objective with the run's memo bound in
-    scope (a context variable, so concurrent runners with different
-    bounds never see each other's), the retry policy with its
+    Layers, innermost first: the objective, the retry policy with its
     ``on_error`` semantics, and — when the run is observed — a
     ``scenario.span`` covering retries and backoff plus the event
     sidecar under :data:`OBS_KEY`.  The process backend pickles it to
@@ -207,7 +164,6 @@ class Execution:
     """
 
     objective: Callable
-    max_entries: int | None = None
     retry: RetryPolicy | None = None
     on_error: str = "raise"
     observed: bool = False
@@ -219,11 +175,14 @@ class Execution:
 
     @classmethod
     def from_submit(cls, objective: Callable, frame: dict) -> "Execution":
-        """The execution a ``submit`` frame describes, around ``objective``."""
+        """The execution a ``submit`` frame describes, around ``objective``.
+
+        Fields are read by name, so any other field is ignored, such as
+        the ``max_entries`` memo bound older clients still send.
+        """
         retry = frame.get("retry")
         return cls(
             objective,
-            max_entries=frame.get("max_entries"),
             retry=RetryPolicy(**retry) if retry else None,
             on_error=frame.get("on_error", "raise"),
             observed=bool(frame.get("observed")),
@@ -235,7 +194,6 @@ class Execution:
         return {
             "retry": None if self.retry is None else self.retry.to_dict(),
             "on_error": self.on_error,
-            "max_entries": self.max_entries,
             "observed": self.observed,
             "run_t0": self.run_t0,
         }
@@ -275,33 +233,22 @@ class Execution:
 
     def _attempts(self, scenario: Scenario) -> dict:
         if self.retry is None:
-            return self._bounded(scenario)
-        with _memo_bound(self.max_entries):  # _drop_context keys on it
-            return run_with_policy(
-                self._bounded, scenario, self.retry, on_error=self.on_error,
-                on_timeout=_drop_context,
-            )
-
-    def _bounded(self, scenario: Scenario) -> dict:
-        with _memo_bound(self.max_entries):
             return self.objective(scenario)
+        return run_with_policy(
+            self.objective, scenario, self.retry, on_error=self.on_error,
+            on_timeout=_drop_context,
+        )
 
 
 def shared_context(
     world_size: int | None, hetero: HeteroClusterSpec | None = None
 ) -> SystemContext:
-    """The process's shared :class:`SystemContext` for one cluster shape
-    under the active memo bound."""
-    bound = _default_max_entries()
-    key = (world_size, hetero, bound)
+    """The process's shared :class:`SystemContext` for one cluster shape."""
+    key = (world_size, hetero)
     with _POOL_LOCK:
         ctx = _CONTEXTS.get(key)
         if ctx is None:
-            ctx = SystemContext(
-                world_size=world_size,
-                hetero=hetero,
-                evaluator_max_entries=bound,
-            )
+            ctx = SystemContext(world_size=world_size, hetero=hetero)
             # Exact per-scenario stats need evaluation + snapshot to be
             # atomic per context (see _with_cache_stats); in-flight
             # evaluations on an evicted context finish on their local
@@ -324,7 +271,7 @@ def _drop_context(scenario: Scenario) -> None:
     pool, the retry and every later scenario on this cluster start on a
     fresh one instead of queueing behind the orphan.
     """
-    key = (scenario.world_size, scenario_hetero(scenario), _default_max_entries())
+    key = (scenario.world_size, scenario_hetero(scenario))
     with _POOL_LOCK:
         _CONTEXTS.pop(key, None)
 
@@ -607,7 +554,7 @@ class SweepResult:
     """One evaluated scenario: the point, its values, and provenance.
 
     ``cache_stats`` carries the evaluator-cache delta of the scenario's
-    original computation (hits/misses/evictions/entries), preserved
+    original computation (hits/misses/entries), preserved
     through the on-disk cache; ``None`` when the evaluator did not
     report any.  It lives beside — not inside — ``values`` so the
     physical results stay byte-identical across worker layouts.
@@ -684,14 +631,14 @@ def check_run_option(name: str, value):
     and return the value a run keeps.  The runner and every
     :class:`~repro.api.study.Study` change share this one check."""
     if name == "backend":
-        get_backend(value)  # unknown names fail here, listing the registry
-    elif name == "workers":
+        get_backend(value)  # unknown names fail here, listing the known ones
+    elif name == "workers":  # strict ints: a spec's true or 2.5 is no count
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(
+                f"workers must be an int >= 1, got {type(value).__name__}"
+            )
         if value < 1:
             raise ValueError("workers must be >= 1")
-        return int(value)
-    elif name == "evaluator_max_entries":
-        if value is not None and value < 1:
-            raise ValueError("evaluator_max_entries must be >= 1 (or None)")
     elif name == "retry":
         if isinstance(value, int) and not isinstance(value, bool):
             return RetryPolicy(max_attempts=value)
@@ -726,10 +673,10 @@ def check_run_option(name: str, value):
 class SweepRunner:
     """Fan scenarios out over workers with per-scenario JSON caching.
 
-    Execution delegates to the :mod:`repro.api.backends` registry:
-    ``backend`` is a registered name (``"serial"``, ``"process"`` — the
-    default — or ``"remote"``) or any
-    :class:`~repro.api.backends.Backend` instance.  ``process`` isolates
+    Execution delegates to a :mod:`repro.api.backends` backend:
+    ``backend`` is a name (``"serial"``, ``"process"`` — the default —
+    or ``"remote"``) or any :class:`~repro.api.backends.Backend`
+    instance, which is how a custom backend plugs in.  ``process`` isolates
     workers in subprocesses, each growing its own :func:`shared_context`
     pool; ``serial`` prices every point in-line on this process's pool.
     The evaluator must be a plain callable: a coroutine-function
@@ -739,15 +686,6 @@ class SweepRunner:
     The runner folds each result as the backend yields it (row, cache
     entry, manifest record, ``backend.item`` tick), and settles the
     points of a backend that lost its workers itself.
-
-    ``evaluator_max_entries`` bounds every shared context's memo (LRU)
-    for grids too large to cache whole.  The bound travels with each
-    evaluation (a :class:`~contextvars.ContextVar` set around the call,
-    pickled into process-backend workers via the :class:`Execution`), so
-    concurrent runners with different bounds coexist; the
-    :data:`MAX_MEMO_ENTRIES_ENV` environment variable remains the
-    process-wide fallback.  The shared context pool keys on the bound,
-    so a bound holds whatever ran earlier in the process.
 
     ``vectorize`` alone selects the whole-grid fast path: evaluators
     with a batched twin (see :mod:`repro.perfmodel.batcheval`) can price
@@ -791,7 +729,6 @@ class SweepRunner:
         cache_dir: str | os.PathLike | None = None,
         workers: int = 1,
         backend: "str | Backend" = "process",
-        evaluator_max_entries: int | None = None,
         vectorize: bool | None = None,
         retry: "RetryPolicy | int | None" = None,
         on_error: str = "raise",
@@ -808,9 +745,6 @@ class SweepRunner:
         # Checked here, not only in Backend.imap: the whole-grid path
         # never reaches a backend's imap.
         self._backend._require_sync(evaluate)
-        self.evaluator_max_entries = check_run_option(
-            "evaluator_max_entries", evaluator_max_entries
-        )
         self.retry = check_run_option("retry", retry)
         self.on_error = check_run_option("on_error", on_error)
         self.resume = check_run_option("resume", resume)
@@ -909,17 +843,12 @@ class SweepRunner:
 
     def _bound_evaluate(self) -> Callable:
         """What the backend maps over the misses: the bare objective, or
-        an :class:`Execution` carrying this run's memo bound, retry
-        policy, ``on_error`` semantics and observation."""
-        if (
-            self.evaluator_max_entries is None
-            and not self._resilient
-            and self.obs is None
-        ):
+        an :class:`Execution` carrying this run's retry policy,
+        ``on_error`` semantics and observation."""
+        if not self._resilient and self.obs is None:
             return self.evaluate
         return Execution(
             self.evaluate,
-            max_entries=self.evaluator_max_entries,
             retry=self.retry,
             on_error=self.on_error,
             observed=self.obs is not None,
@@ -950,7 +879,7 @@ class SweepRunner:
         )
 
     def _batch_map(self, misses: list[Scenario]) -> list[dict]:
-        """One whole-grid pass over the misses, memo bound in scope.
+        """One whole-grid pass over the misses.
 
         Looks the twin up by ``self.evaluate`` (not through
         :meth:`_bound_evaluate`) because the batched-twin registry is
@@ -960,8 +889,7 @@ class SweepRunner:
         """
         from repro.perfmodel.batcheval import batch_evaluator_for
 
-        with _memo_bound(self.evaluator_max_entries):
-            computed = batch_evaluator_for(self.evaluate)(misses)
+        computed = batch_evaluator_for(self.evaluate)(misses)
         if _obs_active():
             _obs_emit("batch.pass", scenarios=len(computed))
         return computed
@@ -1069,8 +997,8 @@ class SweepRunner:
         try:
             if misses:
                 evaluator_totals = {
-                    "hits": 0, "misses": 0, "evictions": 0,
-                    "uninstrumented": 0, "federated": 0,
+                    "hits": 0, "misses": 0, "uninstrumented": 0,
+                    "federated": 0,
                 }
                 for i, vals in self._landed(misses):
                     sc, slot = misses[i], miss_slots[i]
@@ -1088,9 +1016,6 @@ class SweepRunner:
                         else:
                             evaluator_totals["hits"] += sc_stats.get("hits", 0)
                             evaluator_totals["misses"] += sc_stats.get("misses", 0)
-                            evaluator_totals["evictions"] += sc_stats.get(
-                                "evictions", 0
-                            )
                     if prior is not None:
                         # A resumed point's attempt count is cumulative
                         # across runs — the proof that resume re-executed

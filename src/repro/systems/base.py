@@ -54,7 +54,6 @@ class SystemContext:
     device: DeviceSpec = A100_SXM_40GB
     world_size: int | None = None  # default: full cluster
     hetero: HeteroClusterSpec | None = None
-    evaluator_max_entries: int | None = None  # LRU cap on the shared memo
 
     def __post_init__(self) -> None:
         overrides = None
@@ -71,7 +70,7 @@ class SystemContext:
         )
         self._sim_profiles = distinct_profiles(self._rank_rates)
         self._profile_engines: dict[DeviceRates, SimEngine] = {}
-        self.evaluator = Evaluator(self, max_entries=self.evaluator_max_entries)
+        self.evaluator = Evaluator(self)
 
     @property
     def effective_world(self) -> int:

@@ -131,15 +131,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def astype(a: Tensor, dtype) -> Tensor:
-    out = a.data.astype(dtype)
-
-    def backward(g):
-        return (g.astype(a.data.dtype),)
-
-    return _make(out, (a,), backward)
-
-
 # --- shape ops ---------------------------------------------------------------
 
 
@@ -280,18 +271,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         # dL/dx = s * (g - sum(g * s))
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
-
-    return _make(out, (a,), backward)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - logsumexp
-
-    def backward(g):
-        softmax_vals = np.exp(out)
-        return (g - softmax_vals * g.sum(axis=axis, keepdims=True),)
 
     return _make(out, (a,), backward)
 

@@ -109,14 +109,6 @@ class Tensor:
         """A new leaf sharing storage, cut from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.astype(self, dtype)
-
     # -- graph mechanics -----------------------------------------------------
     @property
     def is_leaf(self) -> bool:

@@ -1,4 +1,4 @@
-"""Execution-backend registry and cross-path equivalence.
+"""Execution backends by name and instance, and cross-path equivalence.
 
 The acceptance contract of the public API: the same study run on
 ``serial``, on ``process`` and through the whole-grid pass
@@ -19,9 +19,6 @@ from repro.api.backends import (
     WorkersLost,
     available_backends,
     get_backend,
-    register_backend,
-    temporary_backend,
-    unregister_backend,
 )
 from repro.obs import ObsSession, bus
 from repro.sweep import Scenario, ScenarioGrid, SweepRunner, shared_context
@@ -97,6 +94,26 @@ class TestRegistry:
         instance = ProcessBackend()
         assert get_backend(instance) is instance
 
+    @pytest.mark.parametrize("name", available_backends())
+    def test_each_name_builds_a_fresh_backend(self, name):
+        assert get_backend(name) is not get_backend(name)
+        assert get_backend(name).name == name
+
+    def test_a_custom_backend_is_an_instance_that_describes_by_name(self):
+        """A custom backend plugs in as an instance; its name reaches
+        ``describe()``, but no name table knows it, so the described
+        spec does not rebuild."""
+
+        class Custom(SerialBackend):
+            name = "custom-test"
+
+        study = Study(EQUIVALENCE_GRID, objective="timeline").backend(Custom())
+        spec = study.describe()
+        assert spec["backend"] == "custom-test"
+        assert "custom-test" not in available_backends()
+        with pytest.raises(ValueError, match="unknown backend 'custom-test'"):
+            Study.from_spec(spec)
+
     def test_unknown_name_lists_registered_backends(self):
         with pytest.raises(ValueError, match="unknown backend 'fiber'"):
             get_backend("fiber")
@@ -106,63 +123,6 @@ class TestRegistry:
     def test_non_string_non_backend_rejected(self):
         with pytest.raises(TypeError, match="Backend"):
             get_backend(42)
-
-    def test_third_party_registration_and_overwrite(self):
-        class EchoBackend(Backend):
-            name = "echo-test"
-
-            def imap(self, fn, items, *, workers=1):
-                return ((i, fn(item)) for i, item in enumerate(items))
-
-        register_backend("echo-test", EchoBackend)
-        try:
-            assert "echo-test" in available_backends()
-            assert isinstance(get_backend("echo-test"), EchoBackend)
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("echo-test", EchoBackend)
-            register_backend("echo-test", EchoBackend, overwrite=True)
-        finally:
-            from repro.api import backends as mod
-
-            mod._REGISTRY.pop("echo-test", None)
-
-    def test_register_as_decorator(self):
-        from repro.api import backends as mod
-
-        @register_backend("decorated-test")
-        class DecoratedBackend(SerialBackend):
-            name = "decorated-test"
-
-        try:
-            assert isinstance(get_backend("decorated-test"), DecoratedBackend)
-        finally:
-            mod._REGISTRY.pop("decorated-test", None)
-
-    def test_unregister_backend(self):
-        register_backend("ephemeral-test", SerialBackend)
-        assert "ephemeral-test" in available_backends()
-        unregister_backend("ephemeral-test")
-        assert "ephemeral-test" not in available_backends()
-
-    def test_unregister_unknown_lists_registered(self):
-        with pytest.raises(ValueError, match="not registered"):
-            unregister_backend("never-was")
-
-    def test_temporary_backend_registers_then_removes(self):
-        with temporary_backend("scoped-test", SerialBackend):
-            assert "scoped-test" in available_backends()
-        assert "scoped-test" not in available_backends()
-
-    def test_temporary_backend_restores_the_shadowed_factory(self):
-        with temporary_backend("serial", ProcessBackend, overwrite=True):
-            assert isinstance(get_backend("serial"), ProcessBackend)
-        assert isinstance(get_backend("serial"), SerialBackend)
-
-    def test_temporary_backend_cleans_up_on_error(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with temporary_backend("scoped-test", SerialBackend):
-                raise RuntimeError("boom")
-        assert "scoped-test" not in available_backends()
 
 
 class TestBackendMap:
@@ -188,9 +148,10 @@ class TestBackendMap:
         assert values == [square_scenario(sc) for sc in scenarios]
 
     def test_an_imap_only_backend_runs_a_study_and_ticks_per_point(self):
-        """A third-party backend implements imap alone, may land results
-        in any order, and still gets the runner's one backend.item tick
-        per point and the serial run's bytes."""
+        """A custom backend, passed as an instance, implements imap
+        alone, may land results in any order, and still gets the
+        runner's one backend.item tick per point and the serial run's
+        bytes."""
 
         class Reversed(Backend):
             name = "reversed-test"
@@ -207,12 +168,11 @@ class TestBackendMap:
                 ticks.append(fields["backend"])
 
         study = Study(EQUIVALENCE_GRID, objective="timeline").vectorize(False)
-        with temporary_backend("reversed-test", Reversed):
-            bus.subscribe(hook)
-            try:
-                results = study.backend("reversed-test").run()
-            finally:
-                bus.unsubscribe(hook)
+        bus.subscribe(hook)
+        try:
+            results = study.backend(Reversed()).run()
+        finally:
+            bus.unsubscribe(hook)
         assert ticks == ["reversed-test"] * len(EQUIVALENCE_GRID)
         assert results.to_json() == study.run().to_json()
 
@@ -304,14 +264,16 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("knobs, bare", [
         ({}, True),
-        ({"evaluator_max_entries": 4}, False),
         ({"retry": 2}, False),
         ({"on_error": "keep"}, False),
         ({"obs": ObsSession()}, False),
+        ({"workers": 2}, True),
+        ({"vectorize": False}, True),
     ])
     def test_backends_receive_the_bare_objective_by_default(self, knobs, bare):
-        """Only a memo bound, a retry policy, keep-going or observation
-        wrap the objective; a plain run hands backends the function."""
+        """Only a retry policy, keep-going or observation wrap the
+        objective; a plain run, at any worker count or with the
+        whole-grid pass off, hands backends the function."""
         received = []
 
         class Spy(SerialBackend):

@@ -153,6 +153,11 @@ def test_study_spec_errors_are_clean_failures(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "did you mean 'batches'" in err
 
+    bad.write_text(json.dumps({"scenarios": [], "evaluator_max_entries": 8}))
+    assert main(["study", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown study spec key(s) ['evaluator_max_entries']" in err
+
     assert main(["study", str(tmp_path / "missing.json")]) == 2
     bad.write_text("{not json")
     assert main(["study", str(bad)]) == 2
@@ -160,6 +165,7 @@ def test_study_spec_errors_are_clean_failures(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, value", [
     ("resume", "false"), ("vectorize", "false"), ("cache_dir", 123),
+    ("workers", "2"), ("workers", 2.5), ("workers", True), ("workers", 0),
 ])
 def test_a_bad_run_option_in_a_spec_file_is_a_clean_failure(
     name, value, tmp_path, capsys

@@ -18,7 +18,9 @@ from repro.api import (
     pareto_front,
 )
 from repro.api.study import RUN_OPTIONS
+from repro.perfmodel.evalcache import Evaluator
 from repro.sweep.runner import SweepResult, SweepRunner
+from repro.systems.base import SystemContext
 
 
 # Module-level so process-backend workers can pickle it.
@@ -49,7 +51,6 @@ FLUENT_CHANGES = {
     "cache_dir": (
         lambda s: s.cache(Path("elsewhere")), "elsewhere", Path("elsewhere")
     ),
-    "evaluator_max_entries": (lambda s: s.limit_memo(8), 8, 8),
     "vectorize": (lambda s: s.vectorize(), True, True),
     "retry": (
         lambda s: s.retry(max_attempts=3, backoff=0.5),
@@ -62,7 +63,8 @@ FLUENT_CHANGES = {
 
 
 #: Values the run-option check refuses, by option; each is a truthy or
-#: falsy stand-in for a real setting, or a path of the wrong type.
+#: falsy stand-in for a real setting, a path of the wrong type, or a
+#: worker count that compares like an int but is none.
 BAD_RUN_OPTIONS = [
     ("vectorize", "false"),
     ("vectorize", "no"),
@@ -72,6 +74,9 @@ BAD_RUN_OPTIONS = [
     ("resume", 0),
     ("cache_dir", 123),
     ("cache_dir", b"cache"),
+    ("workers", "2"),
+    ("workers", 2.5),
+    ("workers", True),
 ]
 
 #: The fluent method of each option in BAD_RUN_OPTIONS.
@@ -79,6 +84,7 @@ FLUENT_SETTERS = {
     "vectorize": Study.vectorize,
     "resume": Study.resume,
     "cache_dir": Study.cache,
+    "workers": Study.workers,
 }
 
 
@@ -126,9 +132,10 @@ class TestStudyBuilder:
     def test_a_bad_run_option_fails_when_the_study_or_runner_is_built(
         self, name, value, tmp_path
     ):
-        """Only None/True/False vectorize, True/False resume and a None,
-        str or os.PathLike cache_dir get past the build: a truthy string
-        such as "false" must not resume or force the whole-grid pass."""
+        """Only None/True/False vectorize, True/False resume, a None,
+        str or os.PathLike cache_dir and an int workers get past the
+        build: a truthy string such as "false" must not resume or force
+        the whole-grid pass, and 2.5 workers must not run on 2."""
         with pytest.raises(TypeError, match=name):
             SweepRunner(fake_objective, **{"cache_dir": tmp_path, name: value})
         with pytest.raises(TypeError, match=name):
@@ -138,11 +145,34 @@ class TestStudyBuilder:
         with pytest.raises(TypeError, match=name):
             Study.from_spec({"scenarios": [{"system": "timeline"}], name: value})
 
-    def test_a_bad_memo_bound_fails_when_the_study_is_built(self):
-        with pytest.raises(ValueError, match="evaluator_max_entries"):
-            Study(GRID).limit_memo(0)
-        with pytest.raises(ValueError, match="evaluator_max_entries"):
-            Study(GRID, evaluator_max_entries=0)
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_workers_below_one_fail_when_the_study_or_runner_is_built(
+        self, value
+    ):
+        """An int is the right type, so a count below one is a
+        ValueError on every path, not a TypeError."""
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SweepRunner(fake_objective, workers=value)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Study(GRID, workers=value)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Study(GRID).workers(value)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Study.from_spec(
+                {"scenarios": [{"system": "timeline"}], "workers": value}
+            )
+
+    @pytest.mark.parametrize("build", [
+        lambda: Study(GRID, evaluator_max_entries=8),
+        lambda: SweepRunner(fake_objective, evaluator_max_entries=8),
+        lambda: SystemContext(world_size=8, evaluator_max_entries=8),
+        lambda: Evaluator(SystemContext(world_size=8), max_entries=8),
+    ], ids=["Study", "SweepRunner", "SystemContext", "Evaluator"])
+    def test_a_memo_bound_keyword_fails_at_build_time(self, build):
+        """The evaluator memo has no bound: code that still passes one
+        fails where it builds, rather than running unbounded unawares."""
+        with pytest.raises(TypeError, match="max_entries"):
+            build()
 
     def test_grid_accepts_grids_lists_and_scenarios(self):
         single = Scenario(system="timeline", spec="GPT-S", world_size=8,
@@ -218,8 +248,7 @@ class TestStudyBuilder:
         assert rebuilt.describe() == study.describe()
         assert list(study.describe()) == [
             "scenarios", "objective", "backend", "workers", "cache_dir",
-            "evaluator_max_entries", "vectorize", "retry", "on_error",
-            "resume", "observe",
+            "vectorize", "retry", "on_error", "resume", "observe",
         ]
 
     def test_routing_axes_round_trip_and_overlay(self):
@@ -252,6 +281,8 @@ class TestStudyBuilder:
     def test_from_spec_rejects_unknown_keys_and_axes(self):
         with pytest.raises(ValueError, match="unknown study spec key"):
             Study.from_spec({"grdis": []})
+        with pytest.raises(ValueError, match="'evaluator_max_entries'"):
+            Study.from_spec({"scenarios": [], "evaluator_max_entries": 8})
         with pytest.raises(ValueError, match="did you mean 'batches'"):
             Study.from_spec({"grids": [{"batch_sizes": [1024]}]})
 

@@ -36,7 +36,7 @@ def test_all_names_resolve(module_name):
 def test_star_import_of_the_facade():
     namespace: dict = {}
     exec("from repro.api import *", namespace)
-    for name in ("Study", "ResultSet", "ScenarioGrid", "register_backend"):
+    for name in ("Study", "ResultSet", "ScenarioGrid", "get_backend"):
         assert name in namespace
 
 

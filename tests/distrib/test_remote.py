@@ -51,8 +51,7 @@ SMALL_GRID = ScenarioGrid(
 )
 
 
-# Module-level (the server imports it by qualified name) and free of
-# shared contexts, so a memo bound set here leaks into no other test.
+# Module-level: the server imports it by qualified name.
 def batch_echo(scenario: Scenario) -> dict:
     return {"batch": scenario.batch}
 
@@ -80,58 +79,30 @@ DEFAULT_WIRE = {
     "jitter": 0.0, "seed": 0, "timeout": None,
 }
 
-#: (memo bound, retry, on_error, observed) -> the submit frame's
-#: execution fields (``run_t0`` is checked against the session).
-SUBMIT_TABLE = [
-    (None, None, "raise", False,
-     {"retry": None, "on_error": "raise", "max_entries": None,
-      "observed": False}),
-    (None, None, "raise", True,
-     {"retry": None, "on_error": "raise", "max_entries": None,
-      "observed": True}),
-    (None, None, "keep", False,
-     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": None,
-      "observed": False}),
-    (None, None, "keep", True,
-     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": None,
-      "observed": True}),
-    (None, POLICY, "raise", False,
-     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": None,
-      "observed": False}),
-    (None, POLICY, "raise", True,
-     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": None,
-      "observed": True}),
-    (None, POLICY, "keep", False,
-     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": None,
-      "observed": False}),
-    (None, POLICY, "keep", True,
-     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": None,
-      "observed": True}),
-    (7, None, "raise", False,
-     {"retry": None, "on_error": "raise", "max_entries": 7,
-      "observed": False}),
-    (7, None, "raise", True,
-     {"retry": None, "on_error": "raise", "max_entries": 7,
-      "observed": True}),
-    (7, None, "keep", False,
-     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": 7,
-      "observed": False}),
-    (7, None, "keep", True,
-     {"retry": DEFAULT_WIRE, "on_error": "keep", "max_entries": 7,
-      "observed": True}),
-    (7, POLICY, "raise", False,
-     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": 7,
-      "observed": False}),
-    (7, POLICY, "raise", True,
-     {"retry": POLICY_WIRE, "on_error": "raise", "max_entries": 7,
-      "observed": True}),
-    (7, POLICY, "keep", False,
-     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": 7,
-      "observed": False}),
-    (7, POLICY, "keep", True,
-     {"retry": POLICY_WIRE, "on_error": "keep", "max_entries": 7,
-      "observed": True}),
+#: (retry, on_error, observed) -> the submit frame's execution fields
+#: (``run_t0`` is checked against the session).
+EXECUTION_FIELDS = [
+    (None, "raise", False,
+     {"retry": None, "on_error": "raise", "observed": False}),
+    (None, "raise", True,
+     {"retry": None, "on_error": "raise", "observed": True}),
+    (None, "keep", False,
+     {"retry": DEFAULT_WIRE, "on_error": "keep", "observed": False}),
+    (None, "keep", True,
+     {"retry": DEFAULT_WIRE, "on_error": "keep", "observed": True}),
+    (POLICY, "raise", False,
+     {"retry": POLICY_WIRE, "on_error": "raise", "observed": False}),
+    (POLICY, "raise", True,
+     {"retry": POLICY_WIRE, "on_error": "raise", "observed": True}),
+    (POLICY, "keep", False,
+     {"retry": POLICY_WIRE, "on_error": "keep", "observed": False}),
+    (POLICY, "keep", True,
+     {"retry": POLICY_WIRE, "on_error": "keep", "observed": True}),
 ]
+
+#: (memo bound, *EXECUTION_FIELDS row): each row as this client sends
+#: it (``None``) and with the ``max_entries`` an older client still adds.
+SUBMIT_TABLE = [(bound, *row) for bound in (None, 7) for row in EXECUTION_FIELDS]
 
 
 @pytest.fixture
@@ -191,6 +162,9 @@ class TestSubmitFrame:
         self, loopback_server, monkeypatch, bound, retry, on_error,
         observed, expected,
     ):
+        """The client sends each execution field; the server serves the
+        frame under every field combination, and also when an older
+        client's ``max_entries`` rides along."""
         from repro.distrib import backend as backend_mod
 
         real_send = backend_mod.send_frame
@@ -199,19 +173,21 @@ class TestSubmitFrame:
         def spy(sock, payload):
             if payload["type"] == "submit":
                 submits.append(payload)
+                if bound is not None:
+                    payload = {**payload, "max_entries": bound}
             real_send(sock, payload)
 
         monkeypatch.setattr(backend_mod, "send_frame", spy)
         obs = ObsSession() if observed else None
         (row,) = SweepRunner(
-            batch_echo, backend="remote", evaluator_max_entries=bound,
-            retry=retry, on_error=on_error, obs=obs,
+            batch_echo, backend="remote", retry=retry, on_error=on_error,
+            obs=obs,
         ).run(SMALL_GRID.scenarios()[:1])
         assert row.ok and row.values == {"batch": 1024}
         (frame,) = submits
         assert list(frame) == [
-            "type", "objective", "retry", "on_error", "max_entries",
-            "observed", "run_t0", "scenarios",
+            "type", "objective", "retry", "on_error", "observed", "run_t0",
+            "scenarios",
         ]
         assert frame["objective"] == {
             "module": "tests.distrib.test_remote", "qualname": "batch_echo",
@@ -220,6 +196,27 @@ class TestSubmitFrame:
         if frame["retry"] is not None:
             assert list(frame["retry"]) == list(POLICY_WIRE)
         assert frame["run_t0"] == (obs.run_t0 if observed else 0.0)
+
+    def test_a_memo_bound_from_an_older_client_is_ignored(
+        self, loopback_server, monkeypatch
+    ):
+        """Clients from before the memo bound went still send
+        ``max_entries`` on the same protocol version; the server serves
+        such a frame and returns the serial run's values."""
+        from repro.distrib import backend as backend_mod
+
+        real_send = backend_mod.send_frame
+
+        def older_client(sock, payload):
+            if payload["type"] == "submit":
+                payload = {**payload, "max_entries": 7}
+            real_send(sock, payload)
+
+        monkeypatch.setattr(backend_mod, "send_frame", older_client)
+        study = Study(SMALL_GRID, objective="timeline")
+        remote = study.backend("remote").run()
+        assert [r.ok for r in remote] == [True] * len(SMALL_GRID)
+        assert remote.to_json() == study.run().to_json()
 
 
 class TestEquivalence:

@@ -184,18 +184,6 @@ class TestBuildingBlocks:
         assert cold is not first
         assert first.select(8192, 4) == cold.select(8192, 4)
 
-    def test_clear_resets_memo(self):
-        ctx = make_context(enabled=True)
-        spec = get_preset("GPT-XL")
-        ctx.evaluator.makespan(spec, 8192, 4, "none")
-        misses = ctx.evaluator.stats.makespan_misses
-        ctx.evaluator.clear()
-        value = ctx.evaluator.makespan(spec, 8192, 4, "none")
-        assert ctx.evaluator.stats.makespan_misses == misses + 1
-        # Recomputation after clear reproduces the same float.
-        ctx.evaluator.clear()
-        assert ctx.evaluator.makespan(spec, 8192, 4, "none") == value
-
 
 class TestNoFitPath:
     """A device too small for any reuse strategy must raise MemoryError
@@ -227,83 +215,51 @@ class TestNoFitPath:
         assert ctx.evaluator.stats.footprint_misses == misses
 
 
-class TestBoundedMemo:
-    """The LRU cap: memory stays bounded, answers stay identical."""
-
-    def _bounded_context(self, max_entries):
-        ctx = SystemContext(world_size=WORLD, evaluator_max_entries=max_entries)
-        assert ctx.evaluator.max_entries == max_entries
-        return ctx
-
-    def test_entries_capped_and_evictions_counted(self):
-        ctx = self._bounded_context(4)
+class TestCacheInfo:
+    def test_the_memo_keeps_every_entry(self):
+        """No bound: every priced point stays a hit for the evaluator's
+        lifetime, however many distinct points came after it."""
+        ctx = make_context(enabled=True)
         spec = get_preset("GPT-XL")
-        for n in (1, 2, 4, 8, 16, 32):
-            ctx.evaluator.makespan(spec, 8192, n, "none")
-        info = ctx.evaluator.cache_info()
-        assert len(ctx.evaluator._makespans) == 4
-        assert info["evictions"] > 0
-
-    def test_evicted_entry_recomputes_identically(self):
-        bounded = self._bounded_context(2)
-        unbounded = SystemContext(world_size=WORLD)
-        spec = get_preset("GPT-XL")
-        reference = unbounded.evaluator.makespan(spec, 8192, 2, "none")
-        assert bounded.evaluator.makespan(spec, 8192, 2, "none") == reference
-        for n in (4, 8, 16):  # push n=2 out of the 2-entry memo
-            bounded.evaluator.makespan(spec, 8192, n, "none")
-        misses = bounded.evaluator.stats.makespan_misses
-        assert bounded.evaluator.makespan(spec, 8192, 2, "none") == reference
-        assert bounded.evaluator.stats.makespan_misses == misses + 1
-
-    def test_hit_refreshes_recency(self):
-        ctx = self._bounded_context(2)
-        spec = get_preset("GPT-XL")
-        ctx.evaluator.makespan(spec, 8192, 2, "none")
-        ctx.evaluator.makespan(spec, 8192, 4, "none")
-        ctx.evaluator.makespan(spec, 8192, 2, "none")  # refresh n=2
-        ctx.evaluator.makespan(spec, 8192, 8, "none")  # evicts n=4, not n=2
+        ns = (1, 2, 4, 8, 16, 32)
+        first = [ctx.evaluator.makespan(spec, 8192, n, "none") for n in ns]
         misses = ctx.evaluator.stats.makespan_misses
-        ctx.evaluator.makespan(spec, 8192, 2, "none")
-        assert ctx.evaluator.stats.makespan_misses == misses  # still cached
+        assert len(ctx.evaluator._makespans) == len(ns)
+        assert [ctx.evaluator.makespan(spec, 8192, n, "none") for n in ns] == first
+        assert ctx.evaluator.stats.makespan_misses == misses
+        assert ctx.evaluator.stats.makespan_hits == len(ns)
 
-    def test_footprints_and_selectors_respect_the_bound(self):
-        # Regression: these two memos were plain dicts — ``max_entries``
-        # bounded every other table while a workload sweep grew them
-        # without limit (and their evictions never surfaced).
+    def test_footprints_and_selectors_keep_every_workload(self):
+        """One footprint model and one Eq. 10 selector per (spec,
+        workload), each built on its first lookup and served after."""
         from repro.perfmodel.workload import WorkloadSpec
 
-        ctx = self._bounded_context(3)
+        ctx = make_context(enabled=True)
         spec = get_preset("GPT-XL")
-        workloads = [
-            WorkloadSpec(imbalance=float(skew)) for skew in range(1, 9)
-        ]
-        for wl in workloads:
-            ctx.evaluator.footprint(spec, wl)
-            ctx.evaluator.selector(spec, wl)
-        assert len(ctx.evaluator._footprints) == 3
-        assert len(ctx.evaluator._selectors) == 3
-        assert ctx.evaluator._footprints.evictions > 0
-        assert ctx.evaluator._selectors.evictions > 0
-        info = ctx.evaluator.cache_info()
-        assert info["evictions"] >= (
-            ctx.evaluator._footprints.evictions
-            + ctx.evaluator._selectors.evictions
-        )
+        workloads = [WorkloadSpec(imbalance=float(skew)) for skew in range(1, 9)]
+        footprints = [ctx.evaluator.footprint(spec, wl) for wl in workloads]
+        selectors = [ctx.evaluator.selector(spec, wl) for wl in workloads]
+        assert len(ctx.evaluator._footprints) == len(workloads)
+        assert len(ctx.evaluator._selectors) == len(workloads)
+        for wl, fp, selector in zip(workloads, footprints, selectors):
+            assert ctx.evaluator.footprint(spec, wl) is fp
+            assert ctx.evaluator.selector(spec, wl) is selector
+        assert ctx.evaluator.cache_info()["entries"] >= 2 * len(workloads)
 
-    def test_bounded_reports_identical_to_unbounded(self):
+    def test_a_delta_counts_the_lookups_after_its_snapshot(self):
+        """``cache_delta`` subtracts a ``counters()`` snapshot, while
+        ``entries`` stays the evaluator's live total."""
+        ctx = make_context(enabled=True)
         spec = get_preset("GPT-XL")
-        bounded = MPipeMoEModel(self._bounded_context(3))
-        unbounded = MPipeMoEModel(SystemContext(world_size=WORLD))
-        for batch in BATCHES:
-            assert bounded.evaluate(spec, batch) == unbounded.evaluate(spec, batch)
+        ctx.evaluator.makespan(spec, 8192, 2, "none")
+        before = ctx.evaluator.counters()
+        ctx.evaluator.makespan(spec, 8192, 2, "none")  # a hit
+        ctx.evaluator.makespan(spec, 8192, 4, "none")  # a miss
+        delta = ctx.evaluator.cache_delta(before)
+        assert (delta["makespan_hits"], delta["makespan_misses"]) == (1, 1)
+        assert delta["entries"] == ctx.evaluator.cache_info()["entries"]
+        assert delta["entries"] == sum(map(len, ctx.evaluator._memos))
 
-    def test_max_entries_validation(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            SystemContext(world_size=WORLD, evaluator_max_entries=0)
-
-
-class TestCacheInfo:
     def test_info_shape_and_counts(self):
         ctx = make_context(enabled=True)
         info = ctx.evaluator.cache_info()

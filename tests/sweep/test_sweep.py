@@ -438,6 +438,32 @@ class TestEvaluators:
         with pytest.raises(ValueError, match=match):
             evaluate_system(Scenario(spec="GPT-S", world_size=8, batch=2048, **kwargs))
 
+    @pytest.mark.parametrize("objective", ["system", "timeline", "eq10"])
+    def test_builtin_cache_delta_keeps_its_thirteen_keys(self, objective):
+        """The ``evaluator_cache`` shape every cache file and store entry
+        holds: eight counters, their totals, the live entry count, and
+        ``evictions``/``max_entries``, constant since the memo has no
+        bound."""
+        from repro.api.study import OBJECTIVES
+
+        system = "timeline" if objective == "timeline" else "mpipemoe"
+        scenario = Scenario(system=system, spec="GPT-S", world_size=8,
+                            batch=2048, n=2)
+        delta = OBJECTIVES[objective](scenario)["_evaluator_cache"]
+        counters = [
+            f"{table}_{kind}"
+            for table in ("cost", "makespan", "sim", "footprint")
+            for kind in ("hits", "misses")
+        ]
+        assert sorted(delta) == sorted(
+            [*counters, "hits", "misses", "entries", "evictions", "max_entries"]
+        )
+        assert delta["evictions"] == 0
+        assert delta["max_entries"] is None
+        assert delta["hits"] == sum(delta[c] for c in counters[::2])
+        assert delta["misses"] == sum(delta[c] for c in counters[1::2])
+        assert delta["entries"] > 0
+
 
 class TestAnalysis:
     def test_pareto_front_on_hand_computed_points(self):
@@ -615,71 +641,34 @@ class TestHeteroScenarios:
         assert a != b
         assert scenario_hetero(Scenario()) is None
 
-    def test_runner_max_entries_reaches_new_contexts(self, monkeypatch):
+    def test_the_old_memo_bound_variable_changes_nothing(self, monkeypatch):
+        """``REPRO_SWEEP_MAX_MEMO_ENTRIES`` left in an environment no
+        longer bounds anything: contexts key on (world, hetero) alone and
+        the rows report no bound and no evictions."""
         from repro.sweep import runner as runner_mod
 
-        # setenv first so monkeypatch restores the variable after run()
-        # writes it; fresh pool so the bound applies to a new context.
-        monkeypatch.setenv(runner_mod.MAX_MEMO_ENTRIES_ENV, "")
-        monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
-        runner = SweepRunner(evaluate_timeline, evaluator_max_entries=8)
-        runner.run([Scenario(system="timeline", spec="GPT-S", world_size=8,
-                             batch=1024, n=2)])
-        ctx = runner_mod._CONTEXTS[(8, None, 8)]
-        assert ctx.evaluator.max_entries == 8
-        # Outside the run the unbounded default applies: another context.
-        assert runner_mod.shared_context(8).evaluator.max_entries is None
-
-    @pytest.mark.parametrize("bounded_first", [False, True])
-    def test_memo_bound_holds_whatever_ran_before(self, monkeypatch, bounded_first):
-        """A bounded and an unbounded run on one cluster, in either
-        order in one process: each evaluates under its own bound."""
-        from repro.sweep import runner as runner_mod
-
-        monkeypatch.delenv(runner_mod.MAX_MEMO_ENTRIES_ENV, raising=False)
+        monkeypatch.setenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", "2")
         monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
         grid = [
             Scenario(system="timeline", spec="GPT-S", world_size=8,
                      batch=batch, n=2)
             for batch in (512, 1024, 2048, 4096)
         ]
-        runners = {
-            None: SweepRunner(evaluate_timeline),
-            2: SweepRunner(evaluate_timeline, evaluator_max_entries=2),
-        }
-        order = (2, None) if bounded_first else (None, 2)
-        for bound in order:
-            rows = runners[bound].run(grid)
-            assert {r.cache_stats["max_entries"] for r in rows} == {bound}
-            evictions = sum(r.cache_stats["evictions"] for r in rows)
-            assert (evictions > 0) == (bound is not None)
-
-    def test_memo_bound_env_var_does_not_leak_past_the_run(self, monkeypatch):
-        """A bounded runner must not silently cap later 'unbounded'
-        runners' contexts via a leaked environment variable."""
-        from repro.sweep import runner as runner_mod
-
-        monkeypatch.delenv(runner_mod.MAX_MEMO_ENTRIES_ENV, raising=False)
-        monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
-        runner = SweepRunner(evaluate_timeline, evaluator_max_entries=2)
-        runner.run([Scenario(system="timeline", spec="GPT-S", world_size=8,
-                             batch=1024, n=2)])
-        assert runner_mod.MAX_MEMO_ENTRIES_ENV not in os.environ
-        # A context built after the bounded run is genuinely unbounded.
-        monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
-        ctx = runner_mod.shared_context(8)
-        assert ctx.evaluator.max_entries is None
+        rows = SweepRunner(evaluate_timeline, backend="serial").run(grid)
+        assert list(runner_mod._CONTEXTS) == [(8, None)]
+        assert {r.cache_stats["evictions"] for r in rows} == {0}
+        assert {r.cache_stats["max_entries"] for r in rows} == {None}
+        assert rows[-1].cache_stats["entries"] > 2
 
     def test_context_pool_is_bounded(self, monkeypatch):
         from repro.sweep import runner as runner_mod
 
-        monkeypatch.delenv(runner_mod.MAX_MEMO_ENTRIES_ENV, raising=False)
         monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
         monkeypatch.setattr(runner_mod, "MAX_SHARED_CONTEXTS", 2)
         for world in (2, 4, 8):
             runner_mod.shared_context(world)
         assert len(runner_mod._CONTEXTS) == 2
-        assert (8, None, None) in runner_mod._CONTEXTS  # newest kept
+        assert (8, None) in runner_mod._CONTEXTS  # newest kept
 
     def test_cache_stats_survive_the_disk_cache(self, tmp_path):
         runner = SweepRunner(evaluate_timeline, cache_dir=tmp_path / "cache")
@@ -697,117 +686,74 @@ class TestHeteroScenarios:
         assert second.cache_stats == first.cache_stats
 
 
-# Module-level so process workers resolve it by qualified name.
-def record_bound_evaluate(scenario: Scenario) -> dict:
-    import time
+class TestConcurrentRuns:
+    """Runs on concurrent threads share the process's pooled context
+    for their cluster, and each keeps its own serial run's values."""
 
-    from repro.sweep import runner as runner_mod
+    BATCHES = ((512, 768, 1024, 1536), (2048, 3072, 4096, 6144))
 
-    time.sleep(0.002)  # widen the overlap window between concurrent runs
-    return {
-        "bound": runner_mod._default_max_entries(),
-        "env": os.environ.get(runner_mod.MAX_MEMO_ENTRIES_ENV),
-    }
-
-
-class TestConcurrentMemoBounds:
-    """Regression: ``SweepRunner.run`` used to export
-    ``evaluator_max_entries`` through ``REPRO_SWEEP_MAX_MEMO_ENTRIES``
-    for the whole run and restore it afterwards — two concurrent runners
-    with different bounds clobbered each other (and a crash could leave
-    the variable behind).  The bound now rides a context variable scoped
-    to each evaluation."""
-
-    def _scenarios(self, start: int) -> list:
+    def _grid(self, batches) -> list:
         return [
-            Scenario(system="timeline", batch=start + i) for i in range(1, 25)
+            Scenario(system="timeline", spec="GPT-S", world_size=8,
+                     batch=batch, n=n)
+            for batch in batches
+            for n in (1, 2, 4)
         ]
 
-    def test_concurrent_runners_keep_their_own_bounds(self, monkeypatch):
+    def _run_concurrently(self, runners, grids) -> list:
+        import sys
         import threading
 
-        monkeypatch.delenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", raising=False)
-        bounded = SweepRunner(record_bound_evaluate, backend="serial",
-                              evaluator_max_entries=5)
-        unbounded = SweepRunner(record_bound_evaluate, backend="serial")
-        results: dict = {}
+        rows = [None] * len(grids)
 
-        def run(name, runner, start):
-            results[name] = runner.run(self._scenarios(start))
+        def run(i):
+            rows[i] = runners[i].run(grids[i])
 
-        threads = [
-            threading.Thread(target=run, args=("bounded", bounded, 0)),
-            threading.Thread(target=run, args=("unbounded", unbounded, 1000)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the runs' evaluations
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        return rows
 
-        assert {r.values["bound"] for r in results["bounded"]} == {5}
-        assert {r.values["bound"] for r in results["unbounded"]} == {None}
-        # The environment was never written, mid-run or after.
-        for rs in results.values():
-            assert {r.values["env"] for r in rs} == {None}
-        assert "REPRO_SWEEP_MAX_MEMO_ENTRIES" not in os.environ
-
-    def test_server_pool_keeps_each_runners_bound(
-        self, monkeypatch, loopback_server
-    ):
-        """The bound rides the submit frame, and the server's pool
-        threads scope it per evaluation as the local runner does."""
-        import threading
-
-        monkeypatch.delenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", raising=False)
-        bounded = SweepRunner(record_bound_evaluate, backend="remote",
-                              evaluator_max_entries=5)
-        unbounded = SweepRunner(record_bound_evaluate, backend="remote")
-        results: dict = {}
-
-        def run(name, runner, start):
-            results[name] = runner.run(self._scenarios(start))
-
-        threads = [
-            threading.Thread(target=run, args=("bounded", bounded, 0)),
-            threading.Thread(target=run, args=("unbounded", unbounded, 1000)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-
-        assert {r.values["bound"] for r in results["bounded"]} == {5}
-        assert {r.values["bound"] for r in results["unbounded"]} == {None}
-        for rs in results.values():
-            assert {r.values["env"] for r in rs} == {None}
-
-    def test_env_default_survives_and_is_overridden_per_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", "11")
-        bounded = SweepRunner(record_bound_evaluate, evaluator_max_entries=5)
-        plain = SweepRunner(record_bound_evaluate)
-        (b,) = bounded.run([Scenario(system="timeline", batch=1)])
-        (p,) = plain.run([Scenario(system="timeline", batch=2)])
-        assert b.values["bound"] == 5  # explicit bound wins
-        assert p.values["bound"] == 11  # env default still honored
-        assert b.values["env"] == p.values["env"] == "11"  # never mutated
-        assert os.environ["REPRO_SWEEP_MAX_MEMO_ENTRIES"] == "11"
-
-    def test_bound_lands_on_fresh_contexts(self, monkeypatch):
+    def test_concurrent_runners_share_one_context(self, monkeypatch):
+        """The per-scenario deltas stay exact under the context's sweep
+        lock: their memo misses add up to the entries the shared memo
+        holds, with nothing counted twice."""
         from repro.sweep import runner as runner_mod
 
-        monkeypatch.delenv("REPRO_SWEEP_MAX_MEMO_ENTRIES", raising=False)
-        with runner_mod._POOL_LOCK:
-            saved = dict(runner_mod._CONTEXTS)
-            runner_mod._CONTEXTS.clear()
-        try:
-            runner = SweepRunner(evaluate_timeline, evaluator_max_entries=7)
-            runner.run([Scenario(system="timeline", spec="GPT-S",
-                                 world_size=4, batch=1024, n=2)])
-            ctx = runner_mod._CONTEXTS[(4, None, 7)]
-            assert ctx.evaluator.max_entries == 7
-        finally:
-            with runner_mod._POOL_LOCK:
-                runner_mod._CONTEXTS.clear()
-                runner_mod._CONTEXTS.update(saved)
+        monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
+        grids = [self._grid(batches) for batches in self.BATCHES]
+        runners = [
+            SweepRunner(evaluate_timeline, backend="serial") for _ in range(2)
+        ]
+        rows = self._run_concurrently(runners, grids)
+        (ctx,) = runner_mod._CONTEXTS.values()
+        assert list(runner_mod._CONTEXTS) == [(8, None)]
+        memo = ctx.evaluator
+        # The footprint and selector tables count no misses.
+        counted = (memo._costs, memo._makespans, memo._sims,
+                   memo._footprint_bytes)
+        misses = sum(r.cache_stats["misses"] for rs in rows for r in rs)
+        assert misses == sum(map(len, counted))
+        monkeypatch.setattr(runner_mod, "_CONTEXTS", {})
+        for grid, got in zip(grids, rows):
+            serial = SweepRunner(evaluate_timeline).run(grid)
+            assert [r.values for r in got] == [r.values for r in serial]
+
+    def test_the_server_pool_serves_concurrent_runners(self, loopback_server):
+        grids = [self._grid(batches) for batches in self.BATCHES]
+        runners = [
+            SweepRunner(evaluate_timeline, backend="remote") for _ in range(2)
+        ]
+        rows = self._run_concurrently(runners, grids)
+        for grid, got in zip(grids, rows):
+            serial = SweepRunner(evaluate_timeline).run(grid)
+            assert [r.ok for r in got] == [True] * len(grid)
+            assert [r.values for r in got] == [r.values for r in serial]

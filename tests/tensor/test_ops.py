@@ -29,10 +29,6 @@ class TestArithmetic:
         b = Tensor(np.ones((3, 5)))
         assert F.matmul(a, b).shape == (4, 2, 5)
 
-    def test_astype(self):
-        t = F.astype(Tensor(np.zeros(3, dtype=np.float64)), np.float32)
-        assert t.dtype == np.float32
-
 
 class TestNonlinearities:
     def test_relu_values(self):
@@ -74,12 +70,6 @@ class TestSoftmax:
         a = F.softmax(Tensor(x)).data
         b = F.softmax(Tensor(x + 1000.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_log_softmax_consistent(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-12
-        )
 
     def test_extreme_logits_no_overflow(self):
         x = Tensor(np.array([[1e4, -1e4, 0.0]]))

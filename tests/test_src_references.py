@@ -9,13 +9,22 @@ with its reason.  Deleting a definition makes its callees unreferenced
 too, so a dead chain cannot stay behind.  What counts as a reference:
 
 * a name, an attribute or an imported name, except that a ``src/``
-  package ``__init__`` re-exporting a name does not use it (its
-  ``__all__`` and ``lazy_exports`` tables are strings, see below);
+  re-export module importing a name does not use it: a package
+  ``__init__`` (its ``__all__`` and ``lazy_exports`` tables are
+  strings, see below), or a module whose top level holds only a
+  docstring, imports and ``__all__``, such as
+  ``repro.tensor.functional``;
 * for a method, only an attribute: a bare local of the same name does
   not reach it;
 * the words of string constants other than docstrings, outside
   ``src/`` only (``perfbench/perf_trace.py`` patches methods by their
   names; inside ``src/`` strings are messages and table keys).
+
+The scan matches names, not types, so a definition named like a
+builtin, ndarray, file, thread or socket method (``copy``, ``astype``,
+``clear``, ``close``) counts as used through any attribute of that
+name: ``src/`` calls ``.copy()`` on arrays, which would hide an
+uncalled ``Tensor.copy``.  Such a method is checked by hand.
 """
 
 from __future__ import annotations
@@ -39,10 +48,7 @@ ALLOCATOR = "allocator accessor"
 
 #: Unreferenced definitions that stay, keyed ``module:qualified.name``.
 ALLOWED = {
-    "repro.api.backends:temporary_backend": PUBLIC,
-    "repro.api.backends:unregister_backend": PUBLIC,
     "repro.api.study:Study.describe": PUBLIC,
-    "repro.api.study:Study.limit_memo": PUBLIC,
     "repro.perfmodel.evalcache:Evaluator.cache_info": PUBLIC,
     "repro.testing.faults:FaultPlan.active": PUBLIC,
     "repro.comm.cost:NcclCostModel.alltoall_time": REFERENCE,
@@ -86,7 +92,24 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return found
 
 
-def _references(tree: ast.AST, *, in_src: bool, package_init: bool):
+def _reexports_only(tree: ast.Module) -> bool:
+    """Whether a module's top level holds only a docstring, imports and
+    an ``__all__`` assignment: a facade that re-exports names."""
+    docstrings = _docstrings(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.Expr) and id(node.value) in docstrings:
+            continue
+        if isinstance(node, ast.Assign) and [
+            getattr(target, "id", None) for target in node.targets
+        ] == ["__all__"]:
+            continue
+        return False
+    return True
+
+
+def _references(tree: ast.AST, *, in_src: bool, reexports: bool):
     """``(names, attributes)`` a module references.
 
     ``names`` holds bare names, imported names and, outside ``src/``,
@@ -100,7 +123,7 @@ def _references(tree: ast.AST, *, in_src: bool, package_init: bool):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attributes.add(node.attr)
-        elif isinstance(node, ast.alias) and not package_init:
+        elif isinstance(node, ast.alias) and not reexports:
             names.update(node.name.split("."))
             if node.asname:
                 names.add(node.asname)
@@ -148,7 +171,10 @@ def scan(root: Path, workflow: Path | None = None) -> frozenset[str]:
     for path, tree in trees.items():
         in_src = path.is_relative_to(src)
         found_names, found_attributes = _references(
-            tree, in_src=in_src, package_init=in_src and path.name == "__init__.py"
+            tree,
+            in_src=in_src,
+            reexports=in_src
+            and (path.name == "__init__.py" or _reexports_only(tree)),
         )
         names |= found_names
         attributes |= found_attributes
@@ -208,6 +234,71 @@ class TestScanRules:
             "src/pkg/mod.py": "def eager(): ...\ndef deferred(): ...\n",
         })
         assert found == {"pkg.mod:eager", "pkg.mod:deferred"}
+
+    def test_a_reexport_module_is_not_a_use(self, tmp_path):
+        """A module of only a docstring, imports and ``__all__`` (like
+        ``repro.tensor.functional``) re-exports; one with any other
+        statement uses what it imports."""
+        found = scan_tree(tmp_path, {
+            "src/pkg/functional.py": '''
+                """Functional namespace."""
+                from __future__ import annotations
+                from pkg.ops import softmax, log_softmax
+                __all__ = ["softmax", "log_softmax"]
+            ''',
+            "src/pkg/ops.py": "def softmax(a): ...\ndef log_softmax(a): ...\n"
+                              "def relu(a): ...\n",
+            "src/pkg/model.py": """
+                from pkg.ops import relu
+                ACTIVATION = relu
+            """,
+            "examples/run.py": "import pkg.functional as F\nF.softmax(1)\n",
+        })
+        assert found == {"pkg.ops:log_softmax"}
+
+    def test_a_module_with_its_own_definitions_uses_what_it_imports(
+        self, tmp_path
+    ):
+        found = scan_tree(tmp_path, {
+            "src/pkg/helpers.py": '''
+                """Helpers."""
+                from pkg.ops import softmax
+                __all__ = ["softmax", "scale"]
+                def scale(a): ...
+            ''',
+            "src/pkg/ops.py": "def softmax(a): ...\n",
+            "examples/run.py": "from pkg.helpers import scale\nscale(1)\n",
+        })
+        assert found == set()
+
+    def test_a_facade_outside_src_uses_what_it_imports(self, tmp_path):
+        found = scan_tree(tmp_path, {
+            "src/pkg/ops.py": "def softmax(a): ...\n",
+            "benchmarks/facade.py": '''
+                """Benchmark imports."""
+                from pkg.ops import softmax
+            ''',
+        })
+        assert found == set()
+
+    def test_a_builtin_named_method_counts_through_any_attribute(
+        self, tmp_path
+    ):
+        """The documented limit: ``data.copy()`` on an array also counts
+        as a use of an uncalled ``Tensor.copy``."""
+        found = scan_tree(tmp_path, {
+            "src/pkg/tensor.py": """
+                class Tensor:
+                    def copy(self): ...
+                    def detach(self): ...
+
+                def clone(data):
+                    return data.copy()
+            """,
+            "examples/run.py": "from pkg.tensor import Tensor, clone\n"
+                               "clone(Tensor())\n",
+        })
+        assert found == {"pkg.tensor:Tensor.detach"}
 
     def test_a_bare_local_does_not_reach_a_method(self, tmp_path):
         found = scan_tree(tmp_path, {
